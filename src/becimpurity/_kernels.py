@@ -2,27 +2,16 @@
 
 The box oracle sums over every momentum p = (2*pi/L) * (nx, ny, nz) inside a
 sphere |p| <= p_cut, origin excluded, with the impurity momentum along z.
-These triple sums are the only hot loops in the package, so they exist twice:
-
-- numba @njit(cache=True) sequential loops with Kahan-compensated
-  accumulation (keeps million-term sums at machine accuracy so the two
-  backends agree to ~1e-15 relative);
-- vectorized numpy fallbacks that process one nz slab at a time to bound
-  memory.
-
-Per-element arithmetic is written with the same operation order in both
-paths, so any difference comes from summation order alone. The backend is
-chosen once at import: set BECIMPURITY_DISABLE_NUMBA=1 (or "true"/"yes") to
-force the numpy path; a missing numba install falls back silently. All
-kernels are deterministic for fixed inputs regardless of backend.
+These triple sums are the only hot loops in the package. They are numpy
+lattice-sum kernels that work one nz slab at a time, which bounds memory by
+one (2*n_max + 1)**2 plane. All kernels are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
+
+from .kinematics import finite_time_kernel
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -32,14 +21,8 @@ __all__ = [
     "lattice_points",
 ]
 
-_FLAG = "BECIMPURITY_DISABLE_NUMBA"
-
-# must agree with kinematics.finite_time_kernel
-_KERNEL_SERIES_CUT = 1e-4
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_FLAG, "").strip().lower() not in ("", "0", "false", "no")
+# the only backend; kept as a name because perfbench/run.py records it
+ACTIVE_BACKEND = "numpy"
 
 
 def lattice_points(n_max: int) -> int:
@@ -48,98 +31,8 @@ def lattice_points(n_max: int) -> int:
     return side * side * side
 
 
-def _lorentzian_sums_loop(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
-    # returns (sum w/(omega^2+eta^2), sum w*eps/(omega^2+eta^2))
-    s_t = 0.0
-    c_t = 0.0
-    s_e = 0.0
-    c_e = 0.0
-    eta2 = eta * eta
-    for nx in range(-n_max, n_max + 1):
-        for ny in range(-n_max, n_max + 1):
-            perp2 = nx * nx + ny * ny
-            for nz in range(-n_max, n_max + 1):
-                n2 = perp2 + nz * nz
-                if n2 == 0:
-                    continue
-                p2 = n2 * dk * dk
-                if p2 > p_cut2:
-                    continue
-                eps = math.sqrt(p2 * (p2 + 4.0 * m * nU0)) / (2.0 * m)
-                w = g2n * p2 / (2.0 * m * eps)
-                om = eps + p2 / (2.0 * M_imp) - q_i * dk * nz / M_imp
-                v = w / (om * om + eta2)
-                y = v - c_t
-                t = s_t + y
-                c_t = (t - s_t) - y
-                s_t = t
-                ve = v * eps
-                y = ve - c_e
-                t = s_e + y
-                c_e = (t - s_e) - y
-                s_e = t
-    return s_t, s_e
-
-
-def _finite_time_sum_loop(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
-    # returns sum w * 4*sin(omega*t/2)^2/omega^2 with the series branch at
-    # small |omega*t|
-    acc = 0.0
-    comp = 0.0
-    for nx in range(-n_max, n_max + 1):
-        for ny in range(-n_max, n_max + 1):
-            perp2 = nx * nx + ny * ny
-            for nz in range(-n_max, n_max + 1):
-                n2 = perp2 + nz * nz
-                if n2 == 0:
-                    continue
-                p2 = n2 * dk * dk
-                if p2 > p_cut2:
-                    continue
-                eps = math.sqrt(p2 * (p2 + 4.0 * m * nU0)) / (2.0 * m)
-                w = g2n * p2 / (2.0 * m * eps)
-                om = eps + p2 / (2.0 * M_imp) - q_i * dk * nz / M_imp
-                z = om * t_time
-                if abs(z) < _KERNEL_SERIES_CUT:
-                    k = t_time * t_time * (1.0 - z * z / 12.0)
-                else:
-                    sn = math.sin(0.5 * z)
-                    k = 4.0 * sn * sn / (om * om)
-                v = w * k
-                y = v - comp
-                t = acc + y
-                comp = (t - acc) - y
-                acc = t
-    return acc
-
-
-def _inverse_square_sum_loop(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
-    # returns sum 4*w/omega^2; caller guarantees omega != 0 (subcritical q_i)
-    acc = 0.0
-    comp = 0.0
-    for nx in range(-n_max, n_max + 1):
-        for ny in range(-n_max, n_max + 1):
-            perp2 = nx * nx + ny * ny
-            for nz in range(-n_max, n_max + 1):
-                n2 = perp2 + nz * nz
-                if n2 == 0:
-                    continue
-                p2 = n2 * dk * dk
-                if p2 > p_cut2:
-                    continue
-                eps = math.sqrt(p2 * (p2 + 4.0 * m * nU0)) / (2.0 * m)
-                w = g2n * p2 / (2.0 * m * eps)
-                om = eps + p2 / (2.0 * M_imp) - q_i * dk * nz / M_imp
-                v = 4.0 * w / (om * om)
-                y = v - comp
-                t = acc + y
-                comp = (t - acc) - y
-                acc = t
-    return acc
-
-
-def _slab_iter(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
-    """Yield (w, omega) arrays for each nz slab of the masked lattice."""
+def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
+    """Yield (w, eps, omega) arrays for each nz slab of the masked lattice."""
     idx = np.arange(-n_max, n_max + 1)
     gx, gy = np.meshgrid(idx, idx, indexing="ij")
     perp2 = (gx * gx + gy * gy).astype(np.float64)
@@ -155,70 +48,29 @@ def _slab_iter(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
         yield w, eps, om
 
 
-def _lorentzian_sums_numpy(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
+def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
+    """Broadened golden-rule sums: (sum w/(om^2+eta^2), sum w*eps/(om^2+eta^2))."""
     s_t = 0.0
     s_e = 0.0
     eta2 = eta * eta
-    for w, eps, om in _slab_iter(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
+    for w, eps, om in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
         lor = w / (om * om + eta2)
         s_t += float(np.sum(lor))
         s_e += float(np.sum(lor * eps))
     return s_t, s_e
 
 
-def _finite_time_sum_numpy(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
-    acc = 0.0
-    for w, _eps, om in _slab_iter(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
-        z = om * t_time
-        small = np.abs(z) < _KERNEL_SERIES_CUT
-        om_safe = np.where(small, 1.0, om)
-        k = np.where(
-            small,
-            t_time * t_time * (1.0 - z * z / 12.0),
-            4.0 * np.sin(0.5 * z) ** 2 / (om_safe * om_safe),
-        )
-        acc += float(np.sum(w * k))
-    return acc
-
-
-def _inverse_square_sum_numpy(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
-    acc = 0.0
-    for w, _eps, om in _slab_iter(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
-        acc += float(np.sum(4.0 * w / (om * om)))
-    return acc
-
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        _compile = njit(cache=True)
-        _lorentzian_sums_impl = _compile(_lorentzian_sums_loop)
-        _finite_time_sum_impl = _compile(_finite_time_sum_loop)
-        _inverse_square_sum_impl = _compile(_inverse_square_sum_loop)
-        ACTIVE_BACKEND = "numba"
-    except ImportError:
-        _lorentzian_sums_impl = _lorentzian_sums_numpy
-        _finite_time_sum_impl = _finite_time_sum_numpy
-        _inverse_square_sum_impl = _inverse_square_sum_numpy
-        ACTIVE_BACKEND = "numpy"
-else:
-    _lorentzian_sums_impl = _lorentzian_sums_numpy
-    _finite_time_sum_impl = _finite_time_sum_numpy
-    _inverse_square_sum_impl = _inverse_square_sum_numpy
-    ACTIVE_BACKEND = "numpy"
-
-
-def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
-    """Broadened golden-rule sums: (sum w/(om^2+eta^2), sum w*eps/(om^2+eta^2))."""
-    return _lorentzian_sums_impl(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta)
-
-
 def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
     """Transition weight sum: sum over modes of w * finite-time kernel."""
-    return _finite_time_sum_impl(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time)
+    acc = 0.0
+    for w, _eps, om in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
+        acc += float(np.sum(w * finite_time_kernel(om, t_time)))
+    return acc
 
 
 def inverse_square_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
     """Kernel-bound sum: sum over modes of 4*w/omega^2 (subcritical only)."""
-    return _inverse_square_sum_impl(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i)
+    acc = 0.0
+    for w, _eps, om in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
+        acc += float(np.sum(4.0 * w / (om * om)))
+    return acc

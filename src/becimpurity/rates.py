@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .bogoliubov import dispersion
 from .errors import ConfigurationError, DomainError
-from .kinematics import max_emission_momentum
+from .kinematics import _check_qi, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import QuadratureConfig, integrate
 
@@ -82,12 +82,6 @@ class BoxOracleConfig:
             raise ConfigurationError(f"max_points must be a positive integer, got {self.max_points!r}")
 
 
-def _check_qi(q_i: float) -> float:
-    if not (np.isfinite(q_i) and q_i >= 0):
-        raise DomainError(f"initial momentum must be nonnegative and finite, got {q_i!r}")
-    return float(q_i)
-
-
 def _smallness(q_i: float, gamma_T: float, params: SystemParams) -> float:
     if q_i == 0.0:
         return 0.0
@@ -139,32 +133,16 @@ def _closed_pair(q_i: float, params: SystemParams):
 
 
 def transition_rate(q_i: float, params: SystemParams) -> RateResult:
-    """Closed-form rates: exact radial integral of the emission spectrum.
+    """Closed-form rates: exact radial integrals of the emission spectrum.
 
     gamma_T = M*m*n*g**2/(2*pi*q_i) * (eps(p_max)
               - m*c**2 * log1p((eps(p_max) + p_max**2/2m) / (m*c**2)))
-
-    and gamma_E as in energy_dissipation_rate. Exactly zero at or below the
-    critical momentum.
-    """
-    q_i = _check_qi(q_i)
-    gamma_T, gamma_E = _closed_pair(q_i, params)
-    return RateResult(
-        q_i=q_i,
-        gamma_T=gamma_T,
-        gamma_E=gamma_E,
-        method="closed",
-        est_error=0.0,
-        smallness=_smallness(q_i, gamma_T, params),
-    )
-
-
-def energy_dissipation_rate(q_i: float, params: SystemParams) -> RateResult:
-    """Closed-form energy loss rate gamma_E = M*n*g**2*p_max**4/(16*pi*m*q_i).
+    gamma_E = M*n*g**2*p_max**4/(16*pi*m*q_i)
 
     The eps(p) weight integrates against the emission spectrum in closed
-    form, so this is an identity, not an approximation; the quadrature route
-    (transition_rate_quadrature) must reproduce it to its tolerance.
+    form, so gamma_E is an identity, not an approximation; the quadrature
+    route (transition_rate_quadrature) must reproduce both to its tolerance.
+    Exactly zero at or below the critical momentum.
     """
     q_i = _check_qi(q_i)
     gamma_T, gamma_E = _closed_pair(q_i, params)
@@ -176,6 +154,10 @@ def energy_dissipation_rate(q_i: float, params: SystemParams) -> RateResult:
         est_error=0.0,
         smallness=_smallness(q_i, gamma_T, params),
     )
+
+
+# one closed-form route yields both rates; the energy-rate name is kept public
+energy_dissipation_rate = transition_rate
 
 
 def transition_rate_quadrature(q_i: float, params: SystemParams, tol: float = 1e-10) -> RateResult:
