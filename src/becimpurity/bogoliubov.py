@@ -85,11 +85,7 @@ def coupling_weight(p, params: SystemParams):
     out = np.zeros_like(arr)
     mask = arr > 0
     if np.any(mask):
-        pm = arr[mask] if arr.ndim else arr
+        pm = arr[mask]
         eps = dispersion(pm, params)
-        val = params.g**2 * params.n * pm * pm / (2.0 * params.m * eps)
-        if arr.ndim:
-            out[mask] = val
-        else:
-            out = np.asarray(val)
+        out[mask] = params.g**2 * params.n * pm * pm / (2.0 * params.m * eps)
     return out if out.ndim else float(out)

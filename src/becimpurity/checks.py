@@ -2,8 +2,13 @@
 
 Each check compares an independent numerical route against a closed form (or
 an exact structural property) and reports a single scalar alongside the
-tolerance it was judged with. run_all evaluates every registered check in a
-fixed order.
+tolerance it was judged with. run_all evaluates every registered check in
+declaration order.
+
+To add a check, write one function with no parameters that returns
+``(measured, detail)`` and decorate it with ``@_check(default_tolerance)``;
+the function name is the check name, and the check passes when measured <=
+tolerance. run_check supplies the tolerance and builds the CheckResult.
 
 Three checks are expected to fail at their default tolerances; they probe
 limits that the implemented physics genuinely does not meet (a heavy-mass
@@ -60,31 +65,6 @@ class CheckResult:
     detail: str
 
 
-DEFAULT_TOLERANCES = {
-    "landau_exact_zero": 0.0,
-    "closed_vs_quadrature": 1e-8,
-    "energy_rate_identity": 1e-8,
-    "threshold_exponent": 0.05,
-    "threshold_prefactor": 0.05,
-    "high_momentum_limit": 0.02,
-    "quasiparticle_smallness": 0.1,
-    "heavy_mass_dissipation_limit": 0.03,
-    "box_schedule_agreement": 0.02,
-    "box_schedule_monotone": 0.0,
-    "branch_point_symmetric_value": 1e-6,
-    "small_ratio_endpoints": 1e-9,
-    "branch_point_one_sided": 1e-6,
-    "cutoff_scaling_slope": 0.1,
-    "cutoff_residual_2000": 1e-4,
-    "effective_mass_integral_vs_closed": 1e-6,
-    "effective_mass_fd_vs_closed": 1e-3,
-    "effective_mass_heavy_limit": 1e-7,
-    "vanishing_linear_term": 1e-8,
-    "golden_rule_linear_regime": 0.05,
-    "subcritical_survival_bound": 0.0,
-    "subcritical_survival_floor": 0.1,
-}
-
 # Checks that fail at the default tolerances, with the approximate measured
 # value; the failures are real properties of the model, not bugs.
 EXPECTED_FAILURES = {
@@ -93,22 +73,18 @@ EXPECTED_FAILURES = {
     "branch_point_one_sided": 1.7e-5,
 }
 
+# name -> (check, default tolerance), in declaration order
 _REGISTRY: dict = {}
 
 
-def _register(fn):
-    _REGISTRY[fn.__name__] = fn
-    return fn
+def _check(tolerance: float):
+    """Register the decorated check under its function name."""
 
+    def register(fn):
+        _REGISTRY[fn.__name__] = (fn, tolerance)
+        return fn
 
-def _result(name: str, measured: float, tolerance: float, detail: str) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(measured <= tolerance),  # numpy bools break JSON reports
-        measured=float(measured),
-        tolerance=float(tolerance),
-        detail=detail,
-    )
+    return register
 
 
 def _unit(**kwargs) -> SystemParams:
@@ -125,8 +101,8 @@ def _rel(x: float, ref: float) -> float:
 # rates
 
 
-@_register
-def landau_exact_zero(tol: float) -> CheckResult:
+@_check(0.0)
+def landau_exact_zero() -> tuple:
     """Both rates are identically zero on a grid below the critical momentum."""
     worst = 0.0
     for M in (0.5, 1.0, 2.0, 10.0):
@@ -135,14 +111,11 @@ def landau_exact_zero(tol: float) -> CheckResult:
         for q_i in np.linspace(0.0, 0.999 * q_c, 13):
             r = transition_rate(float(q_i), params)
             worst = max(worst, abs(r.gamma_T), abs(r.gamma_E))
-    return _result(
-        "landau_exact_zero", worst, tol,
-        f"max |rate| over 52 subcritical (q_i, M) points = {worst:.3g}",
-    )
+    return worst, f"max |rate| over 52 subcritical (q_i, M) points = {worst:.3g}"
 
 
-@_register
-def closed_vs_quadrature(tol: float) -> CheckResult:
+@_check(1e-8)
+def closed_vs_quadrature() -> tuple:
     """Adaptive quadrature reproduces the closed transition rate."""
     dev = 0.0
     for M in (0.5, 1.0, 2.0, 10.0):
@@ -152,14 +125,11 @@ def closed_vs_quadrature(tol: float) -> CheckResult:
             closed = transition_rate(ratio * q_c, params)
             quad = transition_rate_quadrature(ratio * q_c, params, tol=1e-10)
             dev = max(dev, _rel(quad.gamma_T, closed.gamma_T))
-    return _result(
-        "closed_vs_quadrature", dev, tol,
-        f"max rel dev of gamma_T over a 20 x 4 (q_i, M) grid = {dev:.3g}",
-    )
+    return dev, f"max rel dev of gamma_T over a 20 x 4 (q_i, M) grid = {dev:.3g}"
 
 
-@_register
-def energy_rate_identity(tol: float) -> CheckResult:
+@_check(1e-8)
+def energy_rate_identity() -> tuple:
     """Energy-weighted spectral integral reproduces the closed dissipation rate."""
     dev = 0.0
     for q_i, M in ((2.0, 1.0), (4.0, 2.0), (5.0, 1.0)):
@@ -167,10 +137,7 @@ def energy_rate_identity(tol: float) -> CheckResult:
         closed = transition_rate(q_i, params)
         quad = transition_rate_quadrature(q_i, params, tol=1e-10)
         dev = max(dev, _rel(quad.gamma_E, closed.gamma_E))
-    return _result(
-        "energy_rate_identity", dev, tol,
-        f"max rel dev of gamma_E at three supercritical points = {dev:.3g}",
-    )
+    return dev, f"max rel dev of gamma_E at three supercritical points = {dev:.3g}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,28 +156,22 @@ def _threshold_fit() -> tuple:
     return float(slope), _rel(pref, pref_exact)
 
 
-@_register
-def threshold_exponent(tol: float) -> CheckResult:
+@_check(0.05)
+def threshold_exponent() -> tuple:
     """Rate grows with the cube of the momentum excess above threshold."""
     slope, _ = _threshold_fit()
-    return _result(
-        "threshold_exponent", abs(slope - 3.0), tol,
-        f"log-log slope over (q_i - q_c)/q_c in [1e-3, 1e-2] is {slope:.6f}",
-    )
+    return abs(slope - 3.0), f"log-log slope over (q_i - q_c)/q_c in [1e-3, 1e-2] is {slope:.6f}"
 
 
-@_register
-def threshold_prefactor(tol: float) -> CheckResult:
+@_check(0.05)
+def threshold_prefactor() -> tuple:
     """Cubic-law prefactor matches the threshold asymptote."""
     _, dev = _threshold_fit()
-    return _result(
-        "threshold_prefactor", dev, tol,
-        f"geometric-mean prefactor off by {dev:.3g} relative",
-    )
+    return dev, f"geometric-mean prefactor off by {dev:.3g} relative"
 
 
-@_register
-def high_momentum_limit(tol: float) -> CheckResult:
+@_check(0.02)
+def high_momentum_limit() -> tuple:
     """Closed rate approaches the momentum-linear asymptote at q_i = 100*q_c."""
     worst = 0.0
     for M in (1.0, 2.0):
@@ -218,26 +179,20 @@ def high_momentum_limit(tol: float) -> CheckResult:
         q_i = 100.0 * derive(params).q_c
         asym = transition_rate_asymptotic(q_i, params, regime="high_momentum")
         worst = max(worst, _rel(transition_rate(q_i, params).gamma_T, asym))
-    return _result(
-        "high_momentum_limit", worst, tol,
-        f"max rel dev from the linear asymptote at 100*q_c = {worst:.3g}",
-    )
+    return worst, f"max rel dev from the linear asymptote at 100*q_c = {worst:.3g}"
 
 
-@_register
-def quasiparticle_smallness(tol: float) -> CheckResult:
+@_check(0.1)
+def quasiparticle_smallness() -> tuple:
     """Decay rate stays small against the impurity kinetic energy."""
     worst = 0.0
     for q_i, M in ((2.0, 1.0), (4.0, 2.0), (5.0, 1.0)):
         worst = max(worst, transition_rate(q_i, _unit(M=M)).smallness)
-    return _result(
-        "quasiparticle_smallness", worst, tol,
-        f"max gamma_T/(q_i**2/2M) over three supercritical points = {worst:.3g}",
-    )
+    return worst, f"max gamma_T/(q_i**2/2M) over three supercritical points = {worst:.3g}"
 
 
-@_register
-def heavy_mass_dissipation_limit(tol: float) -> CheckResult:
+@_check(0.03)
+def heavy_mass_dissipation_limit() -> tuple:
     """Dissipation rate vs its infinite-mass asymptote at M/m = 100.
 
     The asymptote is approached only like m/M; at M = 100 the residue is
@@ -253,10 +208,7 @@ def heavy_mass_dissipation_limit(tol: float) -> CheckResult:
         / (math.pi * q_i * params.M**3)
     )
     dev = _rel(exact, limit)
-    return _result(
-        "heavy_mass_dissipation_limit", dev, tol,
-        f"rel dev from the infinite-mass asymptote at M=100, q_i=1.5*q_c is {dev:.3g}",
-    )
+    return dev, f"rel dev from the infinite-mass asymptote at M=100, q_i=1.5*q_c is {dev:.3g}"
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +228,15 @@ def _box_schedule_errors() -> tuple:
     return tuple(errs)
 
 
-@_register
-def box_schedule_agreement(tol: float) -> CheckResult:
+@_check(0.02)
+def box_schedule_agreement() -> tuple:
     """Finest box in the refinement schedule agrees with the closed rate."""
     errs = _box_schedule_errors()
-    return _result(
-        "box_schedule_agreement", errs[-1], tol,
-        f"rel errors along (L, eta) schedule: {', '.join(f'{e:.3g}' for e in errs)}",
-    )
+    return errs[-1], f"rel errors along (L, eta) schedule: {', '.join(f'{e:.3g}' for e in errs)}"
 
 
-@_register
-def box_schedule_monotone(tol: float) -> CheckResult:
+@_check(0.0)
+def box_schedule_monotone() -> tuple:
     """Box error decreases at every refinement step.
 
     It does not: the middle step lands unusually close to the closed value,
@@ -296,43 +245,32 @@ def box_schedule_monotone(tol: float) -> CheckResult:
     """
     errs = _box_schedule_errors()
     worst_increase = max(0.0, max(b - a for a, b in zip(errs, errs[1:])))
-    return _result(
-        "box_schedule_monotone", worst_increase, tol,
-        f"max step-to-step error increase = {worst_increase:.3g}",
-    )
+    return worst_increase, f"max step-to-step error increase = {worst_increase:.3g}"
 
 
 # ---------------------------------------------------------------------------
 # fluctuation integrals
 
 
-@_register
-def branch_point_symmetric_value(tol: float) -> CheckResult:
+@_check(1e-6)
+def branch_point_symmetric_value() -> tuple:
     """Averaging the two sides of the equal-mass point recovers the limits."""
     e = 1e-4
     dev0 = abs(0.5 * (I0(1.0 + e) + I0(1.0 - e)) - 4.0 / 3.0)
     dev1 = abs(0.5 * (I1(1.0 + e) + I1(1.0 - e)) - 2.0 / 15.0)
-    measured = max(dev0, dev1)
-    return _result(
-        "branch_point_symmetric_value", measured, tol,
-        f"symmetric averages off by {dev0:.3g} (I0) and {dev1:.3g} (I1)",
-    )
+    return max(dev0, dev1), f"symmetric averages off by {dev0:.3g} (I0) and {dev1:.3g} (I1)"
 
 
-@_register
-def small_ratio_endpoints(tol: float) -> CheckResult:
+@_check(1e-9)
+def small_ratio_endpoints() -> tuple:
     """Light-impurity endpoints: I0 -> pi/2 and I1 -> pi/4 as the ratio -> 0."""
     dev0 = abs(I0(1e-10) - math.pi / 2.0)
     dev1 = abs(I1(1e-10) - math.pi / 4.0)
-    measured = max(dev0, dev1)
-    return _result(
-        "small_ratio_endpoints", measured, tol,
-        f"endpoint deviations at ratio 1e-10: {dev0:.3g} (I0), {dev1:.3g} (I1)",
-    )
+    return max(dev0, dev1), f"endpoint deviations at ratio 1e-10: {dev0:.3g} (I0), {dev1:.3g} (I1)"
 
 
-@_register
-def branch_point_one_sided(tol: float) -> CheckResult:
+@_check(1e-6)
+def branch_point_one_sided() -> tuple:
     """Each side of the equal-mass point individually matches the limit.
 
     Impossible at this tolerance: both integrals have a finite slope there
@@ -345,10 +283,7 @@ def branch_point_one_sided(tol: float) -> CheckResult:
         abs(I1(1.0 + e) - 2.0 / 15.0),
         abs(I1(1.0 - e) - 2.0 / 15.0),
     )
-    return _result(
-        "branch_point_one_sided", measured, tol,
-        f"max one-sided deviation at offset 1e-4 = {measured:.3g}",
-    )
+    return measured, f"max one-sided deviation at offset 1e-4 = {measured:.3g}"
 
 
 # ---------------------------------------------------------------------------
@@ -365,43 +300,34 @@ def _cutoff_reldevs() -> dict:
     }
 
 
-@_register
-def cutoff_scaling_slope(tol: float) -> CheckResult:
+@_check(0.1)
+def cutoff_scaling_slope() -> tuple:
     """Rest-energy cutoff error falls off like the inverse cutoff."""
     devs = _cutoff_reldevs()
     cuts = np.array([100.0, 200.0, 400.0, 800.0])
     slope = np.polyfit(np.log(cuts), np.log([devs[c] for c in cuts]), 1)[0]
-    return _result(
-        "cutoff_scaling_slope", abs(slope + 1.0), tol,
-        f"log-log slope of the cutoff error over [100, 800] is {slope:.6f}",
-    )
+    return abs(slope + 1.0), f"log-log slope of the cutoff error over [100, 800] is {slope:.6f}"
 
 
-@_register
-def cutoff_residual_2000(tol: float) -> CheckResult:
+@_check(1e-4)
+def cutoff_residual_2000() -> tuple:
     """Renormalized rest energy is already converged at cutoff 2000."""
     dev = _cutoff_reldevs()[2000.0]
-    return _result(
-        "cutoff_residual_2000", dev, tol,
-        f"rel dev from the closed rest energy at cutoff 2000 = {dev:.3g}",
-    )
+    return dev, f"rel dev from the closed rest energy at cutoff 2000 = {dev:.3g}"
 
 
-@_register
-def effective_mass_integral_vs_closed(tol: float) -> CheckResult:
+@_check(1e-6)
+def effective_mass_integral_vs_closed() -> tuple:
     """Semi-infinite curvature integral reproduces the closed mass."""
     params = _unit(a=0.01, g=None)
     closed = effective_mass_closed(params)
     quad = effective_mass_quadrature(params)
     dev = _rel(quad.correction, closed.correction)
-    return _result(
-        "effective_mass_integral_vs_closed", dev, tol,
-        f"mass correction by quadrature off by {dev:.3g} relative",
-    )
+    return dev, f"mass correction by quadrature off by {dev:.3g} relative"
 
 
-@_register
-def effective_mass_fd_vs_closed(tol: float) -> CheckResult:
+@_check(1e-3)
+def effective_mass_fd_vs_closed() -> tuple:
     """Finite-difference curvature of the subtracted energy matches the mass.
 
     Carries the O(1/cutoff) residue of the curvature itself, about 5e-4 at
@@ -411,27 +337,21 @@ def effective_mass_fd_vs_closed(tol: float) -> CheckResult:
     closed = effective_mass_closed(params)
     fd = effective_mass_finite_difference(params, cutoff=4000.0)
     dev = _rel(fd.correction, closed.correction)
-    return _result(
-        "effective_mass_fd_vs_closed", dev, tol,
-        f"mass correction by finite differences off by {dev:.3g} relative",
-    )
+    return dev, f"mass correction by finite differences off by {dev:.3g} relative"
 
 
-@_register
-def effective_mass_heavy_limit(tol: float) -> CheckResult:
+@_check(1e-7)
+def effective_mass_heavy_limit() -> tuple:
     """Closed mass approaches the heavy-impurity form M/(1 - 4*pi*n*a**2/(3*M*c))."""
     params = _unit(M=100.0, a=0.01, g=None)
     d = derive(params)
     heavy = params.M / (1.0 - 4.0 * math.pi * params.n * params.a**2 / (3.0 * params.M * d.c))
     dev = _rel(effective_mass_closed(params).M_ef, heavy)
-    return _result(
-        "effective_mass_heavy_limit", dev, tol,
-        f"rel gap to the heavy-impurity mass at M=100 is {dev:.3g}",
-    )
+    return dev, f"rel gap to the heavy-impurity mass at M=100 is {dev:.3g}"
 
 
-@_register
-def vanishing_linear_term(tol: float) -> CheckResult:
+@_check(1e-8)
+def vanishing_linear_term() -> tuple:
     """Central first derivative of the subcritical energy is exactly zero.
 
     The integrand is coded so that negating q_i is a bitwise no-op, making
@@ -442,18 +362,15 @@ def vanishing_linear_term(tol: float) -> CheckResult:
     lo = energy_shift_quadrature(-h, params, 200.0, mode="subtracted")
     hi = energy_shift_quadrature(h, params, 200.0, mode="subtracted")
     d1 = abs(hi - lo) / (2.0 * h)
-    return _result(
-        "vanishing_linear_term", d1, tol,
-        f"|E(h) - E(-h)|/2h at h = 0.01*q_c is {d1:.3g}",
-    )
+    return d1, f"|E(h) - E(-h)|/2h at h = 0.01*q_c is {d1:.3g}"
 
 
 # ---------------------------------------------------------------------------
 # finite-time decay
 
 
-@_register
-def golden_rule_linear_regime(tol: float) -> CheckResult:
+@_check(0.05)
+def golden_rule_linear_regime() -> tuple:
     """Box survival matches 1 - gamma_T*t while the depletion is small."""
     params = _unit(g=0.3)
     q_i = 2.0
@@ -464,10 +381,7 @@ def golden_rule_linear_regime(tol: float) -> CheckResult:
         t = depletion / gamma
         p = survival_probability(q_i, params, cfg, t)
         worst = max(worst, abs((1.0 - p) / (gamma * t) - 1.0))
-    return _result(
-        "golden_rule_linear_regime", worst, tol,
-        f"max rel dev of 1 - P(t) from gamma_T*t at depletion 0.02, 0.04 = {worst:.3g}",
-    )
+    return worst, f"max rel dev of 1 - P(t) from gamma_T*t at depletion 0.02, 0.04 = {worst:.3g}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -480,38 +394,43 @@ def _subcritical_survival() -> tuple:
     return floor, min_p
 
 
-@_register
-def subcritical_survival_bound(tol: float) -> CheckResult:
+@_check(0.0)
+def subcritical_survival_bound() -> tuple:
     """Subcritical survival never drops below its rigorous floor."""
     floor, min_p = _subcritical_survival()
     violation = max(0.0, floor - min_p)
-    return _result(
-        "subcritical_survival_bound", violation, tol,
-        f"min P over five times = {min_p:.4f} against floor {floor:.4f}",
-    )
+    return violation, f"min P over five times = {min_p:.4f} against floor {floor:.4f}"
 
 
-@_register
-def subcritical_survival_floor(tol: float) -> CheckResult:
+@_check(0.1)
+def subcritical_survival_floor() -> tuple:
     """The worst-case depletion 1 - floor is itself small below threshold."""
     floor, _ = _subcritical_survival()
     depletion = 1.0 - floor
-    return _result(
-        "subcritical_survival_floor", depletion, tol,
-        f"depletion bound 1 - floor = {depletion:.4f} at q_i = 0.5, L = 60",
-    )
+    return depletion, f"depletion bound 1 - floor = {depletion:.4f} at q_i = 0.5, L = 60"
 
 
 # ---------------------------------------------------------------------------
+
+
+DEFAULT_TOLERANCES = {name: tol for name, (_, tol) in _REGISTRY.items()}
 
 
 def run_check(name: str, tolerance: float | None = None) -> CheckResult:
     """Run one named check; tolerance None means the default."""
     if name not in _REGISTRY:
         raise ConfigurationError(f"unknown check {name!r}")
-    tol = DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
+    fn, default = _REGISTRY[name]
+    tol = default if tolerance is None else tolerance
     _validate_tolerance(name, tol)
-    return _REGISTRY[name](tol)
+    measured, detail = fn()
+    return CheckResult(
+        name=name,
+        passed=bool(measured <= tol),  # numpy bools break JSON reports
+        measured=float(measured),
+        tolerance=float(tol),
+        detail=detail,
+    )
 
 
 def _validate_tolerance(name: str, tol) -> None:
@@ -525,13 +444,11 @@ def run_all(tolerances: dict | None = None) -> list:
     """Run every check in registry order.
 
     tolerances overrides defaults by name; unknown names and negative values
-    are configuration errors.
+    are configuration errors, raised before any check runs.
     """
-    merged = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        for name, tol in tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigurationError(f"unknown check {name!r} in tolerance overrides")
-            _validate_tolerance(name, tol)
-            merged[name] = float(tol)
-    return [fn(merged[name]) for name, fn in _REGISTRY.items()]
+    tolerances = tolerances or {}
+    for name, tol in tolerances.items():
+        if name not in _REGISTRY:
+            raise ConfigurationError(f"unknown check {name!r} in tolerance overrides")
+        _validate_tolerance(name, tol)
+    return [run_check(name, tolerances.get(name)) for name in _REGISTRY]

@@ -107,14 +107,11 @@ def _resolve(args) -> dict:
         file_cfg = _load_config(args.config)
         for key, value in file_cfg.items():
             cfg[key] = value
-    if args.output is not None:
-        cfg["output"] = args.output
-    if args.format is not None:
-        cfg["format"] = args.format
-    if args.grid is not None:
-        cfg["grid"] = args.grid
-    if args.tol is not None:
-        cfg["tol"] = args.tol
+    # a command registers only the flags it reads; absent ones are None
+    for key in ("output", "format", "grid", "tol"):
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = value
     for flag, key in (("L", "L"), ("eta", "eta"), ("pcut", "p_cut")):
         value = getattr(args, flag, None)
         if value is not None:
@@ -384,9 +381,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="write the table here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--grid", help="sweep grid start:stop:count")
-        p.add_argument("--tol", type=float, help="quadrature relative tolerance")
+        if name != "check":
+            p.add_argument("--format", choices=("csv", "json"))
+        if name in _DEFAULT_GRIDS:
+            p.add_argument("--grid", help="sweep grid start:stop:count")
+        if name in ("rates", "effective-mass"):
+            p.add_argument("--tol", type=float, help="quadrature relative tolerance")
         if name == "box-oracle":
             p.add_argument("--L", type=float, help="box side length")
             p.add_argument("--eta", type=float, help="Lorentzian width")

@@ -78,9 +78,6 @@ class SystemParams:
                     stacklevel=2,
                 )
 
-    def derived(self) -> DerivedQuantities:
-        return derive(self)
-
 
 def derive(params: SystemParams) -> DerivedQuantities:
     """Compute the derived scales; pure and deterministic."""

@@ -61,14 +61,11 @@ class QuadratureConfig:
     The target accuracy is max(abs_tol, rel_tol*|integral|); at least one of
     the two tolerances must be positive. ``max_subdivisions`` caps the number
     of interval bisections after the initial uniform partition.
-    ``tail_transform`` selects how semi-infinite integrals are mapped to a
-    finite interval; only integrate_semi_infinite reads it.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 0.0
     max_subdivisions: int = 200
-    tail_transform: str = "rational"
 
     def __post_init__(self):
         if not (self.rel_tol >= 0 and self.abs_tol >= 0):
@@ -77,8 +74,6 @@ class QuadratureConfig:
             raise ConfigurationError("at least one of rel_tol, abs_tol must be positive")
         if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
             raise ConfigurationError(f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}")
-        if self.tail_transform not in ("none", "rational"):
-            raise ConfigurationError(f"unknown tail_transform {self.tail_transform!r}")
 
 
 def _eval_panel(f, a: float, b: float):
@@ -159,11 +154,6 @@ def integrate_semi_infinite(f: Callable, a: float, cfg: QuadratureConfig | None 
     decay contract keeps the transformed integrand bounded near t = 1.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
-    if cfg.tail_transform != "rational":
-        raise ConfigurationError(
-            "integrate_semi_infinite requires tail_transform='rational'; "
-            "a finite-interval rule cannot cover the tail"
-        )
     if not np.isfinite(a):
         raise DomainError("lower bound must be finite")
 

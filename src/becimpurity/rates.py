@@ -107,12 +107,8 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     p_max = max_emission_momentum(q_i, params)
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
-        pm = arr[mask] if arr.ndim else arr
-        out_val = _density_prefactor(q_i, params) * pm**3 / dispersion(pm, params)
-        if arr.ndim:
-            out[mask] = out_val
-        else:
-            out = np.asarray(out_val)
+        pm = arr[mask]
+        out[mask] = _density_prefactor(q_i, params) * pm**3 / dispersion(pm, params)
     return out if out.ndim else float(out)
 
 

@@ -9,7 +9,8 @@ they document real behavior and must keep failing.
 
 import pytest
 
-from becimpurity.checks import EXPECTED_FAILURES, run_check
+from becimpurity import ConfigurationError, checks
+from becimpurity.checks import DEFAULT_TOLERANCES, EXPECTED_FAILURES, run_all, run_check
 
 
 def _verify(criterion: str, *names: str) -> None:
@@ -120,3 +121,36 @@ def test_expected_failures_are_documented():
         r = run_check(name)
         assert not r.passed
         assert r.measured == pytest.approx(approx, rel=0.2)
+    assert set(EXPECTED_FAILURES) <= set(DEFAULT_TOLERANCES)
+
+
+def test_run_check_rejects_an_unknown_name():
+    with pytest.raises(ConfigurationError):
+        run_check("no_such_check")
+
+
+def test_run_check_applies_a_tolerance_override():
+    r = run_check("heavy_mass_dissipation_limit", tolerance=0.1)
+    assert r.passed
+    assert r.tolerance == 0.1
+
+
+@pytest.mark.parametrize("overrides", [
+    {"no_such_check": 1.0},
+    {"landau_exact_zero": -1.0},
+    # last in registry order, so validating late would run the other 21 first
+    {"subcritical_survival_floor": -1.0},
+])
+def test_run_all_rejects_bad_overrides_before_running_anything(overrides, monkeypatch):
+    calls = []
+
+    def recorder():
+        calls.append(1)
+        return 0.0, "recorded"
+
+    stubs = {name: (recorder, tol) for name, (_, tol) in checks._REGISTRY.items()}
+    monkeypatch.setattr(checks, "_REGISTRY", stubs)
+    with pytest.raises(ConfigurationError):
+        run_all(overrides)
+    assert calls == []
+    assert [r.detail for r in run_all()] == ["recorded"] * len(DEFAULT_TOLERANCES)

@@ -167,6 +167,18 @@ def test_check_rejects_negative_tolerance_override(tmp_path, capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("dispersion", "--tol", "1e-3"),
+    ("check", "--grid", "0:1:2"),
+    ("check", "--format", "json"),
+])
+def test_flags_a_command_ignores_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_box_oracle_flags_reach_the_row(capsys):
     code, out, _ = run(capsys, "box-oracle", "--L", "30", "--eta", "0.1")
     assert code == 0

@@ -114,14 +114,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0, abs_tol=0.0)
     with pytest.raises(ConfigurationError):
         QuadratureConfig(rel_tol=1e-10, max_subdivisions=0)
-    with pytest.raises(ConfigurationError):
-        QuadratureConfig(rel_tol=1e-10, tail_transform="cosine")
-
-
-def test_tail_transform_none_rejected_for_semi_infinite():
-    cfg = QuadratureConfig(rel_tol=1e-10, tail_transform="none")
-    with pytest.raises(ConfigurationError):
-        integrate_semi_infinite(lambda x: np.exp(-x), 0.0, cfg)
 
 
 def test_abs_tol_only_mode():
