@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Reads a JSON configuration, runs sweeps, and emits plot-ready CSV or JSON
-tables; the check subcommand runs the built-in verification suite. Output is
-deterministic: floats are serialized with 17 significant digits, lines end
-with a bare newline, and rerunning a command with the same config reproduces
-the output byte for byte.
+Each subcommand is declared once, as a row of ``_COMMANDS``: its handler,
+help text, default sweep grid and the settings it reads. That row alone
+decides which flags the parser registers and which keys a JSON config file
+may set (flag > file > default); any other flag is a usage error and any
+other config key a configuration error. Table commands return
+(header, rows, extra), rendered once as CSV or JSON; the check subcommand runs
+the built-in verification suite. Output is deterministic: floats are
+serialized with 17 significant digits, lines end with a bare newline, and
+rerunning a command with the same config reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,21 +39,19 @@ from .selfenergy import (
 )
 
 _FMT = "%.17g"
+_TOL = 1e-10  # quadrature tolerance when neither flag nor file sets one
 
-_CONFIG_KEYS = {"params", "grid", "tol", "box", "tolerances", "output", "format"}
-_PARAM_KEYS = {"m", "M", "n", "U0", "g", "a"}
-_BOX_KEYS = {"L", "eta", "p_cut", "max_points"}
-
-_DEFAULT_PARAMS = {"m": 1.0, "M": 1.0, "n": 1.0, "U0": 1.0, "g": 1.0}
-_DEFAULT_BOX = {"L": 60.0, "eta": 0.05, "p_cut": 3.0}
-
-# per-command default grids, "start:stop:count"
-_DEFAULT_GRIDS = {
-    "dispersion": "0:3:7",
-    "rates": "0.25:3:12",
-    "spectrum": "0:0.9:10",
-    "fig1": "0.02:5:250",
-    "box-oracle": "2:2:1",
+# the flags each setting adds to a command's parser, in registration order
+_FLAGS = {
+    "format": (("--format", {"choices": ("csv", "json")}),),
+    "grid": (("--grid", {"help": "sweep grid start:stop:count"}),),
+    "tol": (("--tol", {"type": float, "help": "quadrature relative tolerance"}),),
+    "box": (
+        ("--L", {"type": float, "help": "box side length"}),
+        ("--eta", {"type": float, "help": "Lorentzian width"}),
+        ("--pcut", {"type": float, "dest": "p_cut", "metavar": "PCUT",
+                    "help": "lattice momentum cap"}),
+    ),
 }
 
 
@@ -61,7 +65,7 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -71,13 +75,26 @@ def _load_config(path: str) -> dict:
         _fail_config(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         _fail_config(f"config {path} must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
-        _fail_config(f"unknown config keys {unknown}; allowed: {sorted(_CONFIG_KEYS)}")
+        _fail_config(f"unknown config keys {unknown}; allowed: {sorted(keys)}")
     return doc
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _fields(value, name: str, schema) -> dict:
+    """Numeric keyword arguments for the dataclass schema from a config object."""
+    if not isinstance(value, dict):
+        _fail_config(f"{name} must be an object")
+    allowed = sorted(f.name for f in fields(schema))
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        _fail_config(f"unknown {name} keys {unknown}; allowed: {allowed}")
+    return {k: _as_number(v, f"{name}.{k}") for k, v in value.items()}
+
+
+def _parse_grid(text) -> np.ndarray:
+    if not isinstance(text, str):
+        _fail_config("grid must be a 'start:stop:count' string")
     parts = text.split(":")
     if len(parts) != 3:
         _fail_config(f"grid must be 'start:stop:count', got {text!r}")
@@ -92,71 +109,42 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _resolve(args) -> dict:
-    """Merge defaults, config file, and flags (flag > file > default)."""
-    cfg = {
-        "params": dict(_DEFAULT_PARAMS),
-        "grid": None,
-        "tol": 1e-10,
-        "box": dict(_DEFAULT_BOX),
-        "tolerances": {},
-        "output": None,
-        "format": "csv",
-    }
-    if args.config is not None:
-        file_cfg = _load_config(args.config)
-        for key, value in file_cfg.items():
-            cfg[key] = value
-    # a command registers only the flags it reads; absent ones are None
-    for key in ("output", "format", "grid", "tol"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for flag, key in (("L", "L"), ("eta", "eta"), ("pcut", "p_cut")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            box = dict(cfg["box"])
-            box[key] = value
-            cfg["box"] = box
-
-    if not isinstance(cfg["params"], dict):
-        _fail_config("params must be an object")
-    unknown = sorted(set(cfg["params"]) - _PARAM_KEYS)
-    if unknown:
-        _fail_config(f"unknown params keys {unknown}; allowed: {sorted(_PARAM_KEYS)}")
-    kwargs = {k: _as_number(v, f"params.{k}") for k, v in cfg["params"].items()}
-    cfg["system"] = SystemParams(**kwargs)
-
-    if not isinstance(cfg["box"], dict):
-        _fail_config("box must be an object")
-    unknown = sorted(set(cfg["box"]) - _BOX_KEYS)
-    if unknown:
-        _fail_config(f"unknown box keys {unknown}; allowed: {sorted(_BOX_KEYS)}")
-    box_kwargs = {k: _as_number(v, f"box.{k}") for k, v in cfg["box"].items()}
-    if "max_points" in box_kwargs:
-        box_kwargs["max_points"] = int(box_kwargs["max_points"])
-    cfg["box_config"] = BoxOracleConfig(**box_kwargs)
-
-    tol = _as_number(cfg["tol"], "tol")
-    if not (math.isfinite(tol) and tol > 0):
-        _fail_config(f"tol must be positive, got {tol!r}")
-    cfg["tol"] = tol
-
-    if not isinstance(cfg["tolerances"], dict):
-        _fail_config("tolerances must be an object of check-name: value")
-    if cfg["format"] not in ("csv", "json"):
-        _fail_config(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+def _resolve(args, keys) -> dict:
+    """Validate and build the settings in keys (flag > config file > default)."""
+    raw = {} if args.config is None else _load_config(args.config, keys)
+    raw.update({k: v for k in keys if (v := getattr(args, k, None)) is not None})
+    cfg = {"output": raw.get("output")}
+    if "params" in keys:
+        kwargs = _fields(raw.get("params", {}), "params", SystemParams)
+        if "g" not in kwargs and "a" not in kwargs:
+            kwargs["g"] = 1.0  # the coupling when neither g nor a is given
+        cfg["params"] = SystemParams(**kwargs)
+    if "box" in keys:
+        box = raw.get("box", {})
+        if isinstance(box, dict):  # the box flags override the file field by field
+            box = {**box, **{k: v for k in ("L", "eta", "p_cut")
+                             if (v := getattr(args, k)) is not None}}
+        kwargs = _fields(box, "box", BoxOracleConfig)
+        if "max_points" in kwargs:
+            kwargs["max_points"] = int(kwargs["max_points"])
+        cfg["box"] = BoxOracleConfig(**kwargs)
+    if "tol" in keys:
+        cfg["tol"] = _as_number(raw.get("tol", _TOL), "tol")
+        if not (math.isfinite(cfg["tol"]) and cfg["tol"] > 0):
+            _fail_config(f"tol must be positive, got {cfg['tol']!r}")
+    if "tolerances" in keys:
+        cfg["tolerances"] = raw.get("tolerances", {})
+        if not isinstance(cfg["tolerances"], dict):
+            _fail_config("tolerances must be an object of check-name: value")
+    if "format" in keys:
+        cfg["format"] = raw.get("format", "csv")
+        if cfg["format"] not in ("csv", "json"):
+            _fail_config(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     if cfg["output"] is not None and not isinstance(cfg["output"], str):
         _fail_config("output must be a path string")
-    if cfg["grid"] is not None and not isinstance(cfg["grid"], str):
-        _fail_config("grid must be a 'start:stop:count' string")
+    if "grid" in keys:
+        cfg["grid"] = raw.get("grid")
     return cfg
-
-
-def _grid_values(cfg: dict, command: str) -> np.ndarray:
-    text = cfg["grid"] if cfg["grid"] is not None else _DEFAULT_GRIDS[command]
-    cfg["grid"] = text
-    return _parse_grid(text)
 
 
 def _cell(value) -> str:
@@ -169,32 +157,26 @@ def _cell(value) -> str:
     return _FMT % value
 
 
-def _to_csv(header, rows, comments=()) -> str:
-    lines = ["# " + c for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_rows(header, rows) -> list:
-    return [dict(zip(header, row)) for row in rows]
-
-
-def _inputs_snapshot(cfg: dict, command: str, with_box: bool = False) -> dict:
-    p = cfg["system"]
-    snap = {
-        "command": command,
-        "params": {"m": p.m, "M": p.M, "n": p.n, "U0": p.U0, "g": p.g, "a": p.a},
-        "grid": cfg.get("grid"),
+def _render(cfg: dict, command: str, grid, header, rows, extra: dict) -> str:
+    """CSV with extra as '# k = v' comments, or JSON with extra among the results."""
+    if cfg["format"] == "csv":
+        lines = [f"# {k} = {_FMT % v}" for k, v in extra.items()]
+        lines.append(",".join(header))
+        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    inputs = {"command": command, "params": asdict(cfg["params"]), "grid": grid}
+    if "box" in cfg:
+        inputs["box"] = asdict(cfg["box"])
+    doc = {
+        "inputs": inputs,
+        "results": {"rows": [dict(zip(header, row)) for row in rows], **extra},
+        # a command without --tol echoes the default
+        "meta": {"version": __version__, "tolerances": {"tol": cfg.get("tol", _TOL)}},
     }
-    if with_box:
-        b = cfg["box_config"]
-        snap["box"] = {"L": b.L, "eta": b.eta, "p_cut": b.p_cut, "max_points": b.max_points}
-    return snap
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(cfg: dict, text: str):
-    path = cfg["output"]
+def _emit(path, text: str):
     if path is None:
         sys.stdout.write(text)
         return
@@ -206,26 +188,10 @@ def _emit(cfg: dict, text: str):
         _fail_config(f"cannot write output {path}: {exc}")
 
 
-def _render(cfg, command, header, rows, comments=(), extra_results=None, with_box=False) -> str:
-    if cfg["format"] == "csv":
-        return _to_csv(header, rows, comments)
-    results = {"rows": _json_rows(header, rows)}
-    if extra_results:
-        results.update(extra_results)
-    doc = {
-        "inputs": _inputs_snapshot(cfg, command, with_box=with_box),
-        "results": results,
-        "meta": {"version": __version__, "tolerances": {"tol": cfg["tol"]}},
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def cmd_dispersion(cfg: dict) -> int:
-    params = cfg["system"]
-    header = ["p", "epsilon", "alpha", "beta", "w"]
+def cmd_dispersion(cfg: dict, grid):
+    params = cfg["params"]
     rows = []
-    for p in _grid_values(cfg, "dispersion"):
-        p = float(p)
+    for p in grid.tolist():
         eps = dispersion(p, params)
         w = coupling_weight(p, params)
         if p == 0.0:
@@ -234,19 +200,17 @@ def cmd_dispersion(cfg: dict) -> int:
             co = transform_coefficients(p, params)
             alpha, beta = co.alpha, co.beta
         rows.append([p, eps, alpha, beta, w])
-    _emit(cfg, _render(cfg, "dispersion", header, rows))
-    return 0
+    return ["p", "epsilon", "alpha", "beta", "w"], rows, {}
 
 
-def cmd_rates(cfg: dict) -> int:
-    params = cfg["system"]
+def cmd_rates(cfg: dict, grid):
+    params = cfg["params"]
     header = [
         "q_i", "p_M", "theta_M_deg", "gamma_T_closed", "gamma_T_quad",
         "gamma_E", "dissipative", "smallness",
     ]
     rows = []
-    for q_i in _grid_values(cfg, "rates"):
-        q_i = float(q_i)
+    for q_i in grid.tolist():
         win = emission_window(q_i, params)
         closed = transition_rate(q_i, params)
         quad = transition_rate_quadrature(q_i, params, tol=cfg["tol"])
@@ -255,66 +219,52 @@ def cmd_rates(cfg: dict) -> int:
             q_i, win.p_max, theta, closed.gamma_T, quad.gamma_T,
             closed.gamma_E, win.dissipative, closed.smallness,
         ])
-    _emit(cfg, _render(cfg, "rates", header, rows))
-    return 0
+    return header, rows, {}
 
 
-def cmd_spectrum(cfg: dict) -> int:
-    params = cfg["system"]
-    grid = _grid_values(cfg, "spectrum")
+def cmd_spectrum(cfg: dict, grid):
+    params = cfg["params"]
     points = energy_spectrum(grid, params) if grid.size else []
     mass = effective_mass_closed(params)
-    header = ["q_i", "E_p", "mean_field", "fluctuation"]
     rows = [
         [pt.q_i, pt.energy, pt.components["mean_field"], pt.components["fluctuation"]]
         for pt in points
     ]
-    comments = ["M_ef = " + (_FMT % mass.M_ef), "correction = " + (_FMT % mass.correction)]
     extra = {"M_ef": mass.M_ef, "correction": mass.correction}
-    _emit(cfg, _render(cfg, "spectrum", header, rows, comments=comments, extra_results=extra))
-    return 0
+    return ["q_i", "E_p", "mean_field", "fluctuation"], rows, extra
 
 
-def cmd_effective_mass(cfg: dict) -> int:
-    params = cfg["system"]
-    header = ["method", "M_ef", "correction"]
+def cmd_effective_mass(cfg: dict, grid):
+    params = cfg["params"]
     results = [
         effective_mass_closed(params),
         effective_mass_quadrature(params, tol=cfg["tol"]),
         effective_mass_finite_difference(params),
     ]
     rows = [[r.method, r.M_ef, r.correction] for r in results]
-    _emit(cfg, _render(cfg, "effective-mass", header, rows))
-    return 0
+    return ["method", "M_ef", "correction"], rows, {}
 
 
-def cmd_fig1(cfg: dict) -> int:
-    header = ["x", "I0", "I1"]
-    rows = []
-    for x in _grid_values(cfg, "fig1"):
-        x = float(x)
-        rows.append([x, I0(x), I1(x)])
-    _emit(cfg, _render(cfg, "fig1", header, rows))
-    return 0
+def cmd_fig1(cfg: dict, grid):
+    rows = [[x, I0(x), I1(x)] for x in grid.tolist()]
+    return ["x", "I0", "I1"], rows, {}
 
 
-def cmd_box_oracle(cfg: dict) -> int:
-    params = cfg["system"]
-    box = cfg["box_config"]
+def cmd_box_oracle(cfg: dict, grid):
+    params = cfg["params"]
+    box = cfg["box"]
     header = [
         "q_i", "L", "eta", "p_cut", "gamma_T_box", "gamma_T_closed",
         "rel_dev", "est_error",
     ]
     rows = []
-    for q_i in _grid_values(cfg, "box-oracle"):
-        q_i = float(q_i)
+    for q_i in grid.tolist():
         closed = transition_rate(q_i, params).gamma_T
         oracle = box_rate(q_i, params, box)
         rel = (oracle.gamma_T - closed) / closed if closed != 0.0 else math.nan
         rows.append([q_i, box.L, box.eta, box.p_cut, oracle.gamma_T, closed, rel,
                      oracle.est_error])
-    _emit(cfg, _render(cfg, "box-oracle", header, rows, with_box=True))
-    return 0
+    return header, rows, {}
 
 
 def cmd_check(cfg: dict) -> int:
@@ -331,33 +281,51 @@ def cmd_check(cfg: dict) -> int:
     if cfg["output"] is not None:
         doc = {
             "inputs": {"tolerances": overrides or {}},
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "tolerance": r.tolerance,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "results": [asdict(r) for r in results],
             "meta": {
                 "version": __version__,
                 "tolerances": {r.name: r.tolerance for r in results},
             },
         }
-        _emit(cfg, json.dumps(doc, indent=2) + "\n")
+        _emit(cfg["output"], json.dumps(doc, indent=2) + "\n")
     return 1 if failed else 0
 
 
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    grid: str | None = None  # default sweep grid "start:stop:count", None if no sweep
+    reads: tuple = ()        # settings read besides params, format, grid and output
+    table: bool = True       # run(cfg, grid) returns (header, rows, extra) to render
+
+    @property
+    def keys(self) -> tuple:
+        """Every setting the command reads, in flag-registration order."""
+        table = ("params", "format") if self.table else ()
+        grid = ("grid",) if self.grid is not None else ()
+        return table + grid + self.reads + ("output",)
+
+
 _COMMANDS = {
-    "dispersion": cmd_dispersion,
-    "rates": cmd_rates,
-    "spectrum": cmd_spectrum,
-    "effective-mass": cmd_effective_mass,
-    "fig1": cmd_fig1,
-    "box-oracle": cmd_box_oracle,
-    "check": cmd_check,
+    "dispersion": _Command(
+        cmd_dispersion, "excitation spectrum, transform coefficients, coupling weight",
+        grid="0:3:7"),
+    "rates": _Command(
+        cmd_rates, "transition and dissipation rates over a momentum grid",
+        grid="0.25:3:12", reads=("tol",)),
+    "spectrum": _Command(
+        cmd_spectrum, "subcritical impurity energy and its components", grid="0:0.9:10"),
+    "effective-mass": _Command(
+        cmd_effective_mass, "dressed mass by closed form, integral, and stencil",
+        reads=("tol",)),
+    "fig1": _Command(
+        cmd_fig1, "fluctuation integrals I0 and I1 over a mass-ratio grid", grid="0.02:5:250"),
+    "box-oracle": _Command(
+        cmd_box_oracle, "finite-box golden-rule rate vs the closed form",
+        grid="2:2:1", reads=("box",)),
+    "check": _Command(
+        cmd_check, "run the verification suite (JSON report via --output)",
+        reads=("tolerances",), table=False),
 }
 
 
@@ -368,37 +336,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "dispersion": "excitation spectrum, transform coefficients, coupling weight",
-        "rates": "transition and dissipation rates over a momentum grid",
-        "spectrum": "subcritical impurity energy and its components",
-        "effective-mass": "dressed mass by closed form, integral, and stencil",
-        "fig1": "fluctuation integrals I0 and I1 over a mass-ratio grid",
-        "box-oracle": "finite-box golden-rule rate vs the closed form",
-        "check": "run the verification suite (JSON report via --output)",
-    }
-    for name, text in helps.items():
-        p = sub.add_parser(name, help=text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--output", help="write the table here instead of stdout")
-        if name != "check":
-            p.add_argument("--format", choices=("csv", "json"))
-        if name in _DEFAULT_GRIDS:
-            p.add_argument("--grid", help="sweep grid start:stop:count")
-        if name in ("rates", "effective-mass"):
-            p.add_argument("--tol", type=float, help="quadrature relative tolerance")
-        if name == "box-oracle":
-            p.add_argument("--L", type=float, help="box side length")
-            p.add_argument("--eta", type=float, help="Lorentzian width")
-            p.add_argument("--pcut", type=float, help="lattice momentum cap")
+        p.add_argument("--output", help=(
+            "write the table here instead of stdout" if command.table else
+            "write the JSON report here; PASS/FAIL lines stay on stdout"))
+        for key in command.keys:
+            for flag, options in _FLAGS.get(key, ()):
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
+        cfg = _resolve(args, command.keys)
+        if not command.table:
+            return command.run(cfg)
+        grid = command.grid if cfg.get("grid") is None else cfg["grid"]
+        header, rows, extra = command.run(cfg, None if grid is None else _parse_grid(grid))
+        _emit(cfg["output"], _render(cfg, args.command, grid, header, rows, extra))
+        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import dispersion
+from .bogoliubov import _as_momentum, dispersion
 from .errors import DomainError
 from .params import SystemParams, derive
 
@@ -53,11 +53,9 @@ def _check_qi(q_i: float) -> float:
 def omega(p, x, q_i: float, params: SystemParams):
     """Frequency mismatch for emission at direction cosine x; vectorized."""
     q_i = _check_qi(q_i)
-    parr = np.asarray(p, dtype=float)
+    parr = _as_momentum(p)
     xarr = np.asarray(x, dtype=float)
-    if np.any(parr < 0):
-        raise DomainError("momentum magnitude must be nonnegative")
-    if np.any(np.abs(xarr) > 1):
+    if not np.all(np.abs(xarr) <= 1):  # also rejects nan
         raise DomainError("direction cosine must lie in [-1, 1]")
     M = params.M
     out = dispersion(parr, params) + parr * parr / (2.0 * M) - q_i * parr * xarr / M

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bogoliubov import dispersion
+from .bogoliubov import _as_momentum, dispersion
 from .errors import ConfigurationError, DomainError
 from .kinematics import _check_qi, max_emission_momentum
 from .params import SystemParams, derive
@@ -100,9 +100,7 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     over p.
     """
     q_i = _check_qi(q_i)
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("momentum magnitude must be nonnegative")
+    arr = _as_momentum(p)
     out = np.zeros_like(arr)
     p_max = max_emission_momentum(q_i, params)
     mask = (arr > 0) & (arr < p_max)

@@ -7,7 +7,10 @@ cancels the divergence. Both realizations are provided and agree at any
 finite cutoff:
 
 - "counterterm": integrate the bare integrand to the cutoff and add the
-  affine counterterm from params.renormalized_coupling;
+  affine counterterm 4*m*m_r*cutoff (the integrand's large-p limit times the
+  cutoff), written out inline; after the prefactor n*a**2/(m*m_r**2) it is
+  the same term, 4*n*a**2*cutoff/m_r, that params.renormalized_coupling adds
+  to the mean-field shift;
 - "subtracted": integrate (divergent-constant - integrand), which folds the
   same counterterm under the integral sign.
 

@@ -1,10 +1,15 @@
 import json
+import math
+import pathlib
+import re
+import shlex
+import warnings
 
 import pytest
 
 import becimpurity
 from becimpurity import DEFAULT_TOLERANCES
-from becimpurity.cli import main
+from becimpurity.cli import _COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -223,3 +228,93 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _help_text(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+
+
+def test_output_help_names_what_each_command_writes(capsys):
+    assert ("--output OUTPUT write the JSON report here; PASS/FAIL lines stay on stdout"
+            in _help_text(capsys, "check"))
+    assert "--output OUTPUT write the table here instead of stdout" in _help_text(capsys, "rates")
+
+
+def test_config_params_fall_back_to_defaults_field_by_field(tmp_path, capsys):
+    partial, full = tmp_path / "partial.json", tmp_path / "full.json"
+    partial.write_text(json.dumps({"params": {"M": 2.0}}))
+    full.write_text(json.dumps(
+        {"params": {"m": 1.0, "M": 2.0, "n": 1.0, "U0": 1.0, "g": 1.0}}))
+    got = run(capsys, "rates", "--config", str(partial))
+    want = run(capsys, "rates", "--config", str(full))
+    assert got[0] == 0
+    assert got == want
+
+
+def test_scattering_length_alone_derives_g_without_warning(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"a": 0.01}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "rates", "--config", str(cfg), "--format", "json")
+    assert code == 0 and err == ""
+    params = json.loads(out)["inputs"]["params"]
+    assert params["a"] == 0.01
+    assert params["g"] == pytest.approx(2 * math.pi * 0.01 / 0.5, rel=1e-15)  # 2*pi*a/m_r
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("fig1", {"box": {"L": 30.0}}),
+    ("check", {"params": {"M": 2.0}}),
+    ("check", {"format": "json"}),
+    ("check", {"tol": 1e-3}),
+    ("check", {"grid": "0:1:2"}),
+    ("dispersion", {"tol": 1e-3}),
+], ids=["fig1-box", "check-params", "check-format", "check-tol", "check-grid", "dispersion-tol"])
+def test_config_keys_a_command_ignores_are_rejected(command, doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"unknown config keys {sorted(doc)}" in err
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line, comments=True) for block in blocks
+            for line in block.splitlines() if line.startswith("becimpurity ")]
+
+
+def _readme_config_rows():
+    rows = re.findall(r"^\| ([a-z0-9-]+) +\| (`[^|]*`) +\| `(\{.*\})` +\|$",
+                      README.read_text(), re.M)
+    return [(name, re.findall(r"`(\w+)`", keys), json.loads(example))
+            for name, keys, example in rows]
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[1] for argv in _readme_command_lines()} <= set(_COMMANDS)
+    assert [name for name, _, _ in _readme_config_rows()] == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_examples_run(argv, capsys):
+    expected = 1 if argv[1] == "check" else 0  # the three designed failures
+    assert run(capsys, *argv[1:])[0] == expected
+
+
+@pytest.mark.parametrize("name, keys, example", _readme_config_rows(),
+                         ids=[row[0] for row in _readme_config_rows()])
+def test_readme_config_table_matches_the_command(name, keys, example, tmp_path, capsys):
+    assert keys + ["output"] == list(_COMMANDS[name].keys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(example))
+    expected = 1 if name == "check" else 0
+    code, _, err = run(capsys, name, "--config", str(cfg))
+    assert (code, err) == (expected, "")

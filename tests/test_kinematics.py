@@ -36,6 +36,14 @@ def test_omega_rejects_bad_direction():
         omega(1.0, -1.0001, 2.0, UNIT)
 
 
+@pytest.mark.parametrize("p, x", [
+    (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_omega_rejects_nonfinite_or_negative_inputs(p, x):
+    with pytest.raises(DomainError):
+        omega(p, x, 2.0, UNIT)
+
+
 def test_resonance_cos_reference_value():
     assert resonance_cos(1.0, 2.0, UNIT) == pytest.approx(0.8090169943749475, rel=1e-14)
 

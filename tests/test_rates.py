@@ -125,6 +125,13 @@ def test_negative_momentum_rejected():
         emission_spectral_density(1.0, -2.0, UNIT)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, [1.0, math.nan], [0.5, math.inf]])
+def test_spectral_density_rejects_nonfinite_momentum(p):
+    # outside the emission window, so without the check these were exact zeros
+    with pytest.raises(DomainError):
+        emission_spectral_density(p, 2.0, UNIT)
+
+
 def test_box_rate_reference_point():
     r = box_rate(2.0, UNIT, BOX)
     assert r.gamma_T == pytest.approx(0.039116370651115139, rel=1e-12)
