@@ -37,6 +37,21 @@ def _as_momentum(p):
     return arr
 
 
+def _excitation_energy(params: SystemParams):
+    """eps(p) for momenta already validated by _as_momentum.
+
+    2m and 2mc are computed once, so quadrature integrands can call the
+    returned function on every panel without re-deriving the sound speed.
+    """
+    two_m = 2.0 * params.m
+    two_mc = two_m * derive(params).c
+
+    def eps(p):
+        return p / two_m * np.hypot(p, two_mc)
+
+    return eps
+
+
 def dispersion(p, params: SystemParams):
     """Excitation energy at momentum magnitude p.
 
@@ -45,10 +60,7 @@ def dispersion(p, params: SystemParams):
     exactly 0 at p = 0. Written as (p/2m)*hypot(p, 2mc) so neither regime
     loses precision.
     """
-    arr = _as_momentum(p)
-    m = params.m
-    two_mc = 2.0 * m * derive(params).c
-    eps = arr / (2.0 * m) * np.hypot(arr, two_mc)
+    eps = _excitation_energy(params)(_as_momentum(p))
     return eps if eps.ndim else float(eps)
 
 

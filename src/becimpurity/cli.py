@@ -126,7 +126,10 @@ def _resolve(args, keys) -> dict:
                              if (v := getattr(args, k)) is not None}}
         kwargs = _fields(box, "box", BoxOracleConfig)
         if "max_points" in kwargs:
-            kwargs["max_points"] = int(kwargs["max_points"])
+            points = kwargs["max_points"]
+            if not (math.isfinite(points) and points.is_integer()):
+                _fail_config(f"box.max_points must be a whole number, got {points!r}")
+            kwargs["max_points"] = int(points)
         cfg["box"] = BoxOracleConfig(**kwargs)
     if "tol" in keys:
         cfg["tol"] = _as_number(raw.get("tol", _TOL), "tol")
@@ -167,11 +170,13 @@ def _render(cfg: dict, command: str, grid, header, rows, extra: dict) -> str:
     inputs = {"command": command, "params": asdict(cfg["params"]), "grid": grid}
     if "box" in cfg:
         inputs["box"] = asdict(cfg["box"])
+    meta = {"version": __version__}
+    if "tol" in cfg:  # only commands that read a quadrature tolerance echo it
+        meta["tolerances"] = {"tol": cfg["tol"]}
     doc = {
         "inputs": inputs,
         "results": {"rows": [dict(zip(header, row)) for row in rows], **extra},
-        # a command without --tol echoes the default
-        "meta": {"version": __version__, "tolerances": {"tol": cfg.get("tol", _TOL)}},
+        "meta": meta,
     }
     return json.dumps(doc, indent=2) + "\n"
 

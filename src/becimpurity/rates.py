@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bogoliubov import _as_momentum, dispersion
+from .bogoliubov import _as_momentum, _excitation_energy, dispersion
 from .errors import ConfigurationError, DomainError
 from .kinematics import _check_qi, max_emission_momentum
 from .params import SystemParams, derive
@@ -171,9 +171,10 @@ def transition_rate_quadrature(q_i: float, params: SystemParams, tol: float = 1e
     p_max = max_emission_momentum(q_i, params)
     pref = _density_prefactor(q_i, params)
     cfg = QuadratureConfig(rel_tol=tol)
+    eps = _excitation_energy(params)
 
     def radial(p):
-        return p**3 / dispersion(p, params)
+        return p**3 / eps(p)
 
     def radial_energy(p):
         return p**3  # p**3/eps * eps

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import dispersion
+from .bogoliubov import _excitation_energy
 from .errors import ConfigurationError, DomainError, PerturbativeBreakdownError
 from .params import SystemParams, derive
 from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite, second_derivative
@@ -146,22 +146,25 @@ def energy_shift_closed(params: SystemParams) -> float:
     return mean_field_shift(params) * (1.0 + correction)
 
 
-def _recoil_energy(p, params: SystemParams):
-    return dispersion(p, params) + p * p / (2.0 * params.M)
+def _recoil_energy(p, eps_p, params: SystemParams):
+    """eps(p) + p**2/2M, given eps_p = eps(p)."""
+    return eps_p + p * p / (2.0 * params.M)
 
 
-def _shift_integrand(p, q_i: float, params: SystemParams):
+def _shift_integrand(p, q_i: float, params: SystemParams, eps):
     """Angular-resolved second-order integrand, vectorized over p.
 
-    At q_i = 0 it reduces to p**4/(eps*(eps + p**2/2M)); the general form is
-    written with log1p so that negating q_i is an exact (bitwise) symmetry,
-    which makes the spectrum even in q_i by construction.
+    eps is bogoliubov._excitation_energy(params). At q_i = 0 the integrand
+    reduces to p**4/(eps*(eps + p**2/2M)); the general form is written with
+    log1p so that negating q_i is an exact (bitwise) symmetry, which makes
+    the spectrum even in q_i by construction.
     """
-    w0 = _recoil_energy(p, params)
+    eps_p = eps(p)
+    w0 = _recoil_energy(p, eps_p, params)
     if q_i == 0.0:
-        return p**4 / (dispersion(p, params) * w0)
+        return p**4 / (eps_p * w0)
     u = p * q_i / (params.M * w0)
-    return (p**3 / dispersion(p, params)) * (params.M / (2.0 * q_i)) * (np.log1p(u) - np.log1p(-u))
+    return (p**3 / eps_p) * (params.M / (2.0 * q_i)) * (np.log1p(u) - np.log1p(-u))
 
 
 def energy_shift_quadrature(
@@ -193,12 +196,13 @@ def energy_shift_quadrature(
     pref = params.n * params.a**2 / (m * m_r * m_r)
     divergence_rate = 4.0 * m * m_r  # large-p limit of the integrand
     cfg = QuadratureConfig(rel_tol=tol)
+    eps = _excitation_energy(params)
     if mode == "counterterm":
-        val, _ = integrate(lambda p: _shift_integrand(p, q_i, params), 0.0, cutoff, cfg)
+        val, _ = integrate(lambda p: _shift_integrand(p, q_i, params, eps), 0.0, cutoff, cfg)
         fluctuation = pref * (divergence_rate * cutoff - val)
     else:
         val, _ = integrate(
-            lambda p: divergence_rate - _shift_integrand(p, q_i, params), 0.0, cutoff, cfg
+            lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, cutoff, cfg
         )
         fluctuation = pref * val
     return mean_field_shift(params) + fluctuation
@@ -238,9 +242,11 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
     _require_a(params)
     d = derive(params)
     cfg = QuadratureConfig(rel_tol=tol)
+    eps = _excitation_energy(params)
 
     def curvature_integrand(p):
-        return p**6 / (dispersion(p, params) * _recoil_energy(p, params) ** 3)
+        eps_p = eps(p)
+        return p**6 / (eps_p * _recoil_energy(p, eps_p, params) ** 3)
 
     K, _ = integrate_semi_infinite(curvature_integrand, 0.0, cfg)
     m, m_r, M = params.m, d.m_r, params.M

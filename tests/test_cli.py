@@ -282,6 +282,42 @@ def test_config_keys_a_command_ignores_are_rejected(command, doc, tmp_path, caps
     assert f"unknown config keys {sorted(doc)}" in err
 
 
+@pytest.mark.parametrize("points", [math.inf, 2.7])
+def test_box_max_points_must_be_a_whole_number(points, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"box": {"max_points": points}}))  # inf -> Infinity
+    code, out, err = run(capsys, "box-oracle", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "configuration error: box.max_points must be a whole number" in err
+
+
+def test_box_max_points_accepts_an_integral_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"box": {"max_points": 1e6}, "format": "json"}))
+    code, out, err = run(capsys, "box-oracle", "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert json.loads(out)["inputs"]["box"]["max_points"] == 1_000_000
+    assert '"max_points": 1000000\n' in out  # an int, not 1000000.0
+
+
+@pytest.mark.parametrize("command", [n for n, c in _COMMANDS.items() if c.table])
+def test_json_meta_echoes_tol_only_where_it_is_read(command, capsys):
+    grid = ("--grid", "0.5:0.9:2") if _COMMANDS[command].grid is not None else ()
+    code, out, _ = run(capsys, command, "--format", "json", *grid)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    if "tol" in _COMMANDS[command].keys:
+        assert meta == {"version": becimpurity.__version__, "tolerances": {"tol": 1e-10}}
+    else:
+        assert meta == {"version": becimpurity.__version__}
+
+
+def test_json_meta_echoes_the_tol_a_command_ran_with(capsys):
+    code, out, _ = run(capsys, "rates", "--format", "json", "--grid", "2:2:1", "--tol", "1e-9")
+    assert code == 0
+    assert json.loads(out)["meta"]["tolerances"] == {"tol": 1e-9}
+
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -2,11 +2,14 @@
 
 The reference visits every lattice mode in a scalar triple loop, applies the
 same per-element formulas as the numpy slab kernels, and sums with math.fsum,
-so any disagreement beyond rounding is a kernel bug.
+so any disagreement beyond rounding is a kernel bug. The slabs hold one entry
+per distinct nx**2 + ny**2 with a multiplicity; the mode-count tests pin that
+those multiplicities cover exactly the modes of the full lattice.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from becimpurity import BoxOracleConfig, ConfigurationError, SystemParams, box_rate
@@ -66,6 +69,65 @@ def test_finite_time_sum_matches_reference():
 def test_inverse_square_sum_matches_reference():
     got = _kernels.inverse_square_sum(*_SUB_ARGS)
     assert _matches(got, lambda w, e, om: 4.0 * w / (om * om), _SUB_ARGS)
+
+
+def _slab_counts(n_max, dk, p_cut2):
+    """(modes, entries): summed multiplicities and array lengths over the slabs."""
+    slabs = list(_kernels._slabs(n_max, dk, p_cut2, 1.0, 1.0, 1.0, 1.0, 2.0))
+    return sum(int(c.sum()) for c, *_ in slabs), sum(c.size for c, *_ in slabs)
+
+
+def _brute_mode_count(n_max, dk, p_cut2):
+    r = range(-n_max, n_max + 1)
+    return sum(
+        1 for nx in r for ny in r for nz in r
+        if 0.0 < (nx * nx + ny * ny + nz * nz) * dk * dk <= p_cut2
+    )
+
+
+@pytest.mark.parametrize("n_max, dk, p_cut2", [
+    (15, 2.0 * math.pi / 30.0, 9.0),
+    (6, 1.0, 25.0),               # on the shell nx**2 + ny**2 + nz**2 = 25
+    (8, 0.5, 4.0),                # on the shell n**2 = 16, exact in binary
+    (3, 1.0, 100.0),              # sphere beyond the cube: the square clips it
+])
+def test_slab_multiplicities_count_every_mode(n_max, dk, p_cut2):
+    assert _slab_counts(n_max, dk, p_cut2)[0] == _brute_mode_count(n_max, dk, p_cut2)
+
+
+def test_sphere_boundary_is_inclusive():
+    on_shell = _slab_counts(6, 1.0, 25.0)[0]
+    inside = _slab_counts(6, 1.0, math.nextafter(25.0, 0.0))[0]
+    assert on_shell - inside == 30  # lattice points with n**2 = 25
+
+
+def _full_lattice_modes(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
+    """(w, eps, omega) at every mode of the 3-D lattice, one array each."""
+    idx = np.arange(-n_max, n_max + 1)
+    gx, gy, gz = np.meshgrid(idx, idx, idx, indexing="ij")
+    p2 = (gx * gx + gy * gy + gz * gz).astype(np.float64) * dk * dk
+    mask = (p2 > 0.0) & (p2 <= p_cut2)
+    p2, nz = p2[mask], gz[mask].astype(np.float64)
+    eps = np.sqrt(p2 * (p2 + 4.0 * m * nU0)) / (2.0 * m)
+    w = g2n * p2 / (2.0 * m * eps)
+    om = eps + p2 / (2.0 * M_imp) - q_i * dk * nz / M_imp
+    return w, eps, om
+
+
+def test_lorentzian_sums_match_full_lattice_fsum():
+    args = (40, 2.0 * math.pi / 80.0, 9.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+    eta2 = 0.02 * 0.02
+    w, eps, om = _full_lattice_modes(*args)
+    lor = w / (om * om + eta2)
+    s_t, s_e = _kernels.lorentzian_sums(*args, 0.02)
+    assert s_t == pytest.approx(math.fsum(lor.tolist()), rel=1e-13, abs=0.0)
+    assert s_e == pytest.approx(math.fsum((lor * eps).tolist()), rel=1e-13, abs=0.0)
+
+
+def test_slabs_hold_distinct_perpendicular_norms_not_sites():
+    # L = 200, p_cut = 3: n_max = 96, about 3.6M modes
+    modes, entries = _slab_counts(96, 2.0 * math.pi / 200.0, 9.0)
+    assert entries < modes / 5
 
 
 def test_lattice_point_count():
