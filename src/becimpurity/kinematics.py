@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import _as_momentum, dispersion
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .params import SystemParams, derive
 
 __all__ = [
@@ -89,7 +89,8 @@ def max_emission_momentum(q_i: float, params: SystemParams) -> float:
 
     with r = M/m. This form is exact for every mass ratio and reduces
     smoothly to (q_i**2 - q_c**2)/q_i at r = 1, where the textbook quadratic
-    solution degenerates to 0/0.
+    solution degenerates to 0/0. Raises NumericalError when q_i**2 leaves the
+    float range and the root with it.
     """
     q_i = _check_qi(q_i)
     d = derive(params)
@@ -97,7 +98,10 @@ def max_emission_momentum(q_i: float, params: SystemParams) -> float:
     if gap <= 0.0:
         return 0.0
     r = params.M / params.m
-    return 2.0 * gap / (q_i + math.sqrt(d.q_c * d.q_c + r * r * gap))
+    p_max = 2.0 * gap / (q_i + math.sqrt(d.q_c * d.q_c + r * r * gap))
+    if not math.isfinite(p_max):
+        raise NumericalError(f"largest emitted momentum at q_i = {q_i!r} leaves the float range")
+    return p_max
 
 
 def emission_window(q_i: float, params: SystemParams) -> EmissionWindow:

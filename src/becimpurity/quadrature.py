@@ -9,11 +9,23 @@ Integrands must accept a numpy array of abscissae and return an array of the
 same shape. Interval endpoints are never evaluated (all nodes are interior),
 which makes integrable endpoint singularities usable if the caller keeps them
 off the nodes.
+
+The integrand is called once per panel, on that panel's 15 nodes: 8 calls
+for the initial partition and 2 per bisection. The panel arithmetic is
+batched instead: the nodes, the Kronrod and Gauss sums and the error
+heuristic's inputs are computed in one array pass over each partition (the
+8 initial panels, then each bisected pair). The weighted sums are taken as
+``np.dot`` on a 3-D operand, which numpy evaluates as one 1-D dot per panel,
+bit-identical to summing each panel alone; a 2-D ``np.dot`` or ``@`` goes
+to a BLAS matrix-vector product and moves the last bit on most panels. The
+QUADPACK error heuristic (Piessens et al., 1983) stays scalar per panel for
+the same reason, since ``np.power`` does not round like ``**``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,28 +88,38 @@ class QuadratureConfig:
             raise ConfigurationError(f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}")
 
 
-def _eval_panel(f, a: float, b: float):
-    """One Gauss-Kronrod pass over [a, b]: (estimate, error_estimate)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = center + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise DomainError("integrand must return an array matching its input shape")
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise NumericalError(f"integrand returned a non-finite value near x = {bad}")
-    k15 = half * float(_W_KRONROD @ y)
-    g7 = half * float(_W_GAUSS @ y[1::2])
-    resabs = half * float(_W_KRONROD @ np.abs(y))
-    mean = k15 / (b - a)
-    resasc = half * float(_W_KRONROD @ np.abs(y - mean))
-    err = abs(k15 - g7)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    # never report an estimate below the roundoff floor of the panel
-    err = max(err, 50.0 * _EPS * resabs)
-    return k15, err
+def _eval_panels(f, lo, hi):
+    """One Gauss-Kronrod pass over each panel [lo[i], hi[i]].
+
+    Returns (estimates, error_estimates) as lists of floats, one per panel.
+    """
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = center[:, None] + half[:, None] * _NODES
+    y = np.empty_like(x)
+    for row, nodes in zip(y, x):
+        out = np.asarray(f(nodes), dtype=float)
+        if out.shape != nodes.shape:
+            raise DomainError("integrand must return an array matching its input shape")
+        row[:] = out
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise NumericalError(f"integrand returned a non-finite value near x = {x[~finite][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the 3-D operand keeps one 1-D dot per panel; see the module docstring
+        k15 = half * np.dot(y[None], _W_KRONROD)[0]
+        g7 = half * np.dot(y[None, :, 1::2], _W_GAUSS)[0]
+        resabs = half * np.dot(np.abs(y)[None], _W_KRONROD)[0]
+        mean = k15 / (hi - lo)
+        resasc = half * np.dot(np.abs(y - mean[:, None])[None], _W_KRONROD)[0]
+    errs = []
+    for k, g, rabs, rasc in zip(k15.tolist(), g7.tolist(), resabs.tolist(), resasc.tolist()):
+        err = abs(k - g)
+        if rasc != 0.0 and err != 0.0:
+            err = rasc * min(1.0, (200.0 * err / rasc) ** 1.5)
+        # never report an estimate below the roundoff floor of the panel
+        errs.append(max(err, 50.0 * _EPS * rabs))
+    return k15.tolist(), errs
 
 
 def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None):
@@ -105,7 +127,8 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
 
     Returns (value, error_estimate). Raises NumericalError, carrying the best
     value and its estimate, if the subdivision budget is exhausted before the
-    tolerance contract is met.
+    tolerance contract is met, or if the estimate or its error leaves the
+    float range.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -114,20 +137,26 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
         raise DomainError(f"need a < b, got a={a}, b={b}")
 
     edges = np.linspace(a, b, _INITIAL_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
     heap = []
     seq = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _eval_panel(f, lo, hi)
-        heapq.heappush(heap, (-err, seq, lo, hi, val))
-        seq += 1
-
     splits = 0
     while True:
+        vals, errs = _eval_panels(f, lo, hi)
+        for err, piece_lo, piece_hi, val in zip(errs, lo.tolist(), hi.tolist(), vals):
+            heapq.heappush(heap, (-err, seq, piece_lo, piece_hi, val))
+            seq += 1
         total = 0.0
         total_err = 0.0
         for item in heap:
             total += item[4]
             total_err += -item[0]
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise NumericalError(
+                f"estimate {total!r} with error {total_err!r} leaves the float range",
+                value=total,
+                est_error=total_err,
+            )
         target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if total_err <= target:
             return total, total_err
@@ -138,12 +167,9 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
                 value=total,
                 est_error=total_err,
             )
-        _, _, lo, hi, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for piece in ((lo, mid), (mid, hi)):
-            val, err = _eval_panel(f, *piece)
-            heapq.heappush(heap, (-err, seq, piece[0], piece[1], val))
-            seq += 1
+        _, _, piece_lo, piece_hi, _ = heapq.heappop(heap)
+        mid = 0.5 * (piece_lo + piece_hi)
+        lo, hi = np.array([piece_lo, mid]), np.array([mid, piece_hi])
         splits += 1
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .bogoliubov import _as_momentum, _excitation_energy, dispersion
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .kinematics import _check_qi, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import QuadratureConfig, integrate
@@ -111,7 +111,10 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
 
 
 def _closed_pair(q_i: float, params: SystemParams):
-    """(gamma_T, gamma_E) closed forms; zeros at or below threshold."""
+    """(gamma_T, gamma_E) closed forms; zeros at or below threshold.
+
+    Raises NumericalError when either rate leaves the float range.
+    """
     d = derive(params)
     if q_i <= d.q_c:
         return 0.0, 0.0
@@ -122,7 +125,12 @@ def _closed_pair(q_i: float, params: SystemParams):
     gamma_T = (M * m * n * g * g / (2.0 * math.pi * q_i)) * (
         eps_max - mc2 * math.log1p((eps_max + p_max * p_max / (2.0 * m)) / mc2)
     )
-    gamma_E = M * n * g * g * p_max**4 / (16.0 * math.pi * m * q_i)
+    try:
+        gamma_E = M * n * g * g * p_max**4 / (16.0 * math.pi * m * q_i)
+    except OverflowError:
+        gamma_E = math.inf
+    if not (math.isfinite(gamma_T) and math.isfinite(gamma_E)):
+        raise NumericalError(f"closed-form rates at q_i = {q_i!r} leave the float range")
     return gamma_T, gamma_E
 
 
@@ -179,8 +187,10 @@ def transition_rate_quadrature(q_i: float, params: SystemParams, tol: float = 1e
     def radial_energy(p):
         return p**3  # p**3/eps * eps
 
-    val_t, err_t = integrate(radial, 0.0, p_max, cfg)
-    val_e, err_e = integrate(radial_energy, 0.0, p_max, cfg)
+    # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
+    with np.errstate(over="ignore"):
+        val_t, err_t = integrate(radial, 0.0, p_max, cfg)
+        val_e, err_e = integrate(radial_energy, 0.0, p_max, cfg)
     gamma_T = pref * val_t
     gamma_E = pref * val_e
     est = max(err_t / max(abs(val_t), _TINY), err_e / max(abs(val_e), _TINY))

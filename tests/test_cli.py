@@ -114,6 +114,14 @@ def test_unreachable_tol_is_a_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("grid", ["1e78:1e80:3", "1e200:1e201:2"])
+def test_rates_beyond_the_float_range_are_a_numerical_failure(grid, capsys):
+    code, out, err = run(capsys, "rates", "--grid", grid)
+    assert code == 3
+    assert err.startswith("numerical failure: ") and "float range" in err
+    assert out == ""
+
+
 def test_spectrum_beyond_critical_momentum_is_domain_error(capsys):
     code, _, err = run(capsys, "spectrum", "--grid", "0:2:5")
     assert code == 2

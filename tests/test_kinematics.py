@@ -5,6 +5,7 @@ import pytest
 
 from becimpurity import (
     DomainError,
+    NumericalError,
     SystemParams,
     dispersion,
     emission_window,
@@ -91,6 +92,13 @@ def test_max_emission_momentum_is_resonant_forward():
         p_max = max_emission_momentum(q_i, params)
         lhs = dispersion(p_max, params) + p_max**2 / (2.0 * params.M)
         assert lhs == pytest.approx(q_i * p_max / params.M, rel=1e-12)
+
+
+@pytest.mark.parametrize("route", [max_emission_momentum, emission_window])
+def test_max_emission_momentum_beyond_the_float_range_raises_numerical(route):
+    # q_i**2 overflows: the root used to come back as nan
+    with pytest.raises(NumericalError, match="float range"):
+        route(1e200, UNIT)
 
 
 def test_emission_window_supercritical():

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from becimpurity import ConfigurationError, DomainError, NumericalError, QuadratureConfig
-from becimpurity.quadrature import integrate, integrate_semi_infinite, second_derivative
+from becimpurity.quadrature import (
+    _EPS,
+    _NODES,
+    _W_GAUSS,
+    _W_KRONROD,
+    _eval_panels,
+    integrate,
+    integrate_semi_infinite,
+    second_derivative,
+)
 
 _CFG = QuadratureConfig(rel_tol=1e-10)
 
@@ -98,8 +107,105 @@ def test_invalid_bounds_rejected():
 
 def test_nonfinite_integrand_raises_numerical():
     f = lambda x: np.where(x < 0.5, 1.0, np.nan)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError) as exc:
         integrate(f, 0.0, 1.0, _CFG)
+    # panels 4..7 all fail; the message names the first node of panel 4
+    first_bad = 0.5625 + 0.0625 * _NODES[0]
+    assert str(exc.value) == f"integrand returned a non-finite value near x = {first_bad}"
+
+
+def _reference_panel(y, a, b):
+    """The per-panel GK15 arithmetic as 1-D dots on one panel's 15 values."""
+    half = 0.5 * (b - a)
+    k15 = half * float(_W_KRONROD @ y)
+    g7 = half * float(_W_GAUSS @ y[1::2])
+    resabs = half * float(_W_KRONROD @ np.abs(y))
+    mean = k15 / (b - a)
+    resasc = half * float(_W_KRONROD @ np.abs(y - mean))
+    err = abs(k15 - g7)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return k15, max(err, 50.0 * _EPS * resabs)
+
+
+def test_batched_panels_match_the_per_panel_arithmetic_bitwise():
+    # a 2-D dot or matmul here goes through gemv and moves the last bit on
+    # most panels; the batched pass must equal the 1-D dot of each row
+    rng = np.random.default_rng(20261018)
+    panels = 0
+    for trial in range(660):
+        n = (1, 2, 8)[trial % 3]
+        y = rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-30, 30, size=(n, 1))
+        kind = trial % 6
+        if kind == 0:
+            # smooth rows keep 200*err/resasc < 1, where the 1.5 power acts
+            y = np.exp(rng.uniform(-4, 4, size=(n, 1)) * _NODES) * y[:, :1]
+        elif kind == 1:
+            y = np.abs(y)
+        elif kind == 2:
+            y[rng.integers(n)] = 0.0
+        elif kind == 3:
+            y[rng.integers(n)] = rng.uniform(-1, 1)  # constant row: resasc ~ 0
+        elif kind == 4:
+            y *= 10.0 ** rng.uniform(-5, 5, size=(n, 15))  # mixed scales in a row
+        lo = rng.uniform(-10, 10, size=n)
+        hi = lo + 10.0 ** rng.uniform(-6, 2, size=n)
+        rows = iter(y)
+        vals, errs = _eval_panels(lambda x: next(rows), lo, hi)
+        for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            ref_val, ref_err = _reference_panel(y[i], a, b)
+            assert (vals[i].hex(), errs[i].hex()) == (ref_val.hex(), ref_err.hex())
+        panels += n
+    assert panels >= 2000
+
+
+def _counting(f):
+    shapes = []
+
+    def counted(x):
+        shapes.append(x.shape)
+        return f(x)
+
+    return counted, shapes
+
+
+def test_one_integrand_call_per_panel_when_converged_at_once():
+    f, shapes = _counting(np.cos)
+    integrate(f, 0.0, 1.0, _CFG)
+    assert shapes == [(15,)] * 8
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_each_bisection_costs_two_integrand_calls(k):
+    f, shapes = _counting(lambda x: np.abs(x - 0.3))
+    with pytest.raises(NumericalError, match="budget"):
+        integrate(f, 0.0, 1.0, QuadratureConfig(rel_tol=1e-15, max_subdivisions=k))
+    assert shapes == [(15,)] * (8 + 2 * k)
+
+
+def test_kinked_integrand_converges_after_exactly_k_bisections():
+    kink = lambda x: np.abs(x - 0.3)
+    f, shapes = _counting(kink)
+    val, err = integrate(f, 0.0, 1.0, _CFG)
+    k, odd = divmod(len(shapes) - 8, 2)
+    assert k >= 1 and odd == 0
+    assert shapes == [(15,)] * (8 + 2 * k)
+    assert integrate(kink, 0.0, 1.0, QuadratureConfig(rel_tol=1e-10, max_subdivisions=k)) == (val, err)
+    with pytest.raises(NumericalError, match="budget"):
+        integrate(kink, 0.0, 1.0, QuadratureConfig(rel_tol=1e-10, max_subdivisions=k - 1))
+
+
+def test_overflowing_panel_estimate_raises_numerical():
+    # finite integrand values whose weighted sum leaves the float range
+    with pytest.raises(NumericalError, match="float range") as exc:
+        integrate(lambda x: np.full_like(x, 1e308), 0.0, 100.0, _CFG)
+    assert exc.value.value is not None
+
+
+def test_overflowing_total_raises_numerical():
+    # every panel estimate is finite (5e307); their sum is not
+    with pytest.raises(NumericalError, match="float range"):
+        integrate(lambda x: np.full_like(x, 5e307), 0.0, 8.0, _CFG)
 
 
 def test_wrong_shape_integrand_rejected():

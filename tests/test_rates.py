@@ -7,6 +7,7 @@ from becimpurity import (
     BoxOracleConfig,
     ConfigurationError,
     DomainError,
+    NumericalError,
     QuadratureConfig,
     SystemParams,
     box_rate,
@@ -199,3 +200,20 @@ def test_rate_result_is_frozen():
     r = transition_rate(2.0, UNIT)
     with pytest.raises(AttributeError):
         r.gamma_T = 0.0
+
+
+@pytest.mark.parametrize("route", [transition_rate, transition_rate_quadrature])
+def test_rates_stay_finite_up_to_1e76(route):
+    r = route(1e76, UNIT)
+    assert math.isfinite(r.gamma_T) and math.isfinite(r.gamma_E)
+    assert r.gamma_E == pytest.approx(transition_rate(1e76, UNIT).gamma_E, rel=1e-12)
+
+
+# 1e78: p_max**4 (closed) and the gamma_E integral (quadrature) overflow;
+# 1e120: the quadrature integrand p**3 overflows too;
+# 1e200: q_i**2 overflows inside max_emission_momentum
+@pytest.mark.parametrize("q_i", [1e78, 1e120, 1e200])
+@pytest.mark.parametrize("route", [transition_rate, transition_rate_quadrature])
+def test_rates_beyond_the_float_range_raise_numerical(route, q_i):
+    with pytest.raises(NumericalError, match="float range|non-finite"):
+        route(q_i, UNIT)
