@@ -1,16 +1,18 @@
 """Excitation spectrum of the condensate and the impurity coupling weight.
 
 All functions are pure in (p, params) and accept either scalars or numpy
-arrays of momentum magnitudes; scalars in, floats out.
+arrays of momentum magnitudes; scalars in, floats out. A result that leaves
+the float range raises NumericalError instead of coming back as inf or nan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, NumericalError, SingularityError
 from .params import SystemParams, derive
 
 __all__ = [
@@ -32,9 +34,20 @@ class BogoliubovCoefficients:
 
 def _as_momentum(p):
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    if not ((arr >= 0) & (arr < np.inf)).all():  # also rejects nan
         raise DomainError("momentum magnitude must be nonnegative and finite")
     return arr
+
+
+def _in_range(value, arr, what: str):
+    """value as a float (0-d) or array; NumericalError naming the first p where it is not finite."""
+    if value.ndim == 0:
+        if math.isfinite(value):
+            return float(value)
+    elif np.isfinite(value).all():
+        return value
+    bad = arr[~np.isfinite(value)][0] if arr.ndim else arr
+    raise NumericalError(f"{what} at p = {float(bad)!r} leaves the float range")
 
 
 def _excitation_energy(params: SystemParams):
@@ -60,8 +73,10 @@ def dispersion(p, params: SystemParams):
     exactly 0 at p = 0. Written as (p/2m)*hypot(p, 2mc) so neither regime
     loses precision.
     """
-    eps = _excitation_energy(params)(_as_momentum(p))
-    return eps if eps.ndim else float(eps)
+    arr = _as_momentum(p)
+    with np.errstate(over="ignore"):
+        eps = _excitation_energy(params)(arr)
+    return _in_range(eps, arr, "excitation energy")
 
 
 def transform_coefficients(p, params: SystemParams) -> BogoliubovCoefficients:
@@ -75,15 +90,20 @@ def transform_coefficients(p, params: SystemParams) -> BogoliubovCoefficients:
     if np.any(arr == 0):
         raise SingularityError("transformation coefficients are singular at p = 0")
     nU0 = params.n * params.U0
-    # s = -(1 + mu) > 0; mu**2 - 1 factors as s*(s + 2) with no cancellation
-    s = (dispersion(arr, params) + arr * arr / (2.0 * params.m)) / nU0
-    mu = -(1.0 + s)
-    root = np.sqrt(s * (s + 2.0))
-    alpha = mu / root
-    beta = 1.0 / root
-    if arr.ndim:
-        return BogoliubovCoefficients(mu=mu, alpha=alpha, beta=beta)
-    return BogoliubovCoefficients(mu=float(mu), alpha=float(alpha), beta=float(beta))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # s = -(1 + mu) > 0; mu**2 - 1 factors as s*(s + 2) with no cancellation
+        s = (dispersion(arr, params) + arr * arr / (2.0 * params.m)) / nU0
+        mu = -(1.0 + s)
+        root = np.sqrt(s * (s + 2.0))
+        # s*(s + 2) overflows long before s does (p ~ 1e77 at unit parameters)
+        root = np.where(np.isinf(root), np.sqrt(s) * np.sqrt(s + 2.0), root)
+        alpha = mu / root
+        beta = 1.0 / root
+    return BogoliubovCoefficients(
+        mu=_in_range(mu, arr, "transformation coefficient mu"),
+        alpha=_in_range(alpha, arr, "transformation coefficient alpha"),
+        beta=_in_range(beta, arr, "transformation coefficient beta"),
+    )
 
 
 def coupling_weight(p, params: SystemParams):
@@ -99,5 +119,10 @@ def coupling_weight(p, params: SystemParams):
     if np.any(mask):
         pm = arr[mask]
         eps = dispersion(pm, params)
-        out[mask] = params.g**2 * params.n * pm * pm / (2.0 * params.m * eps)
-    return out if out.ndim else float(out)
+        try:
+            g2 = params.g**2
+        except OverflowError:  # |g| above ~1e154
+            g2 = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[mask] = g2 * params.n * pm * pm / (2.0 * params.m * eps)
+    return _in_range(out, arr, "coupling weight")

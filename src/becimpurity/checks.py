@@ -120,11 +120,10 @@ def closed_vs_quadrature() -> tuple:
     dev = 0.0
     for M in (0.5, 1.0, 2.0, 10.0):
         params = _unit(M=M)
-        q_c = derive(params).q_c
-        for ratio in np.geomspace(1.01, 10.0, 20):
-            closed = transition_rate(ratio * q_c, params)
-            quad = transition_rate_quadrature(ratio * q_c, params, tol=1e-10)
-            dev = max(dev, _rel(quad.gamma_T, closed.gamma_T))
+        q = np.geomspace(1.01, 10.0, 20) * derive(params).q_c
+        quad = transition_rate_quadrature(q, params, tol=1e-10)
+        for q_i, gamma_T in zip(q.tolist(), quad.gamma_T.tolist()):
+            dev = max(dev, _rel(gamma_T, transition_rate(q_i, params).gamma_T))
     return dev, f"max rel dev of gamma_T over a 20 x 4 (q_i, M) grid = {dev:.3g}"
 
 
@@ -132,11 +131,11 @@ def closed_vs_quadrature() -> tuple:
 def energy_rate_identity() -> tuple:
     """Energy-weighted spectral integral reproduces the closed dissipation rate."""
     dev = 0.0
-    for q_i, M in ((2.0, 1.0), (4.0, 2.0), (5.0, 1.0)):
+    for M, q in ((1.0, [2.0, 5.0]), (2.0, [4.0])):
         params = _unit(M=M)
-        closed = transition_rate(q_i, params)
-        quad = transition_rate_quadrature(q_i, params, tol=1e-10)
-        dev = max(dev, _rel(quad.gamma_E, closed.gamma_E))
+        quad = transition_rate_quadrature(q, params, tol=1e-10)
+        for q_i, gamma_E in zip(q, quad.gamma_E.tolist()):
+            dev = max(dev, _rel(gamma_E, transition_rate(q_i, params).gamma_E))
     return dev, f"max rel dev of gamma_E at three supercritical points = {dev:.3g}"
 
 

@@ -214,16 +214,16 @@ def cmd_rates(cfg: dict, grid):
         "q_i", "p_M", "theta_M_deg", "gamma_T_closed", "gamma_T_quad",
         "gamma_E", "dissipative", "smallness",
     ]
-    rows = []
-    for q_i in grid.tolist():
-        win = emission_window(q_i, params)
-        closed = transition_rate(q_i, params)
-        quad = transition_rate_quadrature(q_i, params, tol=cfg["tol"])
-        theta = math.degrees(math.acos(win.cos_theta_max))
-        rows.append([
-            q_i, win.p_max, theta, closed.gamma_T, quad.gamma_T,
-            closed.gamma_E, win.dissipative, closed.smallness,
-        ])
+    q = grid.tolist()
+    # the window and closed columns first, point by point: on an increasing
+    # grid the closed form leaves the float range before the quadrature does
+    closed = [(emission_window(q_i, params), transition_rate(q_i, params)) for q_i in q]
+    quad = transition_rate_quadrature(grid, params, tol=cfg["tol"]).gamma_T.tolist()
+    rows = [
+        [q_i, win.p_max, math.degrees(math.acos(win.cos_theta_max)), c.gamma_T, g_quad,
+         c.gamma_E, win.dissipative, c.smallness]
+        for q_i, (win, c), g_quad in zip(q, closed, quad)
+    ]
     return header, rows, {}
 
 

@@ -89,8 +89,10 @@ def max_emission_momentum(q_i: float, params: SystemParams) -> float:
 
     with r = M/m. This form is exact for every mass ratio and reduces
     smoothly to (q_i**2 - q_c**2)/q_i at r = 1, where the textbook quadratic
-    solution degenerates to 0/0. Raises NumericalError when q_i**2 leaves the
-    float range and the root with it.
+    solution degenerates to 0/0. Where r**2*(q_i**2 - q_c**2) overflows, the
+    square root is taken as hypot(q_c, r*sqrt(q_i**2 - q_c**2)) instead.
+    Raises NumericalError when q_i**2 leaves the float range and the root
+    with it.
     """
     q_i = _check_qi(q_i)
     d = derive(params)
@@ -98,7 +100,12 @@ def max_emission_momentum(q_i: float, params: SystemParams) -> float:
     if gap <= 0.0:
         return 0.0
     r = params.M / params.m
-    p_max = 2.0 * gap / (q_i + math.sqrt(d.q_c * d.q_c + r * r * gap))
+    radicand = d.q_c * d.q_c + r * r * gap
+    if math.isfinite(radicand):
+        p_max = 2.0 * gap / (q_i + math.sqrt(radicand))
+    else:
+        # dividing before doubling keeps 2*gap from overflowing as well
+        p_max = 2.0 * (gap / (q_i + math.hypot(d.q_c, r * math.sqrt(gap))))
     if not math.isfinite(p_max):
         raise NumericalError(f"largest emitted momentum at q_i = {q_i!r} leaves the float range")
     return p_max

@@ -44,10 +44,12 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class RateResult:
-    """Rates at one initial momentum.
+    """Rates at one initial momentum, or at each of an array of them.
 
-    method is one of {"closed", "quadrature", "box"}; est_error is the
-    relative numerical error estimate of that method (0 for closed forms).
+    The fields are floats for one momentum and arrays for an array (only
+    transition_rate_quadrature takes one). method is one of {"closed",
+    "quadrature", "box"}; est_error is the relative numerical error estimate
+    of that method (0 for closed forms).
     smallness = gamma_T/(q_i**2/2M) is the dimensionless perturbative
     diagnostic: results are trustworthy only while it stays well below 1.
     """
@@ -162,46 +164,63 @@ def transition_rate(q_i: float, params: SystemParams) -> RateResult:
 energy_dissipation_rate = transition_rate
 
 
-def transition_rate_quadrature(q_i: float, params: SystemParams, tol: float = 1e-10) -> RateResult:
+def transition_rate_quadrature(q_i, params: SystemParams, tol: float = 1e-10) -> RateResult:
     """Rates by adaptive integration over the emission window.
 
     Integrates p**3/eps (and eps * that, for the energy rate) over
     (0, p_max); est_error is the larger relative error estimate of the two
     integrals. Subcritical momenta return exact zeros without integrating.
+
+    q_i is a float or a 1-D array. For an array, the result holds arrays
+    (one entry per momentum, each bit-identical to the float call) and each
+    integral runs once over all supercritical windows. Errors then come in
+    this order: every momentum is validated and every window built, then
+    the gamma_T integral fails at its first failing momentum, then the
+    gamma_E integral.
     """
-    q_i = _check_qi(q_i)
-    if not (np.isfinite(tol) and tol > 0):
+    q_arr = np.asarray(q_i, dtype=float)
+    if q_arr.ndim > 1:
+        raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_arr.shape}")
+    q_list = [_check_qi(q) for q in q_arr.reshape(-1).tolist()]
+    if not (math.isfinite(tol) and tol > 0):
         raise ConfigurationError(f"tol must be positive, got {tol!r}")
-    d = derive(params)
-    if q_i <= d.q_c:
-        return RateResult(q_i=q_i, gamma_T=0.0, gamma_E=0.0, method="quadrature",
-                          est_error=0.0, smallness=0.0)
-    p_max = max_emission_momentum(q_i, params)
-    pref = _density_prefactor(q_i, params)
-    cfg = QuadratureConfig(rel_tol=tol)
-    eps = _excitation_energy(params)
+    q_c = derive(params).q_c
+    above = [q for q in q_list if q > q_c]
+    integrals = iter(())
+    if above:
+        p_max = np.array([max_emission_momentum(q, params) for q in above])
+        cfg = QuadratureConfig(rel_tol=tol)
+        eps = _excitation_energy(params)
 
-    def radial(p):
-        return p**3 / eps(p)
+        def radial(p):
+            return p**3 / eps(p)
 
-    def radial_energy(p):
-        return p**3  # p**3/eps * eps
+        def radial_energy(p):
+            return p**3  # p**3/eps * eps
 
-    # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
-    with np.errstate(over="ignore"):
-        val_t, err_t = integrate(radial, 0.0, p_max, cfg)
-        val_e, err_e = integrate(radial_energy, 0.0, p_max, cfg)
-    gamma_T = pref * val_t
-    gamma_E = pref * val_e
-    est = max(err_t / max(abs(val_t), _TINY), err_e / max(abs(val_e), _TINY))
-    return RateResult(
-        q_i=q_i,
-        gamma_T=gamma_T,
-        gamma_E=gamma_E,
-        method="quadrature",
-        est_error=est,
-        smallness=_smallness(q_i, gamma_T, params),
-    )
+        # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
+        with np.errstate(over="ignore"):
+            val_t, err_t = integrate(radial, 0.0, p_max, cfg)
+            val_e, err_e = integrate(radial_energy, 0.0, p_max, cfg)
+        integrals = zip(val_t.tolist(), err_t.tolist(), val_e.tolist(), err_e.tolist())
+    rows = []  # (gamma_T, gamma_E, est_error, smallness) per momentum
+    for q in q_list:
+        if not q > q_c:
+            rows.append((0.0, 0.0, 0.0, 0.0))
+            continue
+        val_t, err_t, val_e, err_e = next(integrals)
+        pref = _density_prefactor(q, params)
+        gamma_T = pref * val_t
+        est = max(err_t / max(abs(val_t), _TINY), err_e / max(abs(val_e), _TINY))
+        rows.append((gamma_T, pref * val_e, est, _smallness(q, gamma_T, params)))
+    if q_arr.ndim == 0:
+        q_out = q_list[0]
+        gamma_T, gamma_E, est, smallness = rows[0]
+    else:
+        q_out = np.array(q_list, dtype=float)
+        gamma_T, gamma_E, est, smallness = np.array(rows, dtype=float).reshape(-1, 4).T
+    return RateResult(q_i=q_out, gamma_T=gamma_T, gamma_E=gamma_E, method="quadrature",
+                      est_error=est, smallness=smallness)
 
 
 def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from becimpurity import (
     DomainError,
+    NumericalError,
     SingularityError,
     SystemParams,
     coupling_weight,
@@ -114,3 +115,44 @@ def test_negative_and_nonfinite_momentum_rejected():
         dispersion(math.nan, UNIT)
     with pytest.raises(DomainError):
         coupling_weight(np.array([1.0, -2.0]), UNIT)
+
+
+# pytest turns every RuntimeWarning into an error, so these also pin that no
+# overflow warning escapes on the way to the NumericalError
+
+
+@pytest.mark.parametrize("p", [1e155, np.array([1.0, 1e155, 1e160])])
+def test_dispersion_beyond_the_float_range_raises_numerical(p):
+    with pytest.raises(NumericalError, match=r"excitation energy at p = 1e\+155 leaves the float range"):
+        dispersion(p, UNIT)
+
+
+@pytest.mark.parametrize("route", [transform_coefficients, coupling_weight])
+def test_transform_and_weight_beyond_the_float_range_raise_numerical(route):
+    with pytest.raises(NumericalError, match="float range"):
+        route(1e155, UNIT)
+    with pytest.raises(NumericalError, match="float range"):
+        route(np.array([1.0, 1e155]), UNIT)
+
+
+def test_weight_overflowing_in_its_own_arithmetic_raises_numerical():
+    # eps is finite; g**2 * n * p * p is not
+    with pytest.raises(NumericalError, match=r"coupling weight at p = 1e\+60"):
+        coupling_weight(np.array([1.0, 1e60]), SystemParams(g=1e100))
+    # g**2 alone overflows: a NumericalError, not Python's OverflowError
+    with pytest.raises(NumericalError, match=r"coupling weight at p = 1.0 "):
+        coupling_weight(1.0, SystemParams(g=1e200))
+
+
+@pytest.mark.parametrize("p", [1e78, 1e100, 1e150])
+def test_transform_stays_exact_where_s_times_s_plus_2_overflows(p):
+    # s = (eps + p**2/2m)/(n U0) is about p**2; alpha -> -1 and beta -> 1/s,
+    # which used to come back as -0 and 0
+    co = transform_coefficients(p, UNIT)
+    s = (dispersion(p, UNIT) + p * p / 2.0) / 1.0
+    assert co.mu == -(1.0 + s)
+    assert co.alpha == pytest.approx(-1.0, rel=1e-15)
+    assert co.beta == pytest.approx(1.0 / s, rel=1e-15)
+    batch = transform_coefficients(np.array([2.0, p]), UNIT)
+    assert batch.alpha[1] == co.alpha and batch.beta[1] == co.beta
+    assert batch.alpha[0] == transform_coefficients(2.0, UNIT).alpha

@@ -5,6 +5,7 @@ import re
 import shlex
 import warnings
 
+import numpy as np
 import pytest
 
 import becimpurity
@@ -120,6 +121,64 @@ def test_rates_beyond_the_float_range_are_a_numerical_failure(grid, capsys):
     assert code == 3
     assert err.startswith("numerical failure: ") and "float range" in err
     assert out == ""
+
+
+# the first error of a grid, as the point-by-point sweep reported it: the
+# window and closed columns come before the batched quadrature column
+@pytest.mark.parametrize("argv,err", [
+    (("--grid", "1e76:1e80:3"), "closed-form rates at q_i = 5.0005e+79 leave the float range"),
+    (("--grid", "1e78:1e80:3"), "closed-form rates at q_i = 1e+78 leave the float range"),
+    (("--grid", "1e200:1e201:2"), "largest emitted momentum at q_i = 1e+200 leaves the float range"),
+    (("--tol", "1e-18", "--grid", "2:2:1"),
+     "subdivision budget (200) exhausted: error estimate 1.085e-14 above target 9.774e-19"),
+])
+def test_rates_failures_report_the_first_error_of_the_grid(argv, err, capsys):
+    code, out, got = run(capsys, "rates", *argv)
+    assert (code, out, got) == (3, "", f"numerical failure: {err}\n")
+
+
+@pytest.mark.parametrize("params", [{}, {"m": 1.3, "M": 2.0, "n": 0.7, "U0": 1.1, "g": 0.9}])
+def test_rates_match_a_point_by_point_reference(params, tmp_path, capsys):
+    from becimpurity import (
+        SystemParams, emission_window, transition_rate, transition_rate_quadrature,
+    )
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    code, out, _ = run(capsys, "rates", "--grid", "0.5:6:60", "--config", str(cfg))
+    assert code == 0
+    sp = SystemParams(**{"g": 1.0, **params})
+    lines = ["q_i,p_M,theta_M_deg,gamma_T_closed,gamma_T_quad,gamma_E,dissipative,smallness"]
+    for q_i in np.linspace(0.5, 6.0, 60).tolist():
+        win = emission_window(q_i, sp)
+        closed = transition_rate(q_i, sp)
+        quad = transition_rate_quadrature(q_i, sp)
+        cells = [q_i, win.p_max, math.degrees(math.acos(win.cos_theta_max)), closed.gamma_T,
+                 quad.gamma_T, closed.gamma_E]
+        lines.append(",".join(["%.17g" % v for v in cells]
+                              + ["true" if win.dissipative else "false", "%.17g" % closed.smallness]))
+    assert out == "\n".join(lines) + "\n"
+    assert "false" in out and "true" in out
+
+
+def test_dispersion_beyond_the_float_range_is_a_numerical_failure(capsys):
+    code, out, err = run(capsys, "dispersion", "--grid", "0:1e155:2")
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: excitation energy at p = 1e+155 leaves the float range\n"
+
+
+def test_dispersion_overflow_leaks_no_warning():
+    import os
+    import subprocess
+    import sys
+
+    src = pathlib.Path(becimpurity.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "becimpurity", "dispersion", "--grid", "0:1e155:2"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "numerical failure: excitation energy at p = 1e+155 leaves the float range\n"
 
 
 def test_spectrum_beyond_critical_momentum_is_domain_error(capsys):

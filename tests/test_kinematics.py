@@ -156,3 +156,39 @@ def test_negative_initial_momentum_rejected():
         max_emission_momentum(-1.0, UNIT)
     with pytest.raises(DomainError):
         emission_window(math.nan, UNIT)
+
+
+def _p_max_decimal(q_i: float, params: SystemParams) -> float:
+    """The rationalized root in 50-digit decimal arithmetic."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        q, r = decimal.Decimal(q_i), decimal.Decimal(params.M) / decimal.Decimal(params.m)
+        q_c = decimal.Decimal(params.M) * (decimal.Decimal(params.n * params.U0) / decimal.Decimal(params.m)).sqrt()
+        gap = q * q - q_c * q_c
+        return float(2 * gap / (q + (q_c * q_c + r * r * gap).sqrt()))
+
+
+@pytest.mark.parametrize("q_i", [1e149, 1e150, 1e153, 1e154, 1.3e154])
+def test_max_emission_momentum_survives_an_overflowing_radicand(q_i):
+    # r**2*(q_i**2 - q_c**2) overflows at M/m = 1e6; the root used to come back as 0
+    heavy = SystemParams(g=1.0, M=1e6)
+    p_max = max_emission_momentum(q_i, heavy)
+    assert p_max == pytest.approx(_p_max_decimal(q_i, heavy), rel=1e-15)
+    assert emission_window(q_i, heavy).p_max == p_max
+
+
+def test_max_emission_momentum_at_1e150_is_about_2e144():
+    assert max_emission_momentum(1e150, SystemParams(g=1.0, M=1e6)) == pytest.approx(2.0e144, rel=1e-5)
+
+
+def test_max_emission_momentum_in_range_keeps_the_rationalized_root_bitwise():
+    for M in (1e-6, 0.3, 1.0, 7.0, 1e6):
+        params = SystemParams(g=1.0, M=M)
+        q_c = params.M  # c = 1 at unit m, n, U0
+        r = params.M / params.m
+        for q_i in np.geomspace(q_c * (1 + 1e-12), q_c * 1e6, 50).tolist():
+            gap = q_i * q_i - q_c * q_c
+            ref = 2.0 * gap / (q_i + math.sqrt(q_c * q_c + r * r * gap))
+            assert max_emission_momentum(q_i, params).hex() == ref.hex()

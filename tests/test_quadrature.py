@@ -151,7 +151,8 @@ def test_batched_panels_match_the_per_panel_arithmetic_bitwise():
         lo = rng.uniform(-10, 10, size=n)
         hi = lo + 10.0 ** rng.uniform(-6, 2, size=n)
         rows = iter(y)
-        vals, errs = _eval_panels(lambda x: next(rows), lo, hi)
+        (vals,), (errs,), bad = _eval_panels(lambda x: next(rows), lo[None], hi[None])
+        assert bad == [None]
         for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
             ref_val, ref_err = _reference_panel(y[i], a, b)
             assert (vals[i].hex(), errs[i].hex()) == (ref_val.hex(), ref_err.hex())
@@ -248,3 +249,104 @@ def test_second_derivative_step_validation():
         second_derivative(lambda x: x * x, 0.0, -0.1)
     with pytest.raises(DomainError):
         second_derivative(lambda x: x * x, 0.0, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# an array of upper bounds: every interval's initial panels in one pass
+
+_KINK = lambda x: np.abs(x - 0.3)
+# below 0.3 the kink is off the interval and 8 panels converge at once;
+# above it the kink costs bisections
+_MIXED_BOUNDS = [0.2, 1.0, 0.25, 0.7, 0.3, 2.5, 0.1]
+
+
+def _hex(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+def test_array_bounds_match_scalar_calls_bitwise_and_count_8n_plus_2k():
+    scalar, calls = [], []
+    for b in _MIXED_BOUNDS:
+        f, shapes = _counting(_KINK)
+        scalar.append(_hex(integrate(f, 0.0, b, _CFG)))
+        calls.append(len(shapes))
+    assert 8 in calls and max(calls) > 8  # some converge at once, some bisect
+    bisections = sum(n - 8 for n in calls) // 2
+    f, shapes = _counting(_KINK)
+    vals, errs = integrate(f, 0.0, np.array(_MIXED_BOUNDS), _CFG)
+    assert isinstance(vals, np.ndarray) and vals.shape == errs.shape == (len(_MIXED_BOUNDS),)
+    assert [_hex(pair) for pair in zip(vals, errs)] == scalar
+    assert shapes == [(15,)] * (8 * len(_MIXED_BOUNDS) + 2 * bisections)
+
+
+def test_bounds_spanning_several_blocks_match_scalar_calls_bitwise():
+    from becimpurity.quadrature import _BLOCK
+
+    bounds = np.linspace(0.05, 2.0, 2 * _BLOCK + 44)
+    scalar, calls = [], 0
+    for b in bounds.tolist():
+        f, shapes = _counting(_KINK)
+        scalar.append(_hex(integrate(f, 0.0, b, _CFG)))
+        calls += len(shapes)
+    f, shapes = _counting(_KINK)
+    vals, errs = integrate(f, 0.0, bounds, _CFG)
+    assert [_hex(pair) for pair in zip(vals, errs)] == scalar
+    assert shapes == [(15,)] * calls
+
+
+def test_float_bound_gives_floats_and_one_element_array_gives_arrays():
+    val, err = integrate(np.cos, 0.0, 1.0, _CFG)
+    assert type(val) is float and type(err) is float
+    vals, errs = integrate(np.cos, 0.0, np.array([1.0]), _CFG)
+    assert vals.shape == errs.shape == (1,)
+    assert (vals[0].hex(), errs[0].hex()) == (val.hex(), err.hex())
+
+
+def test_empty_bounds_integrate_nothing():
+    f, shapes = _counting(np.cos)
+    vals, errs = integrate(f, 0.0, np.array([]), _CFG)
+    assert vals.shape == errs.shape == (0,)
+    assert shapes == []
+
+
+def test_exhausted_interval_raises_what_its_scalar_call_raises():
+    cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=3)
+    with pytest.raises(NumericalError) as alone:
+        integrate(_KINK, 0.0, 1.0, cfg)
+    with pytest.raises(NumericalError) as batched:
+        integrate(_KINK, 0.0, np.array([0.2, 1.0, 0.25]), cfg)
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.value.hex() == alone.value.value.hex()
+    assert batched.value.est_error.hex() == alone.value.est_error.hex()
+
+
+def test_first_failing_interval_in_index_order_raises():
+    # interval 0 exhausts its budget; interval 1 holds a non-finite node
+    f = lambda x: np.where(x < 1.5, np.abs(x - 0.3), np.nan)
+    cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=3)
+    with pytest.raises(NumericalError, match="budget"):
+        integrate(f, 0.0, np.array([1.0, 2.0]), cfg)
+    with pytest.raises(NumericalError) as alone:
+        integrate(f, 0.0, 2.0, cfg)
+    with pytest.raises(NumericalError) as batched:
+        integrate(f, 0.0, np.array([0.2, 2.0]), cfg)
+    assert str(batched.value) == str(alone.value)
+    assert "non-finite" in str(alone.value)
+
+
+def test_array_bounds_are_validated_per_interval():
+    with pytest.raises(DomainError, match=r"need a < b, got a=0.0, b=-1.0"):
+        integrate(np.cos, 0.0, np.array([1.0, -1.0, 0.0]), _CFG)
+    with pytest.raises(DomainError, match="finite"):
+        integrate(np.cos, 0.0, np.array([1.0, math.inf]), _CFG)
+    with pytest.raises(DomainError, match="1-D"):
+        integrate(np.cos, 0.0, np.ones((2, 2)), _CFG)
+
+
+def test_subnormal_width_partition_matches_linspace():
+    from becimpurity.quadrature import _initial_edges
+
+    bounds = np.array([1.0, 5e-324, 2e-323, 3.0e-300, 7.0])
+    edges = _initial_edges(0.0, bounds)
+    for row, b in zip(edges, bounds.tolist()):
+        assert [v.hex() for v in row.tolist()] == [v.hex() for v in np.linspace(0.0, b, 9).tolist()]

@@ -217,3 +217,75 @@ def test_rates_stay_finite_up_to_1e76(route):
 def test_rates_beyond_the_float_range_raise_numerical(route, q_i):
     with pytest.raises(NumericalError, match="float range|non-finite"):
         route(q_i, UNIT)
+
+
+_SWEEP = np.concatenate(([0.0, 0.5, 1.0], np.linspace(1.0 + 1e-9, 12.0, 40), [0.99]))
+
+
+@pytest.mark.parametrize("M", [0.1, 1.0, 2.0, 10.0])
+def test_quadrature_on_an_array_matches_float_calls_bitwise(M):
+    params = SystemParams(g=1.0, M=M)
+    q = _SWEEP * M
+    batch = transition_rate_quadrature(q, params)
+    assert batch.method == "quadrature"
+    fields = ("q_i", "gamma_T", "gamma_E", "est_error", "smallness")
+    for name in fields:
+        assert getattr(batch, name).shape == q.shape
+    for i, q_i in enumerate(q.tolist()):
+        alone = transition_rate_quadrature(q_i, params)
+        for name in fields:
+            assert float(getattr(batch, name)[i]).hex() == float(getattr(alone, name)).hex(), (q_i, name)
+
+
+def _traced_integrate(monkeypatch):
+    """Wrap rates.integrate at its module binding, counting integrand calls."""
+    import becimpurity.rates as rates
+
+    log = {"integrate": 0, "integrand": []}
+    original = rates.integrate
+
+    def traced(f, *args, **kwargs):
+        log["integrate"] += 1
+
+        def counted(x):
+            log["integrand"].append(x.shape)
+            return f(x)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(rates, "integrate", traced)
+    return log
+
+
+def test_subcritical_momenta_integrate_nothing(monkeypatch):
+    log = _traced_integrate(monkeypatch)
+    r = transition_rate_quadrature(np.array([0.0, 0.5, 1.0]), UNIT)
+    assert log == {"integrate": 0, "integrand": []}
+    assert r.gamma_T.tolist() == r.gamma_E.tolist() == r.est_error.tolist() == [0.0] * 3
+
+
+def test_quadrature_array_calls_the_integrand_16_times_per_point(monkeypatch):
+    # the module-level integrate binding sees every integrand call
+    log = _traced_integrate(monkeypatch)
+    transition_rate_quadrature(np.linspace(1.1, 3.0, 25), UNIT)
+    assert log["integrate"] == 2
+    assert log["integrand"] == [(15,)] * (16 * 25)
+
+
+def test_quadrature_array_validation():
+    with pytest.raises(DomainError, match="-1.0"):
+        transition_rate_quadrature(np.array([2.0, -1.0]), UNIT)
+    with pytest.raises(DomainError, match="1-D"):
+        transition_rate_quadrature(np.ones((2, 2)), UNIT)
+    empty = transition_rate_quadrature(np.array([]), UNIT)
+    assert empty.gamma_T.shape == (0,)
+
+
+@pytest.mark.parametrize("q_i", [1e149, 1e150, 1e154])
+def test_closed_rates_with_an_overflowing_radicand_raise_not_zero(q_i):
+    # at M/m = 1e6 the window used to collapse to p_max = 0 and both rates to 0
+    heavy = SystemParams(g=1.0, M=1e6)
+    with pytest.raises(NumericalError, match="float range"):
+        transition_rate(q_i, heavy)
+    with pytest.raises(NumericalError, match="non-finite"):
+        transition_rate_quadrature(q_i, heavy)
