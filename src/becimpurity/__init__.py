@@ -45,7 +45,7 @@ from .params import (
     derive,
     renormalized_coupling,
 )
-from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite, second_derivative
+from .quadrature import integrate, integrate_semi_infinite, second_derivative
 from .rates import (
     BoxOracleConfig,
     RateResult,
@@ -117,7 +117,6 @@ __all__ = [
     "effective_mass_quadrature",
     "effective_mass_finite_difference",
     "energy_spectrum",
-    "QuadratureConfig",
     "integrate",
     "integrate_semi_infinite",
     "second_derivative",

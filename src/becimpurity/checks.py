@@ -330,11 +330,11 @@ def effective_mass_fd_vs_closed() -> tuple:
     """Finite-difference curvature of the subtracted energy matches the mass.
 
     Carries the O(1/cutoff) residue of the curvature itself, about 5e-4 at
-    cutoff 4000; hence the looser tolerance.
+    the stencil's cutoff of 4000; hence the looser tolerance.
     """
     params = _unit(a=0.01, g=None)
     closed = effective_mass_closed(params)
-    fd = effective_mass_finite_difference(params, cutoff=4000.0)
+    fd = effective_mass_finite_difference(params)
     dev = _rel(fd.correction, closed.correction)
     return dev, f"mass correction by finite differences off by {dev:.3g} relative"
 

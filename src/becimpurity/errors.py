@@ -1,5 +1,15 @@
 """Exception taxonomy shared by the whole package."""
 
+__all__ = [
+    "BecImpurityError",
+    "DomainError",
+    "ParameterDomainError",
+    "SingularityError",
+    "PerturbativeBreakdownError",
+    "ConfigurationError",
+    "NumericalError",
+]
+
 
 class BecImpurityError(Exception):
     """Base class for every error raised by this package."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _as_momentum, dispersion
+from .bogoliubov import _as_momentum, _in_range, dispersion
 from .errors import DomainError, NumericalError
 from .params import SystemParams, derive
 
@@ -51,15 +51,19 @@ def _check_qi(q_i: float) -> float:
 
 
 def omega(p, x, q_i: float, params: SystemParams):
-    """Frequency mismatch for emission at direction cosine x; vectorized."""
+    """Frequency mismatch for emission at direction cosine x; vectorized.
+
+    Raises NumericalError when it leaves the float range.
+    """
     q_i = _check_qi(q_i)
     parr = _as_momentum(p)
     xarr = np.asarray(x, dtype=float)
     if not np.all(np.abs(xarr) <= 1):  # also rejects nan
         raise DomainError("direction cosine must lie in [-1, 1]")
     M = params.M
-    out = dispersion(parr, params) + parr * parr / (2.0 * M) - q_i * parr * xarr / M
-    return out if np.ndim(out) else float(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = dispersion(parr, params) + parr * parr / (2.0 * M) - q_i * parr * xarr / M
+    return _in_range(out, np.broadcast_to(parr, out.shape), "frequency mismatch")
 
 
 def resonance_cos(p: float, q_i: float, params: SystemParams):

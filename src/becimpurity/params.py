@@ -30,7 +30,6 @@ class DerivedQuantities:
     c: float      # speed of sound, sqrt(n*U0/m)
     q_c: float    # critical impurity momentum, M*c
     m_r: float    # impurity-boson reduced mass
-    a_s: float    # boson-boson Born scattering length, m*U0/(4*pi)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ def derive(params: SystemParams) -> DerivedQuantities:
         c=c,
         q_c=params.M * c,
         m_r=1.0 / (1.0 / params.m + 1.0 / params.M),
-        a_s=born_scattering_length(params.U0, params.m),
     )
 
 

@@ -10,6 +10,8 @@ same shape. Interval endpoints are never evaluated (all nodes are interior),
 which makes integrable endpoint singularities usable if the caller keeps them
 off the nodes.
 
+The only setting is ``rel_tol``: an interval is done when its error estimate
+is at most rel_tol*|value|, and fails after ``_MAX_SUBDIVISIONS`` bisections.
 The integrand is called once per panel, on that panel's 15 nodes: 8 calls
 per interval for the initial partition and 2 per bisection. ``integrate``
 takes one upper bound or a 1-D array of them. With an array, the initial
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +41,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
-    "QuadratureConfig",
     "integrate",
     "integrate_semi_infinite",
     "second_derivative",
@@ -74,28 +74,12 @@ _EDGE_INDEX = np.arange(_INITIAL_PANELS + 1.0)
 # intervals per array pass: node arrays of 120 kB; one pass over all 2000
 # intervals of a sweep, with its temporaries, raised its peak RSS by 10 MB
 _BLOCK = 128
+_MAX_SUBDIVISIONS = 200  # bisections per interval after the initial partition
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and budget contract for the adaptive integrators.
-
-    The target accuracy is max(abs_tol, rel_tol*|integral|); at least one of
-    the two tolerances must be positive. ``max_subdivisions`` caps the number
-    of interval bisections after the initial uniform partition.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 0.0
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol >= 0 and self.abs_tol >= 0):
-            raise ConfigurationError("tolerances must be nonnegative")
-        if self.rel_tol == 0 and self.abs_tol == 0:
-            raise ConfigurationError("at least one of rel_tol, abs_tol must be positive")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
-            raise ConfigurationError(f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}")
+def _check_rel_tol(rel_tol: float):
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ConfigurationError(f"tol must be positive, got {rel_tol!r}")
 
 
 def _eval_panels(f, lo, hi):
@@ -157,7 +141,7 @@ def _initial_edges(a: float, b: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _refine(f, cfg: QuadratureConfig, lo, hi, vals, errs, bad):
+def _refine(f, rel_tol, lo, hi, vals, errs, bad):
     """Sum one interval's panels, bisecting the worst until the target is met.
 
     lo, hi, vals and errs are the interval's initial panels as lists of
@@ -183,12 +167,12 @@ def _refine(f, cfg: QuadratureConfig, lo, hi, vals, errs, bad):
                 value=total,
                 est_error=total_err,
             )
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        target = rel_tol * abs(total)
         if total_err <= target:
             return total, total_err
-        if splits >= cfg.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise NumericalError(
-                f"subdivision budget ({cfg.max_subdivisions}) exhausted: "
+                f"subdivision budget ({_MAX_SUBDIVISIONS}) exhausted: "
                 f"error estimate {total_err:.3e} above target {target:.3e}",
                 value=total,
                 est_error=total_err,
@@ -200,20 +184,22 @@ def _refine(f, cfg: QuadratureConfig, lo, hi, vals, errs, bad):
         splits += 1
 
 
-def integrate(f: Callable, a: float, b: float | np.ndarray, cfg: QuadratureConfig | None = None):
+def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = 1e-10):
     """Adaptively integrate f over the finite interval [a, b], or over each [a, b[i]].
 
     b is a float or a 1-D array of upper bounds. Returns (value,
     error_estimate): floats for a float b, arrays shaped like b otherwise.
     Every interval gets the result a call with its own float bound would
-    give, bit for bit. Raises NumericalError, carrying the best value and its
-    estimate, if the subdivision budget is exhausted before the tolerance
-    contract is met, or if the estimate or its error leaves the float range;
-    for an array b, the first interval in index order to fail raises. The
-    intervals go in blocks of 128: the integrand is called on the initial
-    panels of a whole block before any interval of that block is summed.
+    give, bit for bit. Raises ConfigurationError unless rel_tol is finite
+    and positive. Raises NumericalError, carrying the best value and its
+    estimate, if _MAX_SUBDIVISIONS bisections do not bring the error
+    estimate down to rel_tol*|value|, or if the estimate or its error leaves
+    the float range; for an array b, the first interval in index order to
+    fail raises. The intervals go in blocks of 128: the integrand is called
+    on the initial panels of a whole block before any interval of that
+    block is summed.
     """
-    cfg = cfg if cfg is not None else QuadratureConfig()
+    _check_rel_tol(rel_tol)
     upper = np.asarray(b, dtype=float)
     if upper.ndim > 1:
         raise DomainError(f"upper bounds must be a float or a 1-D array, got shape {upper.shape}")
@@ -230,20 +216,19 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, cfg: QuadratureConfi
         lo, hi = edges[:, :-1], edges[:, 1:]
         vals, errs, bad = _eval_panels(f, lo, hi)
         pieces = zip(lo.tolist(), hi.tolist(), vals, errs, bad)
-        results += [_refine(f, cfg, *piece) for piece in pieces]
+        results += [_refine(f, rel_tol, *piece) for piece in pieces]
     if upper.ndim == 0:
         return results[0]
     values, errors = np.array(results, dtype=float).reshape(-1, 2).T
     return values, errors
 
 
-def integrate_semi_infinite(f: Callable, a: float, cfg: QuadratureConfig | None = None):
+def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = 1e-10):
     """Integrate f over [a, inf) for integrands with f(p)*p**2 -> 0.
 
     The rational map p = a + t/(1-t) carries [a, inf) to t in [0, 1); the
     decay contract keeps the transformed integrand bounded near t = 1.
     """
-    cfg = cfg if cfg is not None else QuadratureConfig()
     if not np.isfinite(a):
         raise DomainError("lower bound must be finite")
 
@@ -252,7 +237,7 @@ def integrate_semi_infinite(f: Callable, a: float, cfg: QuadratureConfig | None 
         p = a + t / one_minus
         return f(p) / one_minus**2
 
-    return integrate(transformed, 0.0, 1.0, cfg)
+    return integrate(transformed, 0.0, 1.0, rel_tol)
 
 
 def second_derivative(f: Callable, x0: float, h: float) -> float:

@@ -24,7 +24,7 @@ from .bogoliubov import _as_momentum, _excitation_energy, dispersion
 from .errors import ConfigurationError, DomainError, NumericalError
 from .kinematics import _check_qi, max_emission_momentum
 from .params import SystemParams, derive
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import _check_rel_tol, integrate
 
 __all__ = [
     "RateResult",
@@ -85,13 +85,20 @@ class BoxOracleConfig:
 
 
 def _smallness(q_i: float, gamma_T: float, params: SystemParams) -> float:
-    if q_i == 0.0:
+    # gamma_T == 0 also covers a supercritical q_i whose kinetic energy underflows
+    if q_i == 0.0 or gamma_T == 0.0:
         return 0.0
     return gamma_T / (q_i * q_i / (2.0 * params.M))
 
 
 def _density_prefactor(q_i: float, params: SystemParams) -> float:
-    return params.n * params.M * params.g**2 / (4.0 * math.pi * params.m * q_i)
+    try:
+        pref = params.n * params.M * params.g**2 / (4.0 * math.pi * params.m * q_i)
+    except OverflowError:  # float ** raises where * would give inf
+        pref = math.inf
+    if not math.isfinite(pref):
+        raise NumericalError(f"rate prefactor at q_i = {q_i!r} leaves the float range")
+    return pref
 
 
 def emission_spectral_density(p, q_i: float, params: SystemParams):
@@ -182,14 +189,13 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = 1e-10) ->
     if q_arr.ndim > 1:
         raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_arr.shape}")
     q_list = [_check_qi(q) for q in q_arr.reshape(-1).tolist()]
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigurationError(f"tol must be positive, got {tol!r}")
+    _check_rel_tol(tol)
     q_c = derive(params).q_c
-    above = [q for q in q_list if q > q_c]
+    # a supercritical q_i whose gap q_i**2 - q_c**2 underflows has p_max = 0
+    p_max = [max_emission_momentum(q, params) if q > q_c else 0.0 for q in q_list]
+    windows = np.array([p for p in p_max if p > 0.0])
     integrals = iter(())
-    if above:
-        p_max = np.array([max_emission_momentum(q, params) for q in above])
-        cfg = QuadratureConfig(rel_tol=tol)
+    if windows.size:
         eps = _excitation_energy(params)
 
         def radial(p):
@@ -200,12 +206,12 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = 1e-10) ->
 
         # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
         with np.errstate(over="ignore"):
-            val_t, err_t = integrate(radial, 0.0, p_max, cfg)
-            val_e, err_e = integrate(radial_energy, 0.0, p_max, cfg)
+            val_t, err_t = integrate(radial, 0.0, windows, tol)
+            val_e, err_e = integrate(radial_energy, 0.0, windows, tol)
         integrals = zip(val_t.tolist(), err_t.tolist(), val_e.tolist(), err_e.tolist())
     rows = []  # (gamma_T, gamma_E, est_error, smallness) per momentum
-    for q in q_list:
-        if not q > q_c:
+    for q, p in zip(q_list, p_max):
+        if not p > 0.0:
             rows.append((0.0, 0.0, 0.0, 0.0))
             continue
         val_t, err_t, val_e, err_e = next(integrals)
@@ -229,17 +235,25 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
     regime "threshold": (2*n*g**2/(3*pi*m*c**2)) * (q_i - q_c)**3, the cubic
     onset just above the critical momentum. regime "high_momentum":
     n*g**2*M*q_i*(m/(M+m))**2/pi, the sound-speed-independent large-q_i law.
-    The caller decides where each expansion applies.
+    The caller decides where each expansion applies. Raises NumericalError
+    when the rate leaves the float range.
     """
     q_i = _check_qi(q_i)
     d = derive(params)
     n, g, m, M = params.n, params.g, params.m, params.M
-    if regime == "threshold":
-        return (2.0 * n * g * g / (3.0 * math.pi * m * d.c * d.c)) * (q_i - d.q_c) ** 3
-    if regime == "high_momentum":
-        ratio = m / (M + m)
-        return n * g * g * M * q_i * ratio * ratio / math.pi
-    raise DomainError(f"unknown regime {regime!r}; expected 'threshold' or 'high_momentum'")
+    try:
+        if regime == "threshold":
+            rate = (2.0 * n * g * g / (3.0 * math.pi * m * d.c * d.c)) * (q_i - d.q_c) ** 3
+        elif regime == "high_momentum":
+            ratio = m / (M + m)
+            rate = n * g * g * M * q_i * ratio * ratio / math.pi
+        else:
+            raise DomainError(f"unknown regime {regime!r}; expected 'threshold' or 'high_momentum'")
+    except OverflowError:  # float ** raises where * would give inf
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise NumericalError(f"{regime} rate at q_i = {q_i!r} leaves the float range")
+    return rate
 
 
 def _lattice_args(q_i: float, params: SystemParams, cfg: BoxOracleConfig):

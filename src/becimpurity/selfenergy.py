@@ -29,7 +29,7 @@ import numpy as np
 from .bogoliubov import _excitation_energy
 from .errors import ConfigurationError, DomainError, PerturbativeBreakdownError
 from .params import SystemParams, derive
-from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite, second_derivative
+from .quadrature import integrate, integrate_semi_infinite, second_derivative
 
 __all__ = [
     "SpectrumPoint",
@@ -168,11 +168,7 @@ def _shift_integrand(p, q_i: float, params: SystemParams, eps):
 
 
 def energy_shift_quadrature(
-    q_i: float,
-    params: SystemParams,
-    cutoff: float,
-    mode: str = "counterterm",
-    tol: float = _DEFAULT_TOL,
+    q_i: float, params: SystemParams, cutoff: float, mode: str = "counterterm"
 ) -> float:
     """Mean-field plus cutoff-renormalized fluctuation shift at momentum q_i.
 
@@ -195,14 +191,13 @@ def energy_shift_quadrature(
     m, m_r = params.m, d.m_r
     pref = params.n * params.a**2 / (m * m_r * m_r)
     divergence_rate = 4.0 * m * m_r  # large-p limit of the integrand
-    cfg = QuadratureConfig(rel_tol=tol)
     eps = _excitation_energy(params)
     if mode == "counterterm":
-        val, _ = integrate(lambda p: _shift_integrand(p, q_i, params, eps), 0.0, cutoff, cfg)
+        val, _ = integrate(lambda p: _shift_integrand(p, q_i, params, eps), 0.0, cutoff, _DEFAULT_TOL)
         fluctuation = pref * (divergence_rate * cutoff - val)
     else:
         val, _ = integrate(
-            lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, cutoff, cfg
+            lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, cutoff, _DEFAULT_TOL
         )
         fluctuation = pref * val
     return mean_field_shift(params) + fluctuation
@@ -241,39 +236,31 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
     """
     _require_a(params)
     d = derive(params)
-    cfg = QuadratureConfig(rel_tol=tol)
     eps = _excitation_energy(params)
 
     def curvature_integrand(p):
         eps_p = eps(p)
         return p**6 / (eps_p * _recoil_energy(p, eps_p, params) ** 3)
 
-    K, _ = integrate_semi_infinite(curvature_integrand, 0.0, cfg)
+    K, _ = integrate_semi_infinite(curvature_integrand, 0.0, tol)
     m, m_r, M = params.m, d.m_r, params.M
     d2 = -(2.0 / 3.0) * params.n * params.a**2 / (m * m_r * m_r * M * M) * K
     return _mass_from_sigma(-M * d2, params, "quadrature")
 
 
-def effective_mass_finite_difference(
-    params: SystemParams,
-    cutoff: float = _FD_CUTOFF,
-    step: float | None = None,
-) -> MassResult:
+def effective_mass_finite_difference(params: SystemParams) -> MassResult:
     """Dressed mass from a five-point stencil on the subtracted energy.
 
-    The curvature of the fluctuation part at q_i = 0 gives 1/M_ef - 1/M; the
-    cutoff-dependent constant cancels in the stencil, leaving an O(1/cutoff)
-    residue in the curvature itself (about 5e-4 relative at the default
-    cutoff). step defaults to 0.01*q_c.
+    The curvature of the fluctuation part at q_i = 0, taken with step
+    0.01*q_c, gives 1/M_ef - 1/M; the constant of the cutoff _FD_CUTOFF cancels
+    in the stencil, leaving an O(1/cutoff) residue in the curvature itself
+    (about 5e-4 relative).
     """
     _require_a(params)
-    d = derive(params)
-    h = 0.01 * d.q_c if step is None else float(step)
-    if not (np.isfinite(h) and 0 < h < 0.4 * d.q_c):
-        raise DomainError(f"step must lie in (0, 0.4*q_c), got {h!r}")
+    h = 0.01 * derive(params).q_c
 
     def shift(q):
-        return energy_shift_quadrature(q, params, cutoff, mode="subtracted")
+        return energy_shift_quadrature(q, params, _FD_CUTOFF, mode="subtracted")
 
     d2 = second_derivative(shift, 0.0, h)
     return _mass_from_sigma(-params.M * d2, params, "finite_difference")

@@ -45,6 +45,16 @@ def test_omega_rejects_nonfinite_or_negative_inputs(p, x):
         omega(p, x, 2.0, UNIT)
 
 
+@pytest.mark.parametrize("p, x", [
+    (1e150, 1.0), (np.array([1.0, 1e150]), 1.0), (1e150, np.array([0.0, 1.0])),
+])
+def test_omega_beyond_the_float_range_raises_numerical(p, x):
+    # q_i*p*x/M overflows while eps(p) + p**2/2M does not; it used to come
+    # back as -inf with a RuntimeWarning
+    with pytest.raises(NumericalError, match=r"frequency mismatch at p = 1e\+150 leaves the float range"):
+        omega(p, x, 1e300, UNIT)
+
+
 def test_resonance_cos_reference_value():
     assert resonance_cos(1.0, 2.0, UNIT) == pytest.approx(0.8090169943749475, rel=1e-14)
 

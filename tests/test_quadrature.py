@@ -1,9 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from becimpurity import ConfigurationError, DomainError, NumericalError, QuadratureConfig
+from becimpurity import (
+    ConfigurationError,
+    DomainError,
+    NumericalError,
+    SystemParams,
+    effective_mass_quadrature,
+    quadrature,
+    transition_rate_quadrature,
+)
 from becimpurity.quadrature import (
     _EPS,
     _NODES,
@@ -14,8 +23,6 @@ from becimpurity.quadrature import (
     integrate_semi_infinite,
     second_derivative,
 )
-
-_CFG = QuadratureConfig(rel_tol=1e-10)
 
 # error-estimate honesty reference suite: (integrand, a, b, exact), finite part
 _FINITE = [
@@ -39,7 +46,7 @@ _TAIL = [
 
 @pytest.mark.parametrize("f,a,b,exact", _FINITE)
 def test_error_estimate_honest_finite(f, a, b, exact):
-    val, err = integrate(f, a, b, _CFG)
+    val, err = integrate(f, a, b)
     true = abs(val - exact)
     assert true <= 10.0 * err
     assert true <= 1e-9 * abs(exact)
@@ -47,68 +54,67 @@ def test_error_estimate_honest_finite(f, a, b, exact):
 
 @pytest.mark.parametrize("f,exact", _TAIL)
 def test_error_estimate_honest_semi_infinite(f, exact):
-    val, err = integrate_semi_infinite(f, 0.0, _CFG)
+    val, err = integrate_semi_infinite(f, 0.0)
     true = abs(val - exact)
     assert true <= 10.0 * err
     assert true <= 1e-9 * abs(exact)
 
 
 def test_gaussian_moment_on_shifted_tail():
-    val, _ = integrate_semi_infinite(lambda x: x * x * np.exp(-x * x), 0.0, _CFG)
+    val, _ = integrate_semi_infinite(lambda x: x * x * np.exp(-x * x), 0.0)
     assert val == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-10)
 
 
 def test_polynomial_exactness_single_panel():
     # the embedded rule integrates low-degree polynomials to rounding
     for deg in (0, 3, 7, 13):
-        val, _ = integrate(lambda x, d=deg: x**d, 0.0, 1.0, _CFG)
+        val, _ = integrate(lambda x, d=deg: x**d, 0.0, 1.0)
         assert val == pytest.approx(1.0 / (deg + 1), rel=5e-15)
 
 
 def test_determinism_bitwise():
     f = lambda x: np.exp(-x) * np.sin(3.0 * x)
-    v1, e1 = integrate(f, 0.0, 5.0, _CFG)
-    v2, e2 = integrate(f, 0.0, 5.0, _CFG)
+    v1, e1 = integrate(f, 0.0, 5.0)
+    v2, e2 = integrate(f, 0.0, 5.0)
     assert v1 == v2
     assert e1 == e2
 
 
 def test_interval_additivity():
     f = lambda x: np.cos(x) * np.exp(-0.5 * x)
-    whole, _ = integrate(f, 0.0, 2.0, _CFG)
-    left, _ = integrate(f, 0.0, 1.0, _CFG)
-    right, _ = integrate(f, 1.0, 2.0, _CFG)
+    whole, _ = integrate(f, 0.0, 2.0)
+    left, _ = integrate(f, 0.0, 1.0)
+    right, _ = integrate(f, 1.0, 2.0)
     assert whole == pytest.approx(left + right, rel=1e-12)
 
 
-def test_budget_exhaustion_carries_partial_result():
-    cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=3)
-    with pytest.raises(NumericalError) as exc:
-        integrate(lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-6), 0.0, 1.0, cfg)
+def test_budget_exhaustion_carries_partial_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    with pytest.raises(NumericalError, match=r"subdivision budget \(3\) exhausted") as exc:
+        integrate(lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-6), 0.0, 1.0)
     assert exc.value.value is not None
     assert exc.value.est_error is not None
     assert exc.value.est_error > 0.0
 
 
 def test_unattainable_tolerance_raises_numerical():
-    cfg = QuadratureConfig(rel_tol=1e-18)
-    with pytest.raises(NumericalError):
-        integrate(lambda x: np.exp(x), 0.0, 1.0, cfg)
+    with pytest.raises(NumericalError, match=r"subdivision budget \(200\) exhausted"):
+        integrate(lambda x: np.exp(x), 0.0, 1.0, rel_tol=1e-18)
 
 
 def test_invalid_bounds_rejected():
     with pytest.raises(DomainError):
-        integrate(lambda x: x, 1.0, 1.0, _CFG)
+        integrate(lambda x: x, 1.0, 1.0)
     with pytest.raises(DomainError):
-        integrate(lambda x: x, 2.0, 1.0, _CFG)
+        integrate(lambda x: x, 2.0, 1.0)
     with pytest.raises(DomainError):
-        integrate(lambda x: x, 0.0, math.inf, _CFG)
+        integrate(lambda x: x, 0.0, math.inf)
 
 
 def test_nonfinite_integrand_raises_numerical():
     f = lambda x: np.where(x < 0.5, 1.0, np.nan)
     with pytest.raises(NumericalError) as exc:
-        integrate(f, 0.0, 1.0, _CFG)
+        integrate(f, 0.0, 1.0)
     # panels 4..7 all fail; the message names the first node of panel 4
     first_bad = 0.5625 + 0.0625 * _NODES[0]
     assert str(exc.value) == f"integrand returned a non-finite value near x = {first_bad}"
@@ -172,62 +178,67 @@ def _counting(f):
 
 def test_one_integrand_call_per_panel_when_converged_at_once():
     f, shapes = _counting(np.cos)
-    integrate(f, 0.0, 1.0, _CFG)
+    integrate(f, 0.0, 1.0)
     assert shapes == [(15,)] * 8
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
-def test_each_bisection_costs_two_integrand_calls(k):
+def test_each_bisection_costs_two_integrand_calls(k, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", k)
     f, shapes = _counting(lambda x: np.abs(x - 0.3))
     with pytest.raises(NumericalError, match="budget"):
-        integrate(f, 0.0, 1.0, QuadratureConfig(rel_tol=1e-15, max_subdivisions=k))
+        integrate(f, 0.0, 1.0, rel_tol=1e-15)
     assert shapes == [(15,)] * (8 + 2 * k)
 
 
-def test_kinked_integrand_converges_after_exactly_k_bisections():
+def test_kinked_integrand_converges_after_exactly_k_bisections(monkeypatch):
     kink = lambda x: np.abs(x - 0.3)
     f, shapes = _counting(kink)
-    val, err = integrate(f, 0.0, 1.0, _CFG)
+    val, err = integrate(f, 0.0, 1.0)
     k, odd = divmod(len(shapes) - 8, 2)
     assert k >= 1 and odd == 0
     assert shapes == [(15,)] * (8 + 2 * k)
-    assert integrate(kink, 0.0, 1.0, QuadratureConfig(rel_tol=1e-10, max_subdivisions=k)) == (val, err)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", k)
+    assert integrate(kink, 0.0, 1.0) == (val, err)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", k - 1)
     with pytest.raises(NumericalError, match="budget"):
-        integrate(kink, 0.0, 1.0, QuadratureConfig(rel_tol=1e-10, max_subdivisions=k - 1))
+        integrate(kink, 0.0, 1.0)
 
 
 def test_overflowing_panel_estimate_raises_numerical():
     # finite integrand values whose weighted sum leaves the float range
     with pytest.raises(NumericalError, match="float range") as exc:
-        integrate(lambda x: np.full_like(x, 1e308), 0.0, 100.0, _CFG)
+        integrate(lambda x: np.full_like(x, 1e308), 0.0, 100.0)
     assert exc.value.value is not None
 
 
 def test_overflowing_total_raises_numerical():
     # every panel estimate is finite (5e307); their sum is not
     with pytest.raises(NumericalError, match="float range"):
-        integrate(lambda x: np.full_like(x, 5e307), 0.0, 8.0, _CFG)
+        integrate(lambda x: np.full_like(x, 5e307), 0.0, 8.0)
 
 
 def test_wrong_shape_integrand_rejected():
     with pytest.raises(DomainError):
-        integrate(lambda x: np.array([1.0]), 0.0, 1.0, _CFG)
+        integrate(lambda x: np.array([1.0]), 0.0, 1.0)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        QuadratureConfig(rel_tol=-1e-10)
-    with pytest.raises(ConfigurationError):
-        QuadratureConfig(rel_tol=0.0, abs_tol=0.0)
-    with pytest.raises(ConfigurationError):
-        QuadratureConfig(rel_tol=1e-10, max_subdivisions=0)
-
-
-def test_abs_tol_only_mode():
-    cfg = QuadratureConfig(rel_tol=0.0, abs_tol=1e-8)
-    val, err = integrate(lambda x: np.sin(x), 0.0, math.pi, cfg)
-    assert abs(val - 2.0) <= 1e-8
-    assert err <= 1e-8
+    # one validator: every route rejects the same tolerances, also when
+    # every momentum is subcritical and nothing is integrated
+    unit, weak = SystemParams(g=1.0), SystemParams(a=0.01)
+    calls = [
+        lambda tol: integrate(np.cos, 0.0, 1.0, tol),
+        lambda tol: integrate(np.cos, 0.0, np.array([1.0, 2.0]), tol),
+        lambda tol: integrate_semi_infinite(lambda x: np.exp(-x), 0.0, tol),
+        lambda tol: transition_rate_quadrature(2.0, unit, tol),
+        lambda tol: transition_rate_quadrature(np.array([0.0, 0.5, 1.0]), unit, tol),
+        lambda tol: effective_mass_quadrature(weak, tol),
+    ]
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        for call in calls:
+            with pytest.raises(ConfigurationError, match=re.escape(f"tol must be positive, got {tol!r}")):
+                call(tol)
 
 
 def test_second_derivative_quartic():
@@ -268,12 +279,12 @@ def test_array_bounds_match_scalar_calls_bitwise_and_count_8n_plus_2k():
     scalar, calls = [], []
     for b in _MIXED_BOUNDS:
         f, shapes = _counting(_KINK)
-        scalar.append(_hex(integrate(f, 0.0, b, _CFG)))
+        scalar.append(_hex(integrate(f, 0.0, b)))
         calls.append(len(shapes))
     assert 8 in calls and max(calls) > 8  # some converge at once, some bisect
     bisections = sum(n - 8 for n in calls) // 2
     f, shapes = _counting(_KINK)
-    vals, errs = integrate(f, 0.0, np.array(_MIXED_BOUNDS), _CFG)
+    vals, errs = integrate(f, 0.0, np.array(_MIXED_BOUNDS))
     assert isinstance(vals, np.ndarray) and vals.shape == errs.shape == (len(_MIXED_BOUNDS),)
     assert [_hex(pair) for pair in zip(vals, errs)] == scalar
     assert shapes == [(15,)] * (8 * len(_MIXED_BOUNDS) + 2 * bisections)
@@ -286,61 +297,61 @@ def test_bounds_spanning_several_blocks_match_scalar_calls_bitwise():
     scalar, calls = [], 0
     for b in bounds.tolist():
         f, shapes = _counting(_KINK)
-        scalar.append(_hex(integrate(f, 0.0, b, _CFG)))
+        scalar.append(_hex(integrate(f, 0.0, b)))
         calls += len(shapes)
     f, shapes = _counting(_KINK)
-    vals, errs = integrate(f, 0.0, bounds, _CFG)
+    vals, errs = integrate(f, 0.0, bounds)
     assert [_hex(pair) for pair in zip(vals, errs)] == scalar
     assert shapes == [(15,)] * calls
 
 
 def test_float_bound_gives_floats_and_one_element_array_gives_arrays():
-    val, err = integrate(np.cos, 0.0, 1.0, _CFG)
+    val, err = integrate(np.cos, 0.0, 1.0)
     assert type(val) is float and type(err) is float
-    vals, errs = integrate(np.cos, 0.0, np.array([1.0]), _CFG)
+    vals, errs = integrate(np.cos, 0.0, np.array([1.0]))
     assert vals.shape == errs.shape == (1,)
     assert (vals[0].hex(), errs[0].hex()) == (val.hex(), err.hex())
 
 
 def test_empty_bounds_integrate_nothing():
     f, shapes = _counting(np.cos)
-    vals, errs = integrate(f, 0.0, np.array([]), _CFG)
+    vals, errs = integrate(f, 0.0, np.array([]))
     assert vals.shape == errs.shape == (0,)
     assert shapes == []
 
 
-def test_exhausted_interval_raises_what_its_scalar_call_raises():
-    cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=3)
+def test_exhausted_interval_raises_what_its_scalar_call_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(NumericalError) as alone:
-        integrate(_KINK, 0.0, 1.0, cfg)
+        integrate(_KINK, 0.0, 1.0)
     with pytest.raises(NumericalError) as batched:
-        integrate(_KINK, 0.0, np.array([0.2, 1.0, 0.25]), cfg)
+        integrate(_KINK, 0.0, np.array([0.2, 1.0, 0.25]))
     assert str(batched.value) == str(alone.value)
     assert batched.value.value.hex() == alone.value.value.hex()
     assert batched.value.est_error.hex() == alone.value.est_error.hex()
 
 
-def test_first_failing_interval_in_index_order_raises():
+def test_first_failing_interval_in_index_order_raises(monkeypatch):
     # interval 0 exhausts its budget; interval 1 holds a non-finite node
     f = lambda x: np.where(x < 1.5, np.abs(x - 0.3), np.nan)
-    cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=3)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(NumericalError, match="budget"):
-        integrate(f, 0.0, np.array([1.0, 2.0]), cfg)
+        integrate(f, 0.0, np.array([1.0, 2.0]))
     with pytest.raises(NumericalError) as alone:
-        integrate(f, 0.0, 2.0, cfg)
+        integrate(f, 0.0, 2.0)
     with pytest.raises(NumericalError) as batched:
-        integrate(f, 0.0, np.array([0.2, 2.0]), cfg)
+        integrate(f, 0.0, np.array([0.2, 2.0]))
     assert str(batched.value) == str(alone.value)
     assert "non-finite" in str(alone.value)
 
 
 def test_array_bounds_are_validated_per_interval():
     with pytest.raises(DomainError, match=r"need a < b, got a=0.0, b=-1.0"):
-        integrate(np.cos, 0.0, np.array([1.0, -1.0, 0.0]), _CFG)
+        integrate(np.cos, 0.0, np.array([1.0, -1.0, 0.0]))
     with pytest.raises(DomainError, match="finite"):
-        integrate(np.cos, 0.0, np.array([1.0, math.inf]), _CFG)
+        integrate(np.cos, 0.0, np.array([1.0, math.inf]))
     with pytest.raises(DomainError, match="1-D"):
-        integrate(np.cos, 0.0, np.ones((2, 2)), _CFG)
+        integrate(np.cos, 0.0, np.ones((2, 2)))
 
 
 def test_subnormal_width_partition_matches_linspace():

@@ -8,11 +8,11 @@ from becimpurity import (
     ConfigurationError,
     DomainError,
     NumericalError,
-    QuadratureConfig,
     SystemParams,
     box_rate,
     emission_spectral_density,
     energy_dissipation_rate,
+    max_emission_momentum,
     survival_lower_bound,
     survival_probability,
     transition_rate,
@@ -97,7 +97,7 @@ def test_spectral_density_subcritical_all_zero():
 
 def test_spectral_density_integrates_to_transition_rate():
     f = lambda p: emission_spectral_density(p, 2.0, UNIT)
-    val, _ = integrate(f, 0.0, 1.5, QuadratureConfig(rel_tol=1e-12))
+    val, _ = integrate(f, 0.0, 1.5, 1e-12)
     assert val == pytest.approx(transition_rate(2.0, UNIT).gamma_T, rel=1e-10)
 
 
@@ -289,3 +289,52 @@ def test_closed_rates_with_an_overflowing_radicand_raise_not_zero(q_i):
         transition_rate(q_i, heavy)
     with pytest.raises(NumericalError, match="non-finite"):
         transition_rate_quadrature(q_i, heavy)
+
+
+def _hexes(r):
+    return [[float(v).hex() for v in np.atleast_1d(getattr(r, name)).tolist()]
+            for name in ("gamma_T", "gamma_E", "est_error", "smallness")]
+
+
+def test_momenta_whose_gap_underflows_rate_exact_zeros_on_both_routes():
+    # q_c = 1e-300: these momenta are supercritical, but q_i**2 - q_c**2 and
+    # q_i**2/2M underflow to 0, so the window is empty (p_max = 0)
+    tiny = SystemParams(g=1.0, M=1e-300)
+    for q_i in (2e-300, 1e-299):
+        assert max_emission_momentum(q_i, tiny) == 0.0
+        for r in (transition_rate(q_i, tiny), transition_rate_quadrature(q_i, tiny)):
+            assert _hexes(r) == [["0x0.0p+0"]] * 4
+    # the in-range momenta of the same array keep their bits
+    batch = transition_rate_quadrature(np.array([2e-300, 1.0, 1e-299, 3.0]), tiny)
+    zero = "0x0.0p+0"
+    assert _hexes(batch) == [
+        [zero, "0x1.d13ef369717b2p-1000", zero, "0x1.16fbc64d8f1bcp-997"],
+        [zero, "0x1.b49266db89b9cp-999", zero, "0x1.705b86c93c34cp-994"],
+        [zero, "0x1.9000000000000p-47", zero, "0x1.9000000000000p-47"],
+        [zero] * 4,
+    ]
+    assert _hexes(transition_rate_quadrature(2.0, UNIT)) == [
+        ["0x1.3e9627cb782b3p-5"], ["0x1.9c8794af361c5p-5"],
+        ["0x1.9000000000000p-47"], ["0x1.3e9627cb782b3p-6"],
+    ]
+
+
+def test_coupling_whose_square_overflows_raises_numerical():
+    huge = SystemParams(g=1e200)
+    with pytest.raises(NumericalError, match="rate prefactor at q_i = 2.0 leaves the float range"):
+        transition_rate_quadrature(2.0, huge)
+    with pytest.raises(NumericalError, match="float range"):
+        emission_spectral_density(1.0, 2.0, huge)
+    for regime in ("threshold", "high_momentum"):
+        with pytest.raises(NumericalError, match=f"{regime} rate at q_i = 2.0 leaves the float range"):
+            transition_rate_asymptotic(2.0, huge, regime)
+    # (q_i - q_c)**3 overflows on its own
+    with pytest.raises(NumericalError, match="float range"):
+        transition_rate_asymptotic(1e150, UNIT, "threshold")
+
+
+def test_coupling_up_to_1e150_keeps_its_bits():
+    strong = SystemParams(g=1e150)
+    assert transition_rate_quadrature(2.0, strong).gamma_T.hex() == "0x1.dbb86a32aae18p+991"
+    assert transition_rate_asymptotic(2.0, strong, "threshold").hex() == "0x1.4479f6c093b28p+994"
+    assert transition_rate_asymptotic(2.0, strong, "high_momentum").hex() == "0x1.e6b6f220dd8bdp+993"

@@ -143,12 +143,6 @@ def test_effective_mass_finite_difference_matches_closed():
     assert r.method == "finite_difference"
 
 
-def test_effective_mass_step_validation():
-    for h in (0.0, -0.1, 0.4, 1.0):  # q_c = 1: steps must sit well inside it
-        with pytest.raises(DomainError):
-            effective_mass_finite_difference(WEAK, step=h)
-
-
 def test_mass_result_is_frozen():
     r = effective_mass_closed(WEAK)
     with pytest.raises(AttributeError):
