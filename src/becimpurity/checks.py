@@ -87,12 +87,6 @@ def _check(tolerance: float):
     return register
 
 
-def _unit(**kwargs) -> SystemParams:
-    base = dict(m=1.0, M=1.0, n=1.0, U0=1.0, g=1.0)
-    base.update(kwargs)
-    return SystemParams(**base)
-
-
 def _rel(x: float, ref: float) -> float:
     return abs(x - ref) / abs(ref)
 
@@ -106,7 +100,7 @@ def landau_exact_zero() -> tuple:
     """Both rates are identically zero on a grid below the critical momentum."""
     worst = 0.0
     for M in (0.5, 1.0, 2.0, 10.0):
-        params = _unit(M=M)
+        params = SystemParams(g=1.0, M=M)
         q_c = derive(params).q_c
         for q_i in np.linspace(0.0, 0.999 * q_c, 13):
             r = transition_rate(float(q_i), params)
@@ -119,9 +113,9 @@ def closed_vs_quadrature() -> tuple:
     """Adaptive quadrature reproduces the closed transition rate."""
     dev = 0.0
     for M in (0.5, 1.0, 2.0, 10.0):
-        params = _unit(M=M)
+        params = SystemParams(g=1.0, M=M)
         q = np.geomspace(1.01, 10.0, 20) * derive(params).q_c
-        quad = transition_rate_quadrature(q, params, tol=1e-10)
+        quad = transition_rate_quadrature(q, params)
         for q_i, gamma_T in zip(q.tolist(), quad.gamma_T.tolist()):
             dev = max(dev, _rel(gamma_T, transition_rate(q_i, params).gamma_T))
     return dev, f"max rel dev of gamma_T over a 20 x 4 (q_i, M) grid = {dev:.3g}"
@@ -132,8 +126,8 @@ def energy_rate_identity() -> tuple:
     """Energy-weighted spectral integral reproduces the closed dissipation rate."""
     dev = 0.0
     for M, q in ((1.0, [2.0, 5.0]), (2.0, [4.0])):
-        params = _unit(M=M)
-        quad = transition_rate_quadrature(q, params, tol=1e-10)
+        params = SystemParams(g=1.0, M=M)
+        quad = transition_rate_quadrature(q, params)
         for q_i, gamma_E in zip(q, quad.gamma_E.tolist()):
             dev = max(dev, _rel(gamma_E, transition_rate(q_i, params).gamma_E))
     return dev, f"max rel dev of gamma_E at three supercritical points = {dev:.3g}"
@@ -142,7 +136,7 @@ def energy_rate_identity() -> tuple:
 @functools.lru_cache(maxsize=None)
 def _threshold_fit() -> tuple:
     """Log-log slope and fixed-exponent prefactor estimate near threshold."""
-    params = _unit()
+    params = SystemParams(g=1.0)
     q_c = derive(params).q_c
     deltas = np.geomspace(1e-3, 1e-2, 10) * q_c
     gammas = np.array([transition_rate(q_c + d, params).gamma_T for d in deltas])
@@ -174,7 +168,7 @@ def high_momentum_limit() -> tuple:
     """Closed rate approaches the momentum-linear asymptote at q_i = 100*q_c."""
     worst = 0.0
     for M in (1.0, 2.0):
-        params = _unit(M=M)
+        params = SystemParams(g=1.0, M=M)
         q_i = 100.0 * derive(params).q_c
         asym = transition_rate_asymptotic(q_i, params, regime="high_momentum")
         worst = max(worst, _rel(transition_rate(q_i, params).gamma_T, asym))
@@ -186,7 +180,7 @@ def quasiparticle_smallness() -> tuple:
     """Decay rate stays small against the impurity kinetic energy."""
     worst = 0.0
     for q_i, M in ((2.0, 1.0), (4.0, 2.0), (5.0, 1.0)):
-        worst = max(worst, transition_rate(q_i, _unit(M=M)).smallness)
+        worst = max(worst, transition_rate(q_i, SystemParams(g=1.0, M=M)).smallness)
     return worst, f"max gamma_T/(q_i**2/2M) over three supercritical points = {worst:.3g}"
 
 
@@ -197,7 +191,7 @@ def heavy_mass_dissipation_limit() -> tuple:
     The asymptote is approached only like m/M; at M = 100 the residue is
     about 5 percent, so the 3 percent tolerance is not met.
     """
-    params = _unit(M=100.0)
+    params = SystemParams(g=1.0, M=100.0)
     d = derive(params)
     q_i = 1.5 * d.q_c
     exact = transition_rate(q_i, params).gamma_E
@@ -217,7 +211,7 @@ def heavy_mass_dissipation_limit() -> tuple:
 @functools.lru_cache(maxsize=None)
 def _box_schedule_errors() -> tuple:
     """Relative box-vs-closed errors along a fixed (L, eta) refinement."""
-    params = _unit()
+    params = SystemParams(g=1.0)
     q_i = 2.0
     closed = transition_rate(q_i, params).gamma_T
     errs = []
@@ -291,7 +285,7 @@ def branch_point_one_sided() -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _cutoff_reldevs() -> dict:
-    params = _unit(a=0.01, g=None)
+    params = SystemParams(a=0.01)
     closed = energy_shift_closed(params)
     return {
         cut: _rel(energy_shift_quadrature(0.0, params, cut), closed)
@@ -318,7 +312,7 @@ def cutoff_residual_2000() -> tuple:
 @_check(1e-6)
 def effective_mass_integral_vs_closed() -> tuple:
     """Semi-infinite curvature integral reproduces the closed mass."""
-    params = _unit(a=0.01, g=None)
+    params = SystemParams(a=0.01)
     closed = effective_mass_closed(params)
     quad = effective_mass_quadrature(params)
     dev = _rel(quad.correction, closed.correction)
@@ -332,7 +326,7 @@ def effective_mass_fd_vs_closed() -> tuple:
     Carries the O(1/cutoff) residue of the curvature itself, about 5e-4 at
     the stencil's cutoff of 4000; hence the looser tolerance.
     """
-    params = _unit(a=0.01, g=None)
+    params = SystemParams(a=0.01)
     closed = effective_mass_closed(params)
     fd = effective_mass_finite_difference(params)
     dev = _rel(fd.correction, closed.correction)
@@ -342,7 +336,7 @@ def effective_mass_fd_vs_closed() -> tuple:
 @_check(1e-7)
 def effective_mass_heavy_limit() -> tuple:
     """Closed mass approaches the heavy-impurity form M/(1 - 4*pi*n*a**2/(3*M*c))."""
-    params = _unit(M=100.0, a=0.01, g=None)
+    params = SystemParams(M=100.0, a=0.01)
     d = derive(params)
     heavy = params.M / (1.0 - 4.0 * math.pi * params.n * params.a**2 / (3.0 * params.M * d.c))
     dev = _rel(effective_mass_closed(params).M_ef, heavy)
@@ -356,7 +350,7 @@ def vanishing_linear_term() -> tuple:
     The integrand is coded so that negating q_i is a bitwise no-op, making
     the central difference vanish identically, not just to rounding.
     """
-    params = _unit(a=0.01, g=None)
+    params = SystemParams(a=0.01)
     h = 0.01 * derive(params).q_c
     lo = energy_shift_quadrature(-h, params, 200.0, mode="subtracted")
     hi = energy_shift_quadrature(h, params, 200.0, mode="subtracted")
@@ -371,7 +365,7 @@ def vanishing_linear_term() -> tuple:
 @_check(0.05)
 def golden_rule_linear_regime() -> tuple:
     """Box survival matches 1 - gamma_T*t while the depletion is small."""
-    params = _unit(g=0.3)
+    params = SystemParams(g=0.3)
     q_i = 2.0
     cfg = BoxOracleConfig(L=60.0, eta=0.05, p_cut=3.0)
     gamma = transition_rate(q_i, params).gamma_T
@@ -385,7 +379,7 @@ def golden_rule_linear_regime() -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _subcritical_survival() -> tuple:
-    params = _unit()
+    params = SystemParams(g=1.0)
     q_i = 0.5
     cfg = BoxOracleConfig(L=60.0, eta=0.05, p_cut=3.0)
     floor = survival_lower_bound(q_i, params, cfg)

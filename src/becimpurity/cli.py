@@ -28,6 +28,7 @@ from .checks import run_all
 from .errors import ConfigurationError, DomainError, NumericalError
 from .kinematics import emission_window
 from .params import SystemParams
+from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol
 from .rates import BoxOracleConfig, box_rate, transition_rate, transition_rate_quadrature
 from .selfenergy import (
     I0,
@@ -39,7 +40,6 @@ from .selfenergy import (
 )
 
 _FMT = "%.17g"
-_TOL = 1e-10  # quadrature tolerance when neither flag nor file sets one
 
 # the flags each setting adds to a command's parser, in registration order
 _FLAGS = {
@@ -132,9 +132,8 @@ def _resolve(args, keys) -> dict:
             kwargs["max_points"] = int(points)
         cfg["box"] = BoxOracleConfig(**kwargs)
     if "tol" in keys:
-        cfg["tol"] = _as_number(raw.get("tol", _TOL), "tol")
-        if not (math.isfinite(cfg["tol"]) and cfg["tol"] > 0):
-            _fail_config(f"tol must be positive, got {cfg['tol']!r}")
+        cfg["tol"] = _as_number(raw.get("tol", _DEFAULT_REL_TOL), "tol")
+        _check_rel_tol(cfg["tol"])
     if "tolerances" in keys:
         cfg["tolerances"] = raw.get("tolerances", {})
         if not isinstance(cfg["tolerances"], dict):

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by the whole package."""
+"""Exception taxonomy shared by the whole package, and its scalar validator."""
+
+import math
+import numbers
 
 __all__ = [
     "BecImpurityError",
@@ -46,3 +49,20 @@ class NumericalError(BecImpurityError):
         super().__init__(message)
         self.value = value
         self.est_error = est_error
+
+
+def _require(value, name: str, *, positive: bool = True, error=DomainError) -> float:
+    """Return value as a float if it is a finite real scalar > 0 (>= 0 unless positive).
+
+    Python and numpy ints and floats qualify; anything else, arrays included,
+    raises error(f"{name} must be positive and finite, got {value!r}"), with
+    "nonnegative" for positive=False. This is the one statement of that rule.
+    """
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if math.isfinite(x) and (x > 0.0 if positive else x >= 0.0):
+        return x
+    kind = "positive" if positive else "nonnegative"
+    raise error(f"{name} must be {kind} and finite, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import _as_momentum, _in_range, dispersion
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _require
 from .params import SystemParams, derive
 
 __all__ = [
@@ -44,18 +44,12 @@ class EmissionWindow:
     dissipative: bool        # q_i > q_c
 
 
-def _check_qi(q_i: float) -> float:
-    if not (np.isfinite(q_i) and q_i >= 0):
-        raise DomainError(f"initial momentum must be nonnegative and finite, got {q_i!r}")
-    return float(q_i)
-
-
 def omega(p, x, q_i: float, params: SystemParams):
     """Frequency mismatch for emission at direction cosine x; vectorized.
 
     Raises NumericalError when it leaves the float range.
     """
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     parr = _as_momentum(p)
     xarr = np.asarray(x, dtype=float)
     if not np.all(np.abs(xarr) <= 1):  # also rejects nan
@@ -73,10 +67,8 @@ def resonance_cos(p: float, q_i: float, params: SystemParams):
     meaning momentum p cannot be emitted in any direction. x0 is always
     positive: emission happens into the forward cone only.
     """
-    if not (np.isfinite(p) and p > 0):
-        raise DomainError(f"momentum must be positive, got {p!r}")
-    if not (np.isfinite(q_i) and q_i > 0):
-        raise DomainError(f"initial momentum must be positive, got {q_i!r}")
+    p = _require(p, "momentum")
+    q_i = _require(q_i, "initial momentum")
     x0 = params.M * (dispersion(p, params) + p * p / (2.0 * params.M)) / (q_i * p)
     # tolerate roundoff at the window edge where x0 = 1 exactly
     if x0 <= 1.0 + 1e-12:
@@ -98,7 +90,7 @@ def max_emission_momentum(q_i: float, params: SystemParams) -> float:
     Raises NumericalError when q_i**2 leaves the float range and the root
     with it.
     """
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     d = derive(params)
     gap = q_i * q_i - d.q_c * d.q_c
     if gap <= 0.0:
@@ -117,7 +109,7 @@ def max_emission_momentum(q_i: float, params: SystemParams) -> float:
 
 def emission_window(q_i: float, params: SystemParams) -> EmissionWindow:
     """Assemble the emission window for initial momentum q_i."""
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     d = derive(params)
     dissipative = q_i > d.q_c
     cos_max = min(1.0, d.q_c / q_i) if dissipative else 1.0
@@ -136,8 +128,7 @@ def finite_time_kernel(omega_val, t: float):
     series t**2 * (1 - (omega*t)**2/12) is used, accurate to ~1e-17 there.
     Bounded by min(t**2, 4/omega**2) everywhere. Vectorized over omega_val.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"time must be nonnegative and finite, got {t!r}")
+    t = _require(t, "time", positive=False)
     w = np.asarray(omega_val, dtype=float)
     z = w * t
     small = np.abs(z) < _KERNEL_SERIES_CUT

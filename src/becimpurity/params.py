@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterDomainError
+from .errors import ParameterDomainError, _require
 
 __all__ = [
     "SystemParams",
@@ -54,16 +54,15 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("m", "M", "n", "U0"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0:
-                raise ParameterDomainError(f"{name} must be positive and finite, got {value!r}")
+            value = _require(getattr(self, name), name, error=ParameterDomainError)
+            object.__setattr__(self, name, value)
         for name in ("g", "a"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ParameterDomainError(f"{name} must be finite, got {value!r}")
         if self.g is None and self.a is None:
             raise ParameterDomainError("set at least one of g (bare coupling) or a (scattering length)")
-        m_r = 1.0 / (1.0 / self.m + 1.0 / self.M)
+        m_r = derive(self).m_r
         if self.g is None:
             object.__setattr__(self, "g", 2.0 * math.pi * self.a / m_r)
         elif self.a is None:
@@ -104,8 +103,6 @@ def renormalized_coupling(a: float, m_r: float, cutoff: float) -> float:
     """
     if not math.isfinite(a):
         raise ParameterDomainError(f"a must be finite, got {a!r}")
-    if not (math.isfinite(m_r) and m_r > 0):
-        raise ParameterDomainError(f"m_r must be positive and finite, got {m_r!r}")
-    if not math.isfinite(cutoff) or cutoff < 0:
-        raise DomainError(f"cutoff must be nonnegative, got {cutoff!r}")
+    m_r = _require(m_r, "m_r", error=ParameterDomainError)
+    cutoff = _require(cutoff, "cutoff", positive=False)
     return (2.0 * math.pi * a / m_r) * (1.0 + (2.0 * a / math.pi) * cutoff)

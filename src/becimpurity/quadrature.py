@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError, _require
 
 __all__ = [
     "integrate",
@@ -75,6 +75,7 @@ _EDGE_INDEX = np.arange(_INITIAL_PANELS + 1.0)
 # intervals of a sweep, with its temporaries, raised its peak RSS by 10 MB
 _BLOCK = 128
 _MAX_SUBDIVISIONS = 200  # bisections per interval after the initial partition
+_DEFAULT_REL_TOL = 1e-10  # default rel_tol of integrate, the quadrature rates and the CLI
 
 
 def _check_rel_tol(rel_tol: float):
@@ -184,7 +185,7 @@ def _refine(f, rel_tol, lo, hi, vals, errs, bad):
         splits += 1
 
 
-def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = 1e-10):
+def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DEFAULT_REL_TOL):
     """Adaptively integrate f over the finite interval [a, b], or over each [a, b[i]].
 
     b is a float or a 1-D array of upper bounds. Returns (value,
@@ -223,7 +224,7 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = 1e-
     return values, errors
 
 
-def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = 1e-10):
+def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = _DEFAULT_REL_TOL):
     """Integrate f over [a, inf) for integrands with f(p)*p**2 -> 0.
 
     The rational map p = a + t/(1-t) carries [a, inf) to t in [0, 1); the
@@ -242,8 +243,7 @@ def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = 1e-10):
 
 def second_derivative(f: Callable, x0: float, h: float) -> float:
     """Five-point central second derivative, truncation error O(h**4)."""
-    if not (np.isfinite(h) and h > 0):
-        raise DomainError(f"step h must be positive and finite, got {h!r}")
+    h = _require(h, "step h")
     num = (
         -f(x0 - 2.0 * h)
         + 16.0 * f(x0 - h)

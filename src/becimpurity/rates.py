@@ -21,10 +21,10 @@ import numpy as np
 
 from . import _kernels
 from .bogoliubov import _as_momentum, _excitation_energy, dispersion
-from .errors import ConfigurationError, DomainError, NumericalError
-from .kinematics import _check_qi, max_emission_momentum
+from .errors import ConfigurationError, DomainError, NumericalError, _require
+from .kinematics import max_emission_momentum
 from .params import SystemParams, derive
-from .quadrature import _check_rel_tol, integrate
+from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
 __all__ = [
     "RateResult",
@@ -77,9 +77,8 @@ class BoxOracleConfig:
 
     def __post_init__(self):
         for name in ("L", "eta", "p_cut"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0:
-                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+            value = _require(getattr(self, name), name, error=ConfigurationError)
+            object.__setattr__(self, name, value)
         if not (isinstance(self.max_points, int) and self.max_points >= 1):
             raise ConfigurationError(f"max_points must be a positive integer, got {self.max_points!r}")
 
@@ -88,14 +87,21 @@ def _smallness(q_i: float, gamma_T: float, params: SystemParams) -> float:
     # gamma_T == 0 also covers a supercritical q_i whose kinetic energy underflows
     if q_i == 0.0 or gamma_T == 0.0:
         return 0.0
-    return gamma_T / (q_i * q_i / (2.0 * params.M))
+    kinetic = q_i * q_i / (2.0 * params.M)
+    smallness = gamma_T / kinetic if kinetic else math.inf
+    if not math.isfinite(smallness):
+        raise NumericalError(f"smallness at q_i = {q_i!r} leaves the float range")
+    return smallness
 
 
 def _density_prefactor(q_i: float, params: SystemParams) -> float:
+    n, M, m, g = params.n, params.M, params.m, params.g
     try:
-        pref = params.n * params.M * params.g**2 / (4.0 * math.pi * params.m * q_i)
+        pref = n * M * g**2 / (4.0 * math.pi * m * q_i)
     except OverflowError:  # float ** raises where * would give inf
         pref = math.inf
+    if math.isinf(pref):  # dividing before squaring g keeps a finite prefactor in range
+        pref = n * M / (4.0 * math.pi * m * q_i) * g * g
     if not math.isfinite(pref):
         raise NumericalError(f"rate prefactor at q_i = {q_i!r} leaves the float range")
     return pref
@@ -108,7 +114,7 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     (0, p_max) and 0 outside; identically 0 for subcritical q_i. Vectorized
     over p.
     """
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     arr = _as_momentum(p)
     out = np.zeros_like(arr)
     p_max = max_emission_momentum(q_i, params)
@@ -131,11 +137,18 @@ def _closed_pair(q_i: float, params: SystemParams):
     eps_max = dispersion(p_max, params)
     m, M, n, g = params.m, params.M, params.n, params.g
     mc2 = m * d.c * d.c
-    gamma_T = (M * m * n * g * g / (2.0 * math.pi * q_i)) * (
+    # where the numerator overflows, dividing before multiplying in g*g keeps
+    # a finite rate in range; every other input keeps the expression as written
+    prefactor = M * m * n * g * g / (2.0 * math.pi * q_i)
+    if math.isinf(prefactor):
+        prefactor = M * m * n / (2.0 * math.pi * q_i) * g * g
+    gamma_T = prefactor * (
         eps_max - mc2 * math.log1p((eps_max + p_max * p_max / (2.0 * m)) / mc2)
     )
     try:
         gamma_E = M * n * g * g * p_max**4 / (16.0 * math.pi * m * q_i)
+        if math.isinf(gamma_E):
+            gamma_E = M * n / (16.0 * math.pi * m * q_i) * g * g * p_max**4
     except OverflowError:
         gamma_E = math.inf
     if not (math.isfinite(gamma_T) and math.isfinite(gamma_E)):
@@ -155,7 +168,7 @@ def transition_rate(q_i: float, params: SystemParams) -> RateResult:
     route (transition_rate_quadrature) must reproduce both to its tolerance.
     Exactly zero at or below the critical momentum.
     """
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     gamma_T, gamma_E = _closed_pair(q_i, params)
     return RateResult(
         q_i=q_i,
@@ -171,7 +184,7 @@ def transition_rate(q_i: float, params: SystemParams) -> RateResult:
 energy_dissipation_rate = transition_rate
 
 
-def transition_rate_quadrature(q_i, params: SystemParams, tol: float = 1e-10) -> RateResult:
+def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_REL_TOL) -> RateResult:
     """Rates by adaptive integration over the emission window.
 
     Integrates p**3/eps (and eps * that, for the energy rate) over
@@ -188,7 +201,7 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = 1e-10) ->
     q_arr = np.asarray(q_i, dtype=float)
     if q_arr.ndim > 1:
         raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_arr.shape}")
-    q_list = [_check_qi(q) for q in q_arr.reshape(-1).tolist()]
+    q_list = [_require(q, "initial momentum", positive=False) for q in q_arr.reshape(-1).tolist()]
     _check_rel_tol(tol)
     q_c = derive(params).q_c
     # a supercritical q_i whose gap q_i**2 - q_c**2 underflows has p_max = 0
@@ -238,7 +251,7 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
     The caller decides where each expansion applies. Raises NumericalError
     when the rate leaves the float range.
     """
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     d = derive(params)
     n, g, m, M = params.n, params.g, params.m, params.M
     try:
@@ -292,7 +305,7 @@ def box_rate(q_i: float, params: SystemParams, cfg: BoxOracleConfig) -> RateResu
     rates for L -> inf followed by eta -> 0. est_error is estimated from a
     second pass with doubled eta (the leading error is eta-linear).
     """
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     args = _lattice_args(q_i, params, cfg)
     vol = cfg.L**3
     s_t, s_e = _kernels.lorentzian_sums(*args, cfg.eta)
@@ -319,9 +332,8 @@ def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig,
     to [0, 1]; a clamp means first-order perturbation theory has broken down
     at this coupling and time, and a warning is emitted.
     """
-    q_i = _check_qi(q_i)
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"time must be nonnegative and finite, got {t!r}")
+    q_i = _require(q_i, "initial momentum", positive=False)
+    _require(t, "time", positive=False)
     args = _lattice_args(q_i, params, cfg)
     depletion = _kernels.finite_time_sum(*args, t) / cfg.L**3
     raw = 1.0 - depletion
@@ -343,7 +355,7 @@ def survival_lower_bound(q_i: float, params: SystemParams, cfg: BoxOracleConfig)
     drop below this value at any time (no secular decay). May be negative
     for strong coupling, in which case it is true but uninformative.
     """
-    q_i = _check_qi(q_i)
+    q_i = _require(q_i, "initial momentum", positive=False)
     if q_i >= derive(params).q_c:
         raise DomainError("survival bound is defined for subcritical momenta only")
     args = _lattice_args(q_i, params, cfg)

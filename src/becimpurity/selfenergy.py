@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import _excitation_energy
-from .errors import ConfigurationError, DomainError, PerturbativeBreakdownError
+from .errors import ConfigurationError, DomainError, PerturbativeBreakdownError, _require
 from .params import SystemParams, derive
 from .quadrature import integrate, integrate_semi_infinite, second_derivative
 
@@ -81,12 +81,6 @@ class MassResult:
     method: str
 
 
-def _check_ratio(x: float, name: str) -> float:
-    if not (np.isfinite(x) and x > 0):
-        raise DomainError(f"{name} must be positive and finite, got {x!r}")
-    return float(x)
-
-
 def I0(x: float) -> float:
     """First fluctuation integral as a function of the mass ratio m/M.
 
@@ -95,7 +89,7 @@ def I0(x: float) -> float:
     continuation through arccos for x < 1, and a series near the equal-mass
     point where both closed forms degenerate to 0/0.
     """
-    x = _check_ratio(x, "mass ratio")
+    x = _require(x, "mass ratio")
     e = x - 1.0
     if abs(e) <= _BRANCH_DELTA:
         return 4.0 / 3.0 - (2.0 / 15.0) * e
@@ -112,7 +106,7 @@ def I1(y: float) -> float:
     Strictly decreasing with I1(0+) = pi/4 and I1(1) = 2/15; same branch
     layout as I0.
     """
-    y = _check_ratio(y, "mass ratio")
+    y = _require(y, "mass ratio")
     e = y - 1.0
     if abs(e) <= _BRANCH_DELTA:
         return 2.0 / 15.0 - (6.0 / 35.0) * e
@@ -184,8 +178,7 @@ def energy_shift_quadrature(
         raise DomainError(
             f"energy shift is defined for |q_i| < q_c = {d.q_c}, got {q_i!r}"
         )
-    if not (np.isfinite(cutoff) and cutoff > 0):
-        raise DomainError(f"cutoff must be positive, got {cutoff!r}")
+    cutoff = _require(cutoff, "cutoff")
     if mode not in ("counterterm", "subtracted"):
         raise ConfigurationError(f"unknown mode {mode!r}")
     m, m_r = params.m, d.m_r

@@ -1,0 +1,129 @@
+"""The scalar positivity rule: one validator, one wording, one type policy."""
+
+import pathlib
+
+import numpy as np
+import pytest
+
+import becimpurity
+from becimpurity import (
+    I0,
+    I1,
+    BoxOracleConfig,
+    ConfigurationError,
+    DomainError,
+    ParameterDomainError,
+    SystemParams,
+    box_rate,
+    emission_window,
+    energy_shift_quadrature,
+    finite_time_kernel,
+    max_emission_momentum,
+    omega,
+    resonance_cos,
+    survival_lower_bound,
+    survival_probability,
+    transition_rate,
+    transition_rate_quadrature,
+)
+from becimpurity.errors import _require
+from becimpurity.params import renormalized_coupling
+from becimpurity.quadrature import second_derivative
+
+UNIT = SystemParams(g=1.0)
+BOX = BoxOracleConfig(L=60.0, eta=0.05, p_cut=3.0)
+# p_cut < 2*pi/L: no lattice mode, so finite_time_kernel never sees t
+EMPTY_BOX = BoxOracleConfig(L=1.0, eta=0.05, p_cut=3.0)
+
+
+def _row(label, call, value, error, message):
+    return pytest.param(call, value, error, message, id=label)
+
+
+_QI = "initial momentum must be nonnegative and finite, got "
+
+# (call, bad value, error class, exact message): each site that states the
+# rule, then the behaviour that changed when the sites were unified
+_SITES = [
+    _row("SystemParams-M", lambda v: SystemParams(g=1.0, M=v), -1.0,
+         ParameterDomainError, "M must be positive and finite, got -1.0"),
+    _row("SystemParams-U0", lambda v: SystemParams(g=1.0, U0=v), float("nan"),
+         ParameterDomainError, "U0 must be positive and finite, got nan"),
+    _row("renormalized_coupling-m_r", lambda v: renormalized_coupling(0.01, v, 10.0), 0.0,
+         ParameterDomainError, "m_r must be positive and finite, got 0.0"),
+    _row("renormalized_coupling-cutoff", lambda v: renormalized_coupling(0.01, 0.5, v), -1.0,
+         DomainError, "cutoff must be nonnegative and finite, got -1.0"),
+    _row("BoxOracleConfig-L", lambda v: BoxOracleConfig(L=v), float("inf"),
+         ConfigurationError, "L must be positive and finite, got inf"),
+    _row("BoxOracleConfig-eta", lambda v: BoxOracleConfig(eta=v), 0,
+         ConfigurationError, "eta must be positive and finite, got 0"),
+    _row("survival_probability-t", lambda v: survival_probability(0.5, UNIT, EMPTY_BOX, v), -1.0,
+         DomainError, "time must be nonnegative and finite, got -1.0"),
+    _row("second_derivative-h", lambda v: second_derivative(abs, 0.0, v), 0.0,
+         DomainError, "step h must be positive and finite, got 0.0"),
+    _row("I0", I0, -0.5, DomainError, "mass ratio must be positive and finite, got -0.5"),
+    _row("I1", I1, 0.0, DomainError, "mass ratio must be positive and finite, got 0.0"),
+    _row("energy_shift_quadrature-cutoff",
+         lambda v: energy_shift_quadrature(0.0, SystemParams(a=0.01), v), 0.0,
+         DomainError, "cutoff must be positive and finite, got 0.0"),
+    _row("transition_rate-q_i", lambda v: transition_rate(v, UNIT), -1.0, DomainError, _QI + "-1.0"),
+    _row("transition_rate_quadrature-q_i", lambda v: transition_rate_quadrature(v, UNIT),
+         float("nan"), DomainError, _QI + "nan"),
+    _row("omega-q_i", lambda v: omega(1.0, 0.5, v, UNIT), -1.0, DomainError, _QI + "-1.0"),
+    _row("max_emission_momentum-q_i", lambda v: max_emission_momentum(v, UNIT), float("inf"),
+         DomainError, _QI + "inf"),
+    _row("emission_window-q_i", lambda v: emission_window(v, UNIT), -2.0, DomainError, _QI + "-2.0"),
+    _row("box_rate-q_i", lambda v: box_rate(v, UNIT, BOX), -1.0, DomainError, _QI + "-1.0"),
+    _row("survival_lower_bound-q_i", lambda v: survival_lower_bound(v, UNIT, BOX), -1.0,
+         DomainError, _QI + "-1.0"),
+    _row("resonance_cos-p", lambda v: resonance_cos(v, 2.0, UNIT), 0.0,
+         DomainError, "momentum must be positive and finite, got 0.0"),
+    _row("resonance_cos-q_i", lambda v: resonance_cos(1.0, v, UNIT), 0.0,
+         DomainError, "initial momentum must be positive and finite, got 0.0"),
+    _row("finite_time_kernel-t", lambda v: finite_time_kernel(1.0, v), float("nan"),
+         DomainError, "time must be nonnegative and finite, got nan"),
+    # non-numeric input raises the package error, where numpy raised TypeError
+    _row("str-q_i", lambda v: transition_rate(v, UNIT), "2", DomainError, _QI + "'2'"),
+    _row("None-ratio", I0, None, DomainError, "mass ratio must be positive and finite, got None"),
+    _row("str-t", lambda v: finite_time_kernel(1.0, v), "1", DomainError,
+         "time must be nonnegative and finite, got '1'"),
+    # a 0-d array is not a scalar; the initial-momentum check used to take it
+    _row("0d-q_i", lambda v: transition_rate(v, UNIT), np.array(2.0), DomainError,
+         _QI + "array(2.)"),
+    _row("0d-t", lambda v: finite_time_kernel(1.0, v), np.array(1.0), DomainError,
+         "time must be nonnegative and finite, got array(1.)"),
+]
+
+
+@pytest.mark.parametrize("call, value, error, message", _SITES)
+def test_each_site_raises_the_one_message(call, value, error, message):
+    with pytest.raises(error) as exc:
+        call(value)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", [np.float32(2.0), np.int64(2), np.float16(2.0), 2])
+def test_numpy_and_int_scalars_are_accepted_and_stored_as_floats(value):
+    params = SystemParams(g=1.0, M=value)
+    assert type(params.M) is float and params.M == 2.0
+    assert params == SystemParams(g=1.0, M=2.0)
+    box = BoxOracleConfig(L=value * 10)
+    assert type(box.L) is float and box.L == 20.0
+
+
+def test_require_returns_floats_and_refuses_out_of_range_ints():
+    assert _require(np.float32(0.5), "x") == 0.5
+    assert type(_require(3, "x")) is float
+    assert _require(0, "x", positive=False) == 0.0
+    assert str(_require(-0.0, "x", positive=False)) == "-0.0"
+    with pytest.raises(DomainError, match=r"^x must be positive and finite, got 1000"):
+        _require(10**400, "x")
+    with pytest.raises(ConfigurationError, match=r"^x must be nonnegative and finite, got -1$"):
+        _require(-1, "x", positive=False, error=ConfigurationError)
+
+
+def test_the_positivity_rule_is_worded_in_errors_only():
+    package = pathlib.Path(becimpurity.__file__).parent
+    holders = sorted(p.name for p in package.glob("*.py") if "and finite, got" in p.read_text())
+    assert holders == ["errors.py"]

@@ -338,3 +338,25 @@ def test_coupling_up_to_1e150_keeps_its_bits():
     assert transition_rate_quadrature(2.0, strong).gamma_T.hex() == "0x1.dbb86a32aae18p+991"
     assert transition_rate_asymptotic(2.0, strong, "threshold").hex() == "0x1.4479f6c093b28p+994"
     assert transition_rate_asymptotic(2.0, strong, "high_momentum").hex() == "0x1.e6b6f220dd8bdp+993"
+
+
+def test_smallness_that_leaves_the_float_range_raises():
+    # below threshold the Lorentzian tails give gamma_T = 0.0105 at every tiny q_i
+    box = BoxOracleConfig(L=20.0, eta=0.3)
+    assert box_rate(1e-100, UNIT, box).smallness.hex() == (2.0997385083003617e+198).hex()
+    assert box_rate(0.0, UNIT, box).smallness == 0.0
+    # q_i**2/2M is subnormal at 1e-155, so the ratio overflows; at 1e-200 it is 0
+    for q_i in (1e-155, 1e-200):
+        with pytest.raises(NumericalError, match=f"smallness at q_i = {q_i!r} leaves the float range"):
+            box_rate(q_i, UNIT, box)
+
+
+@pytest.mark.parametrize("q_i, params", [(2.0, SystemParams(g=1e154)),
+                                         (20.0, SystemParams(g=1e154, M=10.0))])
+def test_rates_whose_coupling_product_overflows_stay_finite(q_i, params):
+    # M*n*g*g overflows before the division, the rates themselves do not
+    closed = transition_rate(q_i, params)
+    quad = transition_rate_quadrature(q_i, params)
+    assert closed.gamma_E > 5e306
+    assert quad.gamma_T == pytest.approx(closed.gamma_T, rel=1e-8)
+    assert quad.gamma_E == pytest.approx(closed.gamma_E, rel=1e-8)
