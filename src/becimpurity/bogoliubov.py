@@ -8,6 +8,7 @@ the float range raises NumericalError instead of coming back as inf or nan.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,21 @@ class BogoliubovCoefficients:
     beta: float
 
 
+def _real_array(value):
+    """value as a float array if it is a real scalar or an array of bools, ints or floats.
+
+    Anything else, numeric strings included, gives None, which each caller
+    refuses with its own message.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind in "biuf" or isinstance(value, numbers.Real):
+        return np.asarray(arr, dtype=float)
+    return None
+
+
 def _as_momentum(p):
-    arr = np.asarray(p, dtype=float)
-    if not ((arr >= 0) & (arr < np.inf)).all():  # also rejects nan
+    arr = _real_array(p)
+    if arr is None or not ((arr >= 0) & (arr < np.inf)).all():  # also rejects nan
         raise DomainError("momentum magnitude must be nonnegative and finite")
     return arr
 

@@ -213,15 +213,17 @@ def cmd_rates(cfg: dict, grid):
         "q_i", "p_M", "theta_M_deg", "gamma_T_closed", "gamma_T_quad",
         "gamma_E", "dissipative", "smallness",
     ]
-    q = grid.tolist()
-    # the window and closed columns first, point by point: on an increasing
-    # grid the closed form leaves the float range before the quadrature does
-    closed = [(emission_window(q_i, params), transition_rate(q_i, params)) for q_i in q]
-    quad = transition_rate_quadrature(grid, params, tol=cfg["tol"]).gamma_T.tolist()
+    # closed route first: on an increasing grid it leaves the float range before the
+    # quadrature does, and every window failure is a closed failure at the same point
+    closed = transition_rate(grid, params)
+    win = emission_window(grid, params)
+    quad = transition_rate_quadrature(grid, params, tol=cfg["tol"])
+    columns = zip(grid.tolist(), win.p_max.tolist(), win.cos_theta_max.tolist(),
+                  closed.gamma_T.tolist(), quad.gamma_T.tolist(), closed.gamma_E.tolist(),
+                  win.dissipative.tolist(), closed.smallness.tolist())
     rows = [
-        [q_i, win.p_max, math.degrees(math.acos(win.cos_theta_max)), c.gamma_T, g_quad,
-         c.gamma_E, win.dissipative, c.smallness]
-        for q_i, (win, c), g_quad in zip(q, closed, quad)
+        [q_i, p_max, math.degrees(math.acos(cos_max)), g_closed, g_quad, g_E, dissipative, small]
+        for q_i, p_max, cos_max, g_closed, g_quad, g_E, dissipative, small in columns
     ]
     return header, rows, {}
 

@@ -36,7 +36,7 @@ _KERNEL_SERIES_CUT = 1e-4
 
 @dataclass(frozen=True)
 class EmissionWindow:
-    """Kinematically allowed emission region for a given initial momentum."""
+    """Kinematically allowed emission region at one initial momentum or an array of them."""
 
     q_i: float
     p_max: float             # largest emitted momentum, 0 unless dissipative
@@ -107,17 +107,31 @@ def max_emission_momentum(q_i: float, params: SystemParams) -> float:
     return p_max
 
 
-def emission_window(q_i: float, params: SystemParams) -> EmissionWindow:
-    """Assemble the emission window for initial momentum q_i."""
-    q_i = _require(q_i, "initial momentum", positive=False)
-    d = derive(params)
-    dissipative = q_i > d.q_c
-    cos_max = min(1.0, d.q_c / q_i) if dissipative else 1.0
+def _momenta(q_i):
+    """Initial momenta as floats, each passed through errors._require, and their pack.
+
+    The pack gives a float for one real scalar, an array for a 1-D array, list or tuple.
+    """
+    if isinstance(q_i, np.ndarray) and q_i.ndim > 1:
+        raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_i.shape}")
+    if isinstance(q_i, (list, tuple)) or isinstance(q_i, np.ndarray) and q_i.ndim == 1:
+        entries = q_i.tolist() if isinstance(q_i, np.ndarray) else q_i
+        return [_require(q, "initial momentum", positive=False) for q in entries], np.array
+    return [_require(q_i, "initial momentum", positive=False)], lambda values: values[0]
+
+
+def emission_window(q_i, params: SystemParams) -> EmissionWindow:
+    """Assemble the emission window for initial momentum q_i, a float or a 1-D array."""
+    q, pack = _momenta(q_i)
+    q_c = derive(params).q_c
+    p_max = [max_emission_momentum(x, params) for x in q]
+    dissipative = [x > q_c for x in q]
+    cos_max = [min(1.0, q_c / x) if d else 1.0 for x, d in zip(q, dissipative)]
     return EmissionWindow(
-        q_i=q_i,
-        p_max=max_emission_momentum(q_i, params),
-        cos_theta_max=cos_max,
-        dissipative=dissipative,
+        q_i=pack(q),
+        p_max=pack(p_max),
+        cos_theta_max=pack(cos_max),
+        dissipative=pack(dissipative),
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .bogoliubov import _as_momentum, _excitation_energy, dispersion
 from .errors import ConfigurationError, DomainError, NumericalError, _require
-from .kinematics import max_emission_momentum
+from .kinematics import _momenta, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -46,10 +46,9 @@ _TINY = 1e-300
 class RateResult:
     """Rates at one initial momentum, or at each of an array of them.
 
-    The fields are floats for one momentum and arrays for an array (only
-    transition_rate_quadrature takes one). method is one of {"closed",
-    "quadrature", "box"}; est_error is the relative numerical error estimate
-    of that method (0 for closed forms).
+    The fields are floats for one momentum and arrays for an array. method
+    is one of {"closed", "quadrature", "box"}; est_error is the relative
+    numerical error estimate of that method (0 for closed forms).
     smallness = gamma_T/(q_i**2/2M) is the dimensionless perturbative
     diagnostic: results are trustworthy only while it stays well below 1.
     """
@@ -83,6 +82,12 @@ class BoxOracleConfig:
             raise ConfigurationError(f"max_points must be a positive integer, got {self.max_points!r}")
 
 
+def _rate_result(q, pack, rows, method: str) -> RateResult:
+    """RateResult from momenta q and their (gamma_T, gamma_E, est_error, smallness) rows."""
+    gamma_T, gamma_E, est_error, smallness = (pack([row[k] for row in rows]) for k in range(4))
+    return RateResult(pack(q), gamma_T, gamma_E, method, est_error, smallness)
+
+
 def _smallness(q_i: float, gamma_T: float, params: SystemParams) -> float:
     # gamma_T == 0 also covers a supercritical q_i whose kinetic energy underflows
     if q_i == 0.0 or gamma_T == 0.0:
@@ -112,7 +117,7 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
 
     Equals n*M*g**2/(4*pi*m*q_i) * p**3/eps(p) inside the emission window
     (0, p_max) and 0 outside; identically 0 for subcritical q_i. Vectorized
-    over p.
+    over p. Raises NumericalError where the density leaves the float range.
     """
     q_i = _require(q_i, "initial momentum", positive=False)
     arr = _as_momentum(p)
@@ -121,7 +126,18 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
         pm = arr[mask]
-        out[mask] = _density_prefactor(q_i, params) * pm**3 / dispersion(pm, params)
+        pref = _density_prefactor(q_i, params)
+        eps = dispersion(pm, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            density = pref * pm**3 / eps
+            # where pref * pm**3 overflows, dividing by eps first keeps a finite density
+            spill = ~np.isfinite(density)
+            density[spill] = pref * (pm[spill] / eps[spill] * pm[spill] * pm[spill])
+        if not np.isfinite(density).all():
+            raise NumericalError(
+                f"emission spectral density at q_i = {q_i!r} leaves the float range"
+            )
+        out[mask] = density
     return out if out.ndim else float(out)
 
 
@@ -156,7 +172,7 @@ def _closed_pair(q_i: float, params: SystemParams):
     return gamma_T, gamma_E
 
 
-def transition_rate(q_i: float, params: SystemParams) -> RateResult:
+def transition_rate(q_i, params: SystemParams) -> RateResult:
     """Closed-form rates: exact radial integrals of the emission spectrum.
 
     gamma_T = M*m*n*g**2/(2*pi*q_i) * (eps(p_max)
@@ -166,18 +182,15 @@ def transition_rate(q_i: float, params: SystemParams) -> RateResult:
     The eps(p) weight integrates against the emission spectrum in closed
     form, so gamma_E is an identity, not an approximation; the quadrature
     route (transition_rate_quadrature) must reproduce both to its tolerance.
-    Exactly zero at or below the critical momentum.
+    Exactly zero at or below the critical momentum. q_i is a float or a 1-D
+    array; each entry is bit-identical to the float call.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
-    gamma_T, gamma_E = _closed_pair(q_i, params)
-    return RateResult(
-        q_i=q_i,
-        gamma_T=gamma_T,
-        gamma_E=gamma_E,
-        method="closed",
-        est_error=0.0,
-        smallness=_smallness(q_i, gamma_T, params),
-    )
+    q, pack = _momenta(q_i)
+    rows = []
+    for x in q:
+        gamma_T, gamma_E = _closed_pair(x, params)
+        rows.append((gamma_T, gamma_E, 0.0, _smallness(x, gamma_T, params)))
+    return _rate_result(q, pack, rows, "closed")
 
 
 # one closed-form route yields both rates; the energy-rate name is kept public
@@ -198,14 +211,10 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
     the gamma_T integral fails at its first failing momentum, then the
     gamma_E integral.
     """
-    q_arr = np.asarray(q_i, dtype=float)
-    if q_arr.ndim > 1:
-        raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_arr.shape}")
-    q_list = [_require(q, "initial momentum", positive=False) for q in q_arr.reshape(-1).tolist()]
+    q, pack = _momenta(q_i)
     _check_rel_tol(tol)
-    q_c = derive(params).q_c
     # a supercritical q_i whose gap q_i**2 - q_c**2 underflows has p_max = 0
-    p_max = [max_emission_momentum(q, params) if q > q_c else 0.0 for q in q_list]
+    p_max = [max_emission_momentum(x, params) for x in q]
     windows = np.array([p for p in p_max if p > 0.0])
     integrals = iter(())
     if windows.size:
@@ -223,23 +232,16 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
             val_e, err_e = integrate(radial_energy, 0.0, windows, tol)
         integrals = zip(val_t.tolist(), err_t.tolist(), val_e.tolist(), err_e.tolist())
     rows = []  # (gamma_T, gamma_E, est_error, smallness) per momentum
-    for q, p in zip(q_list, p_max):
+    for x, p in zip(q, p_max):
         if not p > 0.0:
             rows.append((0.0, 0.0, 0.0, 0.0))
             continue
         val_t, err_t, val_e, err_e = next(integrals)
-        pref = _density_prefactor(q, params)
+        pref = _density_prefactor(x, params)
         gamma_T = pref * val_t
         est = max(err_t / max(abs(val_t), _TINY), err_e / max(abs(val_e), _TINY))
-        rows.append((gamma_T, pref * val_e, est, _smallness(q, gamma_T, params)))
-    if q_arr.ndim == 0:
-        q_out = q_list[0]
-        gamma_T, gamma_E, est, smallness = rows[0]
-    else:
-        q_out = np.array(q_list, dtype=float)
-        gamma_T, gamma_E, est, smallness = np.array(rows, dtype=float).reshape(-1, 4).T
-    return RateResult(q_i=q_out, gamma_T=gamma_T, gamma_E=gamma_E, method="quadrature",
-                      est_error=est, smallness=smallness)
+        rows.append((gamma_T, pref * val_e, est, _smallness(x, gamma_T, params)))
+    return _rate_result(q, pack, rows, "quadrature")
 
 
 def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) -> float:
@@ -260,6 +262,8 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
         elif regime == "high_momentum":
             ratio = m / (M + m)
             rate = n * g * g * M * q_i * ratio * ratio / math.pi
+            if math.isinf(rate):  # dividing before multiplying in g*g keeps a finite rate in range
+                rate = n * M * q_i * ratio * ratio / math.pi * g * g
         else:
             raise DomainError(f"unknown regime {regime!r}; expected 'threshold' or 'high_momentum'")
     except OverflowError:  # float ** raises where * would give inf
@@ -314,14 +318,8 @@ def box_rate(q_i: float, params: SystemParams, cfg: BoxOracleConfig) -> RateResu
     s_t2, _ = _kernels.lorentzian_sums(*args, 2.0 * cfg.eta)
     gamma_T2 = 4.0 * cfg.eta / vol * s_t2
     est = abs(gamma_T2 - gamma_T) / max(abs(gamma_T), _TINY)
-    return RateResult(
-        q_i=q_i,
-        gamma_T=gamma_T,
-        gamma_E=gamma_E,
-        method="box",
-        est_error=est,
-        smallness=_smallness(q_i, gamma_T, params),
-    )
+    smallness = _smallness(q_i, gamma_T, params)
+    return _rate_result(*_momenta(q_i), [(gamma_T, gamma_E, est, smallness)], "box")
 
 
 def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig, t: float) -> float:

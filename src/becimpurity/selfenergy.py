@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _excitation_energy
+from .bogoliubov import _excitation_energy, _real_array
 from .errors import ConfigurationError, DomainError, PerturbativeBreakdownError, _require
 from .params import SystemParams, derive
 from .quadrature import integrate, integrate_semi_infinite, second_derivative
@@ -119,13 +119,7 @@ def I1(y: float) -> float:
 
 def mean_field_shift(params: SystemParams) -> float:
     """First-order energy shift 2*pi*n*a/m_r."""
-    _require_a(params)
     return 2.0 * math.pi * params.n * params.a / derive(params).m_r
-
-
-def _require_a(params: SystemParams):
-    if params.a is None:
-        raise ConfigurationError("scattering length a is not set")
 
 
 def energy_shift_closed(params: SystemParams) -> float:
@@ -134,7 +128,6 @@ def energy_shift_closed(params: SystemParams) -> float:
     E(0) = (2*pi*n*a/m_r) * (1 + (4*a*m*c/pi) * I0(m/M)); the fluctuation
     part is positive for repulsive a.
     """
-    _require_a(params)
     d = derive(params)
     correction = 4.0 * params.a * params.m * d.c / math.pi * I0(params.m / params.M)
     return mean_field_shift(params) * (1.0 + correction)
@@ -171,10 +164,11 @@ def energy_shift_quadrature(
     avoids the large-constant cancellation and is preferred inside
     finite-difference stencils.
     """
-    _require_a(params)
-    q_i = float(q_i)
+    q = _real_array(q_i)
+    if q is not None and q.ndim == 0:
+        q_i = float(q)
     d = derive(params)
-    if not np.isfinite(q_i) or abs(q_i) >= d.q_c:
+    if not (isinstance(q_i, float) and math.isfinite(q_i) and abs(q_i) < d.q_c):
         raise DomainError(
             f"energy shift is defined for |q_i| < q_c = {d.q_c}, got {q_i!r}"
         )
@@ -201,7 +195,6 @@ def effective_mass_closed(params: SystemParams) -> MassResult:
 
     sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * I1(m/M).
     """
-    _require_a(params)
     d = derive(params)
     sigma = (
         (16.0 / 3.0)
@@ -227,7 +220,6 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
     K = int_0^inf p**6 / (eps * (eps + p**2/2M)**3) dp; the integrand decays
     like 1/p**2, handled by the rational tail transform.
     """
-    _require_a(params)
     d = derive(params)
     eps = _excitation_energy(params)
 
@@ -249,7 +241,6 @@ def effective_mass_finite_difference(params: SystemParams) -> MassResult:
     in the stencil, leaving an O(1/cutoff) residue in the curvature itself
     (about 5e-4 relative).
     """
-    _require_a(params)
     h = 0.01 * derive(params).q_c
 
     def shift(q):
@@ -265,10 +256,10 @@ def energy_spectrum(q_list, params: SystemParams) -> list[SpectrumPoint]:
     Built from the closed forms; even in q_i. Rejects any momentum at or
     beyond the critical one, listing the offenders.
     """
-    _require_a(params)
     d = derive(params)
-    q_arr = [float(q) for q in np.atleast_1d(np.asarray(q_list, dtype=float))]
-    offenders = [q for q in q_arr if not (np.isfinite(q) and abs(q) < d.q_c)]
+    arr = _real_array(q_list)
+    q_arr = np.atleast_1d(np.asarray(q_list) if arr is None else arr).tolist()
+    offenders = [q for q in q_arr if arr is None or not (math.isfinite(q) and abs(q) < d.q_c)]
     if offenders:
         raise DomainError(
             f"spectrum is defined for |q_i| < q_c = {d.q_c}; offending values: {offenders}"

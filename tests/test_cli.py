@@ -124,13 +124,14 @@ def test_rates_beyond_the_float_range_are_a_numerical_failure(grid, capsys):
 
 
 # the first error of a grid, as the point-by-point sweep reported it: the
-# window and closed columns come before the batched quadrature column
+# closed route and the window come before the quadrature
 @pytest.mark.parametrize("argv,err", [
     (("--grid", "1e76:1e80:3"), "closed-form rates at q_i = 5.0005e+79 leave the float range"),
     (("--grid", "1e78:1e80:3"), "closed-form rates at q_i = 1e+78 leave the float range"),
     (("--grid", "1e200:1e201:2"), "largest emitted momentum at q_i = 1e+200 leaves the float range"),
     (("--tol", "1e-18", "--grid", "2:2:1"),
      "subdivision budget (200) exhausted: error estimate 1.085e-14 above target 9.774e-19"),
+    (("--grid", "1e78:1e200:3"), "closed-form rates at q_i = 1e+78 leave the float range"),
 ])
 def test_rates_failures_report_the_first_error_of_the_grid(argv, err, capsys):
     code, out, got = run(capsys, "rates", *argv)

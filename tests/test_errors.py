@@ -15,8 +15,11 @@ from becimpurity import (
     ParameterDomainError,
     SystemParams,
     box_rate,
+    derive,
+    dispersion,
     emission_window,
     energy_shift_quadrature,
+    energy_spectrum,
     finite_time_kernel,
     max_emission_momentum,
     omega,
@@ -31,6 +34,8 @@ from becimpurity.params import renormalized_coupling
 from becimpurity.quadrature import second_derivative
 
 UNIT = SystemParams(g=1.0)
+DILUTE = SystemParams(a=0.01)
+_QC = derive(DILUTE).q_c
 BOX = BoxOracleConfig(L=60.0, eta=0.05, p_cut=3.0)
 # p_cut < 2*pi/L: no lattice mode, so finite_time_kernel never sees t
 EMPTY_BOX = BoxOracleConfig(L=1.0, eta=0.05, p_cut=3.0)
@@ -92,6 +97,14 @@ _SITES = [
          _QI + "array(2.)"),
     _row("0d-t", lambda v: finite_time_kernel(1.0, v), np.array(1.0), DomainError,
          "time must be nonnegative and finite, got array(1.)"),
+    # numeric strings are refused where momenta are not held to the scalar rule
+    _row("str-energy_shift_quadrature-q_i",
+         lambda v: energy_shift_quadrature(v, DILUTE, 200.0), "0.5", DomainError,
+         f"energy shift is defined for |q_i| < q_c = {_QC}, got '0.5'"),
+    _row("str-energy_spectrum-q_i", lambda v: energy_spectrum(v, DILUTE), ["0.5"], DomainError,
+         f"spectrum is defined for |q_i| < q_c = {_QC}; offending values: ['0.5']"),
+    _row("str-dispersion-p", lambda v: dispersion(v, UNIT), "2", DomainError,
+         "momentum magnitude must be nonnegative and finite"),
 ]
 
 

@@ -11,6 +11,7 @@ from becimpurity import (
     SystemParams,
     box_rate,
     emission_spectral_density,
+    emission_window,
     energy_dissipation_rate,
     max_emission_momentum,
     survival_lower_bound,
@@ -77,6 +78,7 @@ def test_spectral_density_reference_value():
     # nu(p=1, q_i=2) = p^3/(8 pi eps(1)) = 1/(8 pi sqrt(1.25))
     val = emission_spectral_density(1.0, 2.0, UNIT)
     assert val == pytest.approx(1.0 / (8.0 * math.pi * math.sqrt(1.25)), rel=1e-13)
+    assert val.hex() == "0x1.2389b64a642b8p-5"
 
 
 def test_spectral_density_window_mask():
@@ -222,19 +224,31 @@ def test_rates_beyond_the_float_range_raise_numerical(route, q_i):
 _SWEEP = np.concatenate(([0.0, 0.5, 1.0], np.linspace(1.0 + 1e-9, 12.0, 40), [0.99]))
 
 
+_RATE_FIELDS = ("q_i", "gamma_T", "gamma_E", "est_error", "smallness")
+# each route that takes a float or a 1-D array of initial momenta, with its fields
+_ROUTES = (
+    (transition_rate, _RATE_FIELDS),
+    (transition_rate_quadrature, _RATE_FIELDS),
+    (emission_window, ("q_i", "p_max", "cos_theta_max", "dissipative")),
+)
+
+
 @pytest.mark.parametrize("M", [0.1, 1.0, 2.0, 10.0])
 def test_quadrature_on_an_array_matches_float_calls_bitwise(M):
     params = SystemParams(g=1.0, M=M)
     q = _SWEEP * M
-    batch = transition_rate_quadrature(q, params)
-    assert batch.method == "quadrature"
-    fields = ("q_i", "gamma_T", "gamma_E", "est_error", "smallness")
-    for name in fields:
-        assert getattr(batch, name).shape == q.shape
-    for i, q_i in enumerate(q.tolist()):
-        alone = transition_rate_quadrature(q_i, params)
+    for route, fields in _ROUTES:
+        batch = route(q, params)
+        listed = route(q.tolist(), params)
         for name in fields:
-            assert float(getattr(batch, name)[i]).hex() == float(getattr(alone, name)).hex(), (q_i, name)
+            assert getattr(batch, name).shape == q.shape
+            assert getattr(listed, name).tolist() == getattr(batch, name).tolist()
+        for i, q_i in enumerate(q.tolist()):
+            alone = route(q_i, params)
+            assert getattr(batch, "method", None) == getattr(alone, "method", None)
+            for name in fields:
+                assert float(getattr(batch, name)[i]).hex() == float(getattr(alone, name)).hex(), (
+                    route.__name__, q_i, name)
 
 
 def _traced_integrate(monkeypatch):
@@ -273,12 +287,20 @@ def test_quadrature_array_calls_the_integrand_16_times_per_point(monkeypatch):
 
 
 def test_quadrature_array_validation():
-    with pytest.raises(DomainError, match="-1.0"):
-        transition_rate_quadrature(np.array([2.0, -1.0]), UNIT)
-    with pytest.raises(DomainError, match="1-D"):
-        transition_rate_quadrature(np.ones((2, 2)), UNIT)
-    empty = transition_rate_quadrature(np.array([]), UNIT)
-    assert empty.gamma_T.shape == (0,)
+    # strings and 0-d arrays are refused by the scalar rule, entry by entry
+    refused = (("2", "'2'"), (["2"], "'2'"), (np.array(2.0), "array(2.)"), ([1.0, None], "None"))
+    for route, fields in _ROUTES:
+        with pytest.raises(DomainError, match="-1.0"):
+            route(np.array([2.0, -1.0]), UNIT)
+        with pytest.raises(DomainError, match="1-D"):
+            route(np.ones((2, 2)), UNIT)
+        for bad, shown in refused:
+            with pytest.raises(DomainError) as exc:
+                route(bad, UNIT)
+            assert str(exc.value) == "initial momentum must be nonnegative and finite, got " + shown
+        empty = route(np.array([]), UNIT)
+        for name in fields:
+            assert getattr(empty, name).shape == (0,)
 
 
 @pytest.mark.parametrize("q_i", [1e149, 1e150, 1e154])
@@ -360,3 +382,17 @@ def test_rates_whose_coupling_product_overflows_stay_finite(q_i, params):
     assert closed.gamma_E > 5e306
     assert quad.gamma_T == pytest.approx(closed.gamma_T, rel=1e-8)
     assert quad.gamma_E == pytest.approx(closed.gamma_E, rel=1e-8)
+
+
+def test_densities_and_asymptotes_whose_coupling_product_overflows_stay_finite():
+    # pref * p**3 and n*g*g*M*q_i overflow before the division; the values do not
+    # (references: 50-digit decimal evaluations of the same expressions)
+    params = SystemParams(g=1.3e154, M=10.0)
+    density = emission_spectral_density(3.0, 20.0, params)
+    assert density == pytest.approx(3.3569716521590836e+307, rel=1e-14)
+    rate = transition_rate_asymptotic(20.0, SystemParams(g=1e154, M=10.0), "high_momentum")
+    assert rate == pytest.approx(5.2613204327899288e+307, rel=1e-14)
+    # here the density itself is about 2.5e308
+    msg = "^emission spectral density at q_i = 3.0 leaves the float range$"
+    with pytest.raises(NumericalError, match=msg):
+        emission_spectral_density(2.0, 3.0, SystemParams(g=1.3e154, n=20.0, U0=0.05))
