@@ -132,10 +132,7 @@ def coupling_weight(p, params: SystemParams):
     if np.any(mask):
         pm = arr[mask]
         eps = dispersion(pm, params)
-        try:
-            g2 = params.g**2
-        except OverflowError:  # |g| above ~1e154
-            g2 = math.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            out[mask] = g2 * params.n * pm * pm / (2.0 * params.m * eps)
+            # np.float64 ** has the bits of float ** but gives inf, not OverflowError, above |g| ~ 1e154
+            out[mask] = np.float64(params.g) ** 2 * params.n * pm * pm / (2.0 * params.m * eps)
     return _in_range(out, arr, "coupling weight")

@@ -12,7 +12,6 @@ q_c = M*c; below it the impurity moves without dissipation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,62 +75,80 @@ def resonance_cos(p: float, q_i: float, params: SystemParams):
     return None
 
 
-def max_emission_momentum(q_i: float, params: SystemParams) -> float:
+def _raise_first(q, stages):
+    """NumericalError at the first momentum of the array q where some stage's values are not finite.
+
+    stages are (values, message) pairs in the order a loop over the momenta
+    would compute them, so at that momentum the earliest failing stage names
+    the error; each message holds one {!r} for the momentum.
+    """
+    bad = ~np.isfinite(np.array([values for values, _ in stages]))
+    hits = np.flatnonzero(bad.any(axis=0))
+    if hits.size:
+        raise NumericalError(stages[bad[:, hits[0]].argmax()][1].format(float(q[hits[0]])))
+
+
+def _p_max(q, params: SystemParams):
+    """Largest emitted momentum at each validated momentum of the array q; nan past the float range.
+
+    The one window rule, shared by max_emission_momentum and the closed rates.
+    """
+    q_c = derive(params).q_c
+    r = params.M / params.m
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the factored gap is exact near threshold (Sterbenz), where q*q - q_c*q_c cancels
+        gap = np.maximum((q - q_c) * (q + q_c), 0.0)
+        radicand = q_c * q_c + r * r * gap
+        root = np.where(np.isfinite(radicand), np.sqrt(radicand), np.hypot(q_c, r * np.sqrt(gap)))
+        # doubling is exact, so 2*(gap/x) is 2*gap/x short of subnormals, without its overflow
+        return 2.0 * (gap / (q + root))
+
+
+def max_emission_momentum(q_i, params: SystemParams):
     """Largest excitation momentum the impurity can emit; 0 when subcritical.
 
-    Uses the rationalized root of omega(p, x=1) = 0,
+    Uses the rationalized root of omega(p, x=1) = 0, with r = M/m,
 
-        p_max = 2*(q_i**2 - q_c**2) / (q_i + sqrt(q_c**2 + r**2*(q_i**2 - q_c**2))),
+        p_max = 2*gap / (q_i + sqrt(q_c**2 + r**2*gap)),  gap = (q_i - q_c)*(q_i + q_c).
 
-    with r = M/m. This form is exact for every mass ratio and reduces
-    smoothly to (q_i**2 - q_c**2)/q_i at r = 1, where the textbook quadratic
-    solution degenerates to 0/0. Where r**2*(q_i**2 - q_c**2) overflows, the
-    square root is taken as hypot(q_c, r*sqrt(q_i**2 - q_c**2)) instead.
-    Raises NumericalError when q_i**2 leaves the float range and the root
-    with it.
+    It is exact for every mass ratio and reduces smoothly to gap/q_i at
+    r = 1, where the textbook quadratic solution degenerates to 0/0. The
+    factored gap is exact as q_i -> q_c+, where q_i**2 - q_c**2 cancels.
+    Where r**2*gap overflows, the square root is hypot(q_c, r*sqrt(gap)).
+    q_i is a float or a 1-D array. Raises NumericalError at the first
+    momentum whose gap, and with it the root, leaves the float range.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
-    d = derive(params)
-    gap = q_i * q_i - d.q_c * d.q_c
-    if gap <= 0.0:
-        return 0.0
-    r = params.M / params.m
-    radicand = d.q_c * d.q_c + r * r * gap
-    if math.isfinite(radicand):
-        p_max = 2.0 * gap / (q_i + math.sqrt(radicand))
-    else:
-        # dividing before doubling keeps 2*gap from overflowing as well
-        p_max = 2.0 * (gap / (q_i + math.hypot(d.q_c, r * math.sqrt(gap))))
-    if not math.isfinite(p_max):
-        raise NumericalError(f"largest emitted momentum at q_i = {q_i!r} leaves the float range")
-    return p_max
+    q, pack = _momenta(q_i)
+    p_max = _p_max(q, params)
+    _raise_first(q, [(p_max, "largest emitted momentum at q_i = {!r} leaves the float range")])
+    return pack(p_max)
 
 
 def _momenta(q_i):
-    """Initial momenta as floats, each passed through errors._require, and their pack.
+    """Initial momenta as a float array, each entry held to errors._require, and their pack.
 
-    The pack gives a float for one real scalar, an array for a 1-D array, list or tuple.
+    The pack turns an array over the momenta into a float (or bool) for one
+    real scalar and leaves it an array for a 1-D array, list or tuple.
     """
     if isinstance(q_i, np.ndarray) and q_i.ndim > 1:
         raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_i.shape}")
-    if isinstance(q_i, (list, tuple)) or isinstance(q_i, np.ndarray) and q_i.ndim == 1:
-        entries = q_i.tolist() if isinstance(q_i, np.ndarray) else q_i
-        return [_require(q, "initial momentum", positive=False) for q in entries], np.array
-    return [_require(q_i, "initial momentum", positive=False)], lambda values: values[0]
+    if not (isinstance(q_i, (list, tuple)) or isinstance(q_i, np.ndarray) and q_i.ndim == 1):
+        return np.array([_require(q_i, "initial momentum", positive=False)]), np.ndarray.item
+    if isinstance(q_i, np.ndarray) and q_i.dtype.kind == "f" and ((q_i >= 0) & (q_i < np.inf)).all():
+        return q_i.astype(float), np.asarray  # every entry passes the scalar rule
+    entries = q_i.tolist() if isinstance(q_i, np.ndarray) else q_i
+    return np.array([_require(q, "initial momentum", positive=False) for q in entries]), np.asarray
 
 
 def emission_window(q_i, params: SystemParams) -> EmissionWindow:
     """Assemble the emission window for initial momentum q_i, a float or a 1-D array."""
     q, pack = _momenta(q_i)
     q_c = derive(params).q_c
-    p_max = [max_emission_momentum(x, params) for x in q]
-    dissipative = [x > q_c for x in q]
-    cos_max = [min(1.0, q_c / x) if d else 1.0 for x, d in zip(q, dissipative)]
     return EmissionWindow(
         q_i=pack(q),
-        p_max=pack(p_max),
-        cos_theta_max=pack(cos_max),
-        dissipative=pack(dissipative),
+        p_max=pack(max_emission_momentum(q, params)),
+        cos_theta_max=pack(q_c / np.maximum(q, q_c)),  # 1 unless dissipative
+        dissipative=pack(q > q_c),
     )
 
 

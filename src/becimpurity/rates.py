@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .bogoliubov import _as_momentum, _excitation_energy, dispersion
 from .errors import ConfigurationError, DomainError, NumericalError, _require
-from .kinematics import _momenta, max_emission_momentum
+from .kinematics import _momenta, _p_max, _raise_first, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -82,34 +82,42 @@ class BoxOracleConfig:
             raise ConfigurationError(f"max_points must be a positive integer, got {self.max_points!r}")
 
 
-def _rate_result(q, pack, rows, method: str) -> RateResult:
-    """RateResult from momenta q and their (gamma_T, gamma_E, est_error, smallness) rows."""
-    gamma_T, gamma_E, est_error, smallness = (pack([row[k] for row in rows]) for k in range(4))
-    return RateResult(pack(q), gamma_T, gamma_E, method, est_error, smallness)
+# below u = 1 these Taylor coefficients of sinh(u) - u, times u**3, replace the cancelling difference
+_SINH_SERIES = np.array([1.0 / math.factorial(j) for j in range(19, 2, -2)])
+_PREFACTOR_RANGE = "rate prefactor at q_i = {!r} leaves the float range"
 
 
-def _smallness(q_i: float, gamma_T: float, params: SystemParams) -> float:
-    # gamma_T == 0 also covers a supercritical q_i whose kinetic energy underflows
-    if q_i == 0.0 or gamma_T == 0.0:
-        return 0.0
-    kinetic = q_i * q_i / (2.0 * params.M)
-    smallness = gamma_T / kinetic if kinetic else math.inf
-    if not math.isfinite(smallness):
-        raise NumericalError(f"smallness at q_i = {q_i!r} leaves the float range")
-    return smallness
+def _rate_result(q, pack, params: SystemParams, method: str, gamma_T, gamma_E, est_error, stages=()):
+    """RateResult over the momenta q, or NumericalError where a value leaves the float range.
+
+    smallness = gamma_T/(q**2/2M) is 0 where q or gamma_T is. stages are the
+    route's own (values, message) checks, which a loop over the momenta runs
+    before the smallness and the energy rate (see kinematics._raise_first).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # gamma_T == 0 also covers a supercritical q_i whose kinetic energy underflows
+        smallness = np.where((q == 0.0) | (gamma_T == 0.0), 0.0, gamma_T / (q * q / (2.0 * params.M)))
+    _raise_first(q, [*stages, (smallness, "smallness at q_i = {!r} leaves the float range"),
+                     (gamma_E, "energy dissipation rate at q_i = {!r} leaves the float range")])
+    return RateResult(pack(q), pack(gamma_T), pack(gamma_E), method, pack(est_error), pack(smallness))
 
 
-def _density_prefactor(q_i: float, params: SystemParams) -> float:
-    n, M, m, g = params.n, params.M, params.m, params.g
-    try:
-        pref = n * M * g**2 / (4.0 * math.pi * m * q_i)
-    except OverflowError:  # float ** raises where * would give inf
-        pref = math.inf
-    if math.isinf(pref):  # dividing before squaring g keeps a finite prefactor in range
-        pref = n * M / (4.0 * math.pi * m * q_i) * g * g
-    if not math.isfinite(pref):
-        raise NumericalError(f"rate prefactor at q_i = {q_i!r} leaves the float range")
-    return pref
+def _g2_last(rate, g: float):
+    """rate(g**2), or rate(1.0)*g*g where that is inf; elementwise, and inf where both are.
+
+    Where the expression as written overflows, dividing before multiplying in
+    g*g keeps a finite value in range. np.float64 ** has the bits of float **
+    (both are C pow) but gives inf where float ** raises OverflowError.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = rate(np.float64(g) ** 2)
+        return np.where(np.isinf(value), rate(1.0) * g * g, value)
+
+
+def _density_prefactor(q, params: SystemParams):
+    """n*M*g**2/(4*pi*m*q) at each momentum q, the scale of both routes; inf past the float range."""
+    n, M, m = params.n, params.M, params.m
+    return _g2_last(lambda g2: n * M * g2 / (4.0 * math.pi * m * q), params.g)
 
 
 def emission_spectral_density(p, q_i: float, params: SystemParams):
@@ -126,7 +134,9 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
         pm = arr[mask]
-        pref = _density_prefactor(q_i, params)
+        pref = float(_density_prefactor(q_i, params))
+        if not math.isfinite(pref):
+            raise NumericalError(_PREFACTOR_RANGE.format(q_i))
         eps = dispersion(pm, params)
         with np.errstate(over="ignore", invalid="ignore"):
             density = pref * pm**3 / eps
@@ -141,56 +151,36 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     return out if out.ndim else float(out)
 
 
-def _closed_pair(q_i: float, params: SystemParams):
-    """(gamma_T, gamma_E) closed forms; zeros at or below threshold.
-
-    Raises NumericalError when either rate leaves the float range.
-    """
-    d = derive(params)
-    if q_i <= d.q_c:
-        return 0.0, 0.0
-    p_max = max_emission_momentum(q_i, params)
-    eps_max = dispersion(p_max, params)
-    m, M, n, g = params.m, params.M, params.n, params.g
-    mc2 = m * d.c * d.c
-    # where the numerator overflows, dividing before multiplying in g*g keeps
-    # a finite rate in range; every other input keeps the expression as written
-    prefactor = M * m * n * g * g / (2.0 * math.pi * q_i)
-    if math.isinf(prefactor):
-        prefactor = M * m * n / (2.0 * math.pi * q_i) * g * g
-    gamma_T = prefactor * (
-        eps_max - mc2 * math.log1p((eps_max + p_max * p_max / (2.0 * m)) / mc2)
-    )
-    try:
-        gamma_E = M * n * g * g * p_max**4 / (16.0 * math.pi * m * q_i)
-        if math.isinf(gamma_E):
-            gamma_E = M * n / (16.0 * math.pi * m * q_i) * g * g * p_max**4
-    except OverflowError:
-        gamma_E = math.inf
-    if not (math.isfinite(gamma_T) and math.isfinite(gamma_E)):
-        raise NumericalError(f"closed-form rates at q_i = {q_i!r} leave the float range")
-    return gamma_T, gamma_E
-
-
 def transition_rate(q_i, params: SystemParams) -> RateResult:
     """Closed-form rates: exact radial integrals of the emission spectrum.
 
-    gamma_T = M*m*n*g**2/(2*pi*q_i) * (eps(p_max)
-              - m*c**2 * log1p((eps(p_max) + p_max**2/2m) / (m*c**2)))
-    gamma_E = M*n*g**2*p_max**4/(16*pi*m*q_i)
+    With pref = n*M*g**2/(4*pi*m*q_i), k = 2*m*c and t = asinh(p_max/k),
 
-    The eps(p) weight integrates against the emission spectrum in closed
-    form, so gamma_E is an identity, not an approximation; the quadrature
-    route (transition_rate_quadrature) must reproduce both to its tolerance.
-    Exactly zero at or below the critical momentum. q_i is a float or a 1-D
-    array; each entry is bit-identical to the float call.
+        gamma_T = pref * (m*k**2/2) * (sinh(2t) - 2t)
+        gamma_E = pref * p_max**4/4
+
+    gamma_E is an identity, not an approximation: the eps(p) weight integrates
+    in closed form. sinh(u) - u takes its Taylor series below u = 1 and
+    p_max its factored gap, so both rates are exact to rounding up to
+    threshold, and exactly zero at or below it. transition_rate_quadrature
+    shares pref and p_max and must reproduce both to its tolerance. q_i is a
+    float or a 1-D array; each entry is bit-identical to the float call.
     """
     q, pack = _momenta(q_i)
-    rows = []
-    for x in q:
-        gamma_T, gamma_E = _closed_pair(x, params)
-        rows.append((gamma_T, gamma_E, 0.0, _smallness(x, gamma_T, params)))
-    return _rate_result(q, pack, rows, "closed")
+    p_max = _p_max(q, params)
+    k = 2.0 * params.m * derive(params).c
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = p_max / k
+        u = 2.0 * np.arcsinh(s)
+        series = u**3 * np.polyval(_SINH_SERIES, u * u)
+        shape = np.where(u < 1.0, series, 2.0 * s * np.hypot(1.0, s) - u)  # sinh(u) - u
+        pref = _density_prefactor(q, params)
+        window = p_max > 0.0
+        gamma_T = np.where(window, pref * (0.5 * params.m * k * k * shape), 0.0)
+        gamma_E = np.where(window, pref * (p_max**4 / 4.0), 0.0)
+    return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [
+        (p_max, "largest emitted momentum at q_i = {!r} leaves the float range"),
+        (np.maximum(gamma_T, gamma_E), "closed-form rates at q_i = {!r} leave the float range")])
 
 
 # one closed-form route yields both rates; the energy-rate name is kept public
@@ -209,15 +199,16 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
     integral runs once over all supercritical windows. Errors then come in
     this order: every momentum is validated and every window built, then
     the gamma_T integral fails at its first failing momentum, then the
-    gamma_E integral.
+    gamma_E integral, then the first momentum whose prefactor, smallness or
+    energy rate leaves the float range.
     """
     q, pack = _momenta(q_i)
     _check_rel_tol(tol)
-    # a supercritical q_i whose gap q_i**2 - q_c**2 underflows has p_max = 0
-    p_max = [max_emission_momentum(x, params) for x in q]
-    windows = np.array([p for p in p_max if p > 0.0])
-    integrals = iter(())
-    if windows.size:
+    p_max = max_emission_momentum(q, params)
+    # a supercritical q_i whose gap underflows has p_max = 0 and integrates nothing
+    window = p_max > 0.0
+    val_t, err_t, val_e, err_e = np.zeros((4, q.size))
+    if window.any():
         eps = _excitation_energy(params)
 
         def radial(p):
@@ -228,20 +219,15 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
 
         # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
         with np.errstate(over="ignore"):
-            val_t, err_t = integrate(radial, 0.0, windows, tol)
-            val_e, err_e = integrate(radial_energy, 0.0, windows, tol)
-        integrals = zip(val_t.tolist(), err_t.tolist(), val_e.tolist(), err_e.tolist())
-    rows = []  # (gamma_T, gamma_E, est_error, smallness) per momentum
-    for x, p in zip(q, p_max):
-        if not p > 0.0:
-            rows.append((0.0, 0.0, 0.0, 0.0))
-            continue
-        val_t, err_t, val_e, err_e = next(integrals)
-        pref = _density_prefactor(x, params)
-        gamma_T = pref * val_t
-        est = max(err_t / max(abs(val_t), _TINY), err_e / max(abs(val_e), _TINY))
-        rows.append((gamma_T, pref * val_e, est, _smallness(x, gamma_T, params)))
-    return _rate_result(q, pack, rows, "quadrature")
+            val_t[window], err_t[window] = integrate(radial, 0.0, p_max[window], tol)
+            val_e[window], err_e[window] = integrate(radial_energy, 0.0, p_max[window], tol)
+    pref = np.where(window, _density_prefactor(q, params), 0.0)
+    est = np.maximum(err_t / np.maximum(np.abs(val_t), _TINY),
+                     err_e / np.maximum(np.abs(val_e), _TINY))
+    with np.errstate(over="ignore"):
+        gamma_T, gamma_E = pref * val_t, pref * val_e
+    return _rate_result(q, pack, params, "quadrature", gamma_T, gamma_E, est,
+                        [(pref, _PREFACTOR_RANGE)])
 
 
 def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) -> float:
@@ -255,19 +241,16 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
     """
     q_i = _require(q_i, "initial momentum", positive=False)
     d = derive(params)
-    n, g, m, M = params.n, params.g, params.m, params.M
-    try:
-        if regime == "threshold":
-            rate = (2.0 * n * g * g / (3.0 * math.pi * m * d.c * d.c)) * (q_i - d.q_c) ** 3
-        elif regime == "high_momentum":
-            ratio = m / (M + m)
-            rate = n * g * g * M * q_i * ratio * ratio / math.pi
-            if math.isinf(rate):  # dividing before multiplying in g*g keeps a finite rate in range
-                rate = n * M * q_i * ratio * ratio / math.pi * g * g
-        else:
-            raise DomainError(f"unknown regime {regime!r}; expected 'threshold' or 'high_momentum'")
-    except OverflowError:  # float ** raises where * would give inf
-        rate = math.inf
+    n, m, M = params.n, params.m, params.M
+    ratio = m / (M + m)
+    rates = {  # np.float64 ** gives inf where the cube overflows
+        "threshold": lambda g2: (
+            (2.0 * n * g2 / (3.0 * math.pi * m * d.c * d.c)) * np.float64(q_i - d.q_c) ** 3),
+        "high_momentum": lambda g2: n * g2 * M * q_i * ratio * ratio / math.pi,
+    }
+    if regime not in tuple(rates):  # compared with ==, so an unhashable regime is refused too
+        raise DomainError(f"unknown regime {regime!r}; expected 'threshold' or 'high_momentum'")
+    rate = float(_g2_last(rates[regime], params.g))
     if not math.isfinite(rate):
         raise NumericalError(f"{regime} rate at q_i = {q_i!r} leaves the float range")
     return rate
@@ -318,8 +301,7 @@ def box_rate(q_i: float, params: SystemParams, cfg: BoxOracleConfig) -> RateResu
     s_t2, _ = _kernels.lorentzian_sums(*args, 2.0 * cfg.eta)
     gamma_T2 = 4.0 * cfg.eta / vol * s_t2
     est = abs(gamma_T2 - gamma_T) / max(abs(gamma_T), _TINY)
-    smallness = _smallness(q_i, gamma_T, params)
-    return _rate_result(*_momenta(q_i), [(gamma_T, gamma_E, est, smallness)], "box")
+    return _rate_result(*_momenta(q_i), params, "box", *np.array([[gamma_T], [gamma_E], [est]]))
 
 
 def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig, t: float) -> float:

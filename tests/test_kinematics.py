@@ -191,14 +191,3 @@ def test_max_emission_momentum_survives_an_overflowing_radicand(q_i):
 
 def test_max_emission_momentum_at_1e150_is_about_2e144():
     assert max_emission_momentum(1e150, SystemParams(g=1.0, M=1e6)) == pytest.approx(2.0e144, rel=1e-5)
-
-
-def test_max_emission_momentum_in_range_keeps_the_rationalized_root_bitwise():
-    for M in (1e-6, 0.3, 1.0, 7.0, 1e6):
-        params = SystemParams(g=1.0, M=M)
-        q_c = params.M  # c = 1 at unit m, n, U0
-        r = params.M / params.m
-        for q_i in np.geomspace(q_c * (1 + 1e-12), q_c * 1e6, 50).tolist():
-            gap = q_i * q_i - q_c * q_c
-            ref = 2.0 * gap / (q_i + math.sqrt(q_c * q_c + r * r * gap))
-            assert max_emission_momentum(q_i, params).hex() == ref.hex()

@@ -396,3 +396,13 @@ def test_densities_and_asymptotes_whose_coupling_product_overflows_stay_finite()
     msg = "^emission spectral density at q_i = 3.0 leaves the float range$"
     with pytest.raises(NumericalError, match=msg):
         emission_spectral_density(2.0, 3.0, SystemParams(g=1.3e154, n=20.0, U0=0.05))
+
+
+def test_quadrature_energy_rate_that_overflows_raises_not_inf():
+    # pref ~ 2.7e306 times the gamma_E integral (~132) overflows; it used to come back as inf
+    strong = SystemParams(g=1.3e154)
+    assert math.isfinite(transition_rate_quadrature(2.0, strong).gamma_E)
+    msg = "^energy dissipation rate at q_i = 5.0 leaves the float range$"
+    for route in (transition_rate_quadrature, lambda q, p: transition_rate_quadrature([2.0, q], p)):
+        with pytest.raises(NumericalError, match=msg):
+            route(5.0, strong)
