@@ -263,13 +263,22 @@ def cmd_box_oracle(cfg: dict, grid):
         "q_i", "L", "eta", "p_cut", "gamma_T_box", "gamma_T_closed",
         "rel_dev", "est_error",
     ]
-    rows = []
-    for q_i in grid.tolist():
-        closed = transition_rate(q_i, params).gamma_T
-        oracle = box_rate(q_i, params, box)
-        rel = (oracle.gamma_T - closed) / closed if closed != 0.0 else math.nan
-        rows.append([q_i, box.L, box.eta, box.p_cut, oracle.gamma_T, closed, rel,
-                     oracle.est_error])
+    try:
+        closed = transition_rate(grid, params).gamma_T
+    except NumericalError:
+        # per point the closed rate comes before the box rate, so a box failure at an
+        # earlier point comes first: replay the points in that order to raise it
+        for q_i in grid.tolist():
+            transition_rate(q_i, params)
+            box_rate(q_i, params, box)
+        raise
+    oracle = box_rate(grid, params, box)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(closed != 0.0, (oracle.gamma_T - closed) / closed, math.nan)
+    columns = zip(grid.tolist(), oracle.gamma_T.tolist(), closed.tolist(), rel.tolist(),
+                  oracle.est_error.tolist())
+    rows = [[q_i, box.L, box.eta, box.p_cut, g_box, g_closed, dev, est]
+            for q_i, g_box, g_closed, dev, est in columns]
     return header, rows, {}
 
 

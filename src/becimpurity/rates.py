@@ -256,13 +256,17 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
     return rate
 
 
-def _lattice_args(q_i: float, params: SystemParams, cfg: BoxOracleConfig):
-    """Common validation and argument packing for the lattice kernels."""
+def _check_window(q_i: float, params: SystemParams, cfg: BoxOracleConfig):
+    """Raise unless p_cut covers the emission window at q_i."""
     p_max = max_emission_momentum(q_i, params)
     if cfg.p_cut <= p_max:
         raise ConfigurationError(
             f"p_cut = {cfg.p_cut} does not cover the emission window (p_max = {p_max})"
         )
+
+
+def _lattice_args(params: SystemParams, cfg: BoxOracleConfig):
+    """Budget check and packing of the lattice kernel arguments that precede q_i."""
     dk = 2.0 * math.pi / cfg.L
     n_max = math.ceil(cfg.p_cut / dk)
     n_points = _kernels.lattice_points(n_max)
@@ -279,11 +283,10 @@ def _lattice_args(q_i: float, params: SystemParams, cfg: BoxOracleConfig):
         params.M,
         params.n * params.U0,
         params.g * params.g * params.n,
-        q_i,
     )
 
 
-def box_rate(q_i: float, params: SystemParams, cfg: BoxOracleConfig) -> RateResult:
+def box_rate(q_i, params: SystemParams, cfg: BoxOracleConfig) -> RateResult:
     """Finite-box oracle for the golden-rule rates.
 
     Sums w(p)/L**3 * 2*eta/(omega**2 + eta**2) over the momentum lattice
@@ -291,17 +294,34 @@ def box_rate(q_i: float, params: SystemParams, cfg: BoxOracleConfig) -> RateResu
     delta realized as a Lorentzian of width eta. Converges to the continuum
     rates for L -> inf followed by eta -> 0. est_error is estimated from a
     second pass with doubled eta (the leading error is eta-linear).
+
+    q_i is a float or a 1-D array; each entry is bit-identical to the float
+    call. The lattice is summed in one pass per eta over all momenta, so two
+    kernel calls serve the whole array. Errors come as a loop over the
+    momenta would raise them: at the first failing momentum, its window
+    (p_max in range and covered by p_cut), then the lattice budget, then
+    its rates.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
-    args = _lattice_args(q_i, params, cfg)
+    q, pack = _momenta(q_i)
+    missed = np.flatnonzero(~(cfg.p_cut > _p_max(q, params)))  # nan past the float range too
+    if missed.size:  # a loop raises at the momenta before the first missed window, then there
+        n = missed[0]
+        if n:
+            box_rate(q[:n], params, cfg)
+        _check_window(float(q[n]), params, cfg)  # raises
+    if not q.size:  # no momenta, no lattice
+        return _rate_result(q, pack, params, "box", q, q, q)
+    args = _lattice_args(params, cfg)
     vol = cfg.L**3
-    s_t, s_e = _kernels.lorentzian_sums(*args, cfg.eta)
-    gamma_T = 2.0 * cfg.eta / vol * s_t
-    gamma_E = 2.0 * cfg.eta / vol * s_e
-    s_t2, _ = _kernels.lorentzian_sums(*args, 2.0 * cfg.eta)
-    gamma_T2 = 4.0 * cfg.eta / vol * s_t2
-    est = abs(gamma_T2 - gamma_T) / max(abs(gamma_T), _TINY)
-    return _rate_result(*_momenta(q_i), params, "box", *np.array([[gamma_T], [gamma_E], [est]]))
+    s_t, s_e = _kernels.lorentzian_sums(*args, q, cfg.eta)
+    s_t2, _ = _kernels.lorentzian_sums(*args, q, 2.0 * cfg.eta)
+    # past the float range these are inf or nan, and _rate_result raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_T = 2.0 * cfg.eta / vol * s_t
+        gamma_E = 2.0 * cfg.eta / vol * s_e
+        gamma_T2 = 4.0 * cfg.eta / vol * s_t2
+        est = np.abs(gamma_T2 - gamma_T) / np.maximum(np.abs(gamma_T), _TINY)
+    return _rate_result(q, pack, params, "box", gamma_T, gamma_E, est)
 
 
 def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig, t: float) -> float:
@@ -314,8 +334,8 @@ def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig,
     """
     q_i = _require(q_i, "initial momentum", positive=False)
     _require(t, "time", positive=False)
-    args = _lattice_args(q_i, params, cfg)
-    depletion = _kernels.finite_time_sum(*args, t) / cfg.L**3
+    _check_window(q_i, params, cfg)
+    depletion = _kernels.finite_time_sum(*_lattice_args(params, cfg), q_i, t) / cfg.L**3
     raw = 1.0 - depletion
     if raw < 0.0:
         warnings.warn(
@@ -338,5 +358,5 @@ def survival_lower_bound(q_i: float, params: SystemParams, cfg: BoxOracleConfig)
     q_i = _require(q_i, "initial momentum", positive=False)
     if q_i >= derive(params).q_c:
         raise DomainError("survival bound is defined for subcritical momenta only")
-    args = _lattice_args(q_i, params, cfg)
-    return 1.0 - _kernels.inverse_square_sum(*args) / cfg.L**3
+    _check_window(q_i, params, cfg)
+    return 1.0 - _kernels.inverse_square_sum(*_lattice_args(params, cfg), q_i) / cfg.L**3

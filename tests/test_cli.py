@@ -263,6 +263,34 @@ def test_box_oracle_flags_reach_the_row(capsys):
     assert float(cols["est_error"]) > 0.0
 
 
+def test_box_oracle_grid_rows_match_one_point_runs(capsys):
+    flags = ("--L", "30", "--eta", "0.1")
+    code, out, _ = run(capsys, "box-oracle", *flags, "--grid", "0.5:2.5:5")
+    assert code == 0
+    header, *rows = out.splitlines()
+    for row in rows:
+        q_i = row.split(",")[0]
+        code, one, _ = run(capsys, "box-oracle", *flags, "--grid", f"{q_i}:{q_i}:1")
+        assert code == 0 and one == f"{header}\n{row}\n"
+
+
+@pytest.mark.parametrize("params, argv, code, err", [
+    # the window of 5.0 fails before the closed rate of 1e80 is formed
+    ({}, ("--grid", "5:1e80:2"), 2,
+     "configuration error: p_cut = 3.0 does not cover the emission window (p_max = 4.8)\n"),
+    # the closed rate of 2.0 fails before the window of 5.0 is checked
+    ({"g": 1e160}, ("--L", "30", "--eta", "0.1", "--grid", "2:5:2"), 3,
+     "numerical failure: closed-form rates at q_i = 2.0 leave the float range\n"),
+    # the box rate of 0.5 (closed rate 0) fails before the closed rate of 2.0
+    ({"g": 1e160}, ("--L", "20", "--eta", "0.3", "--grid", "0.5:2:2"), 3,
+     "numerical failure: smallness at q_i = 0.5 leaves the float range\n"),
+], ids=["window-first", "closed-first", "box-first"])
+def test_box_oracle_raises_at_the_first_failing_point(params, argv, code, err, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    assert run(capsys, "box-oracle", "--config", str(cfg), *argv) == (code, "", err)
+
+
 def test_effective_mass_lists_all_three_methods(capsys):
     code, out, _ = run(capsys, "effective-mass")
     assert code == 0

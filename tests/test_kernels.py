@@ -73,7 +73,7 @@ def test_inverse_square_sum_matches_reference():
 
 def _slab_counts(n_max, dk, p_cut2):
     """(modes, entries): summed multiplicities and array lengths over the slabs."""
-    slabs = list(_kernels._slabs(n_max, dk, p_cut2, 1.0, 1.0, 1.0, 1.0, 2.0))
+    slabs = list(_kernels._slabs(n_max, dk, p_cut2, 1.0, 1.0, 1.0, 1.0))
     return sum(int(c.sum()) for c, *_ in slabs), sum(c.size for c, *_ in slabs)
 
 
@@ -159,3 +159,69 @@ def test_box_rate_point_budget_guard():
     big = BoxOracleConfig(L=1e4, eta=0.05, p_cut=3.0)
     with pytest.raises(ConfigurationError, match="budget"):
         box_rate(2.0, params, big)
+
+
+# m = 0.9, M = 1.7, nU0 = 1.3: q_c = 2.04, and no factor of omega is a power of two,
+# so a reordering of q_i * dk * nz / M_imp moves the last bits
+_ODD = (0.9, 1.7, 1.3, 0.7)
+# q_i spans q_c: subcritical residue and resonant slabs in one array, over several q-blocks
+_GRID = np.linspace(0.0, 2.75, 3 * _kernels._Q_BLOCK + 3)
+
+
+@pytest.mark.parametrize("L", [30.0, 60.0])
+def test_lorentzian_sums_over_momenta_match_each_momentum_bit_for_bit(L):
+    dk = 2.0 * math.pi / L
+    args = (math.ceil(3.0 / dk), dk, 9.0, *_ODD)
+    s_t, s_e = _kernels.lorentzian_sums(*args, _GRID, 3.0 / L)
+    assert s_t.shape == s_e.shape == _GRID.shape
+    for q_i, t, e in zip(_GRID.tolist(), s_t.tolist(), s_e.tolist()):
+        one_t, one_e = _kernels.lorentzian_sums(*args, q_i, 3.0 / L)
+        assert (t.hex(), e.hex()) == (one_t.hex(), one_e.hex())
+
+
+def test_lorentzian_sums_keep_the_shape_of_the_momenta():
+    s_t, s_e = _kernels.lorentzian_sums(*_ARGS[:-1], np.array([2.0]), 0.05)
+    assert s_t.shape == s_e.shape == (1,)
+    s_t, s_e = _kernels.lorentzian_sums(*_ARGS, 0.05)
+    assert isinstance(s_t, float) and isinstance(s_e, float)
+    s_t, s_e = _kernels.lorentzian_sums(*_ARGS[:-1], np.array([]), 0.05)
+    assert s_t.shape == s_e.shape == (0,)
+
+
+# the finite-time and kernel-bound sums behind golden_rule_linear_regime and
+# subcritical_survival_*: L = 60, p_cut = 3, so n_max = 29
+_DK60 = 2.0 * math.pi / 60.0
+
+
+@pytest.mark.parametrize("g, q_i, t, expected", [
+    (0.3, 2.0, float.fromhex("0x1.6db447e2e8966p+2"), "0x1.191405e52f688p+12"),
+    (0.3, 2.0, float.fromhex("0x1.6db447e2e8966p+3"), "0x1.1585d235a4e2ep+13"),
+    (1.0, 0.5, 1.0, "0x1.0076e3430f8a4p+13"),
+    (1.0, 0.5, 5.0, "0x1.1ed6b920f3904p+13"),
+    (1.0, 0.5, 20.0, "0x1.197445a5d4ae6p+13"),
+    (1.0, 0.5, 100.0, "0x1.167c7baa7f1f4p+13"),
+    (1.0, 0.5, 200.0, "0x1.1b698a28b3a85p+13"),
+])
+def test_finite_time_sum_keeps_its_bits(g, q_i, t, expected):
+    args = (29, _DK60, 9.0, 1.0, 1.0, 1.0, g * g, q_i)
+    assert _kernels.finite_time_sum(*args, t).hex() == expected
+
+
+def test_inverse_square_sum_keeps_its_bits():
+    args = (29, _DK60, 9.0, 1.0, 1.0, 1.0, 1.0, 0.5)
+    assert _kernels.inverse_square_sum(*args).hex() == "0x1.1641d9a98b70bp+14"
+    args = (15, 2.0 * math.pi / 30.0, 9.0, *_ODD, 0.83)
+    assert _kernels.inverse_square_sum(*args).hex() == "0x1.7f678a8052e27p+10"
+
+
+@pytest.mark.parametrize("q_i, s_t, s_e, finite_time", [
+    (0.83, "0x1.7b84110b67f0dp+8", "0x1.dc2c7a5c568a2p+9", "0x1.9138bd656083dp+9"),
+    (2.31, "0x1.b49738562f0c5p+9", "0x1.a7bfa41a5543bp+10", "0x1.7b01e02130a29p+10"),
+])
+def test_lattice_sums_keep_their_bits_where_omega_rounds(q_i, s_t, s_e, finite_time):
+    args = (15, 2.0 * math.pi / 30.0, 9.0, *_ODD)
+    sums = _kernels.lorentzian_sums(*args, q_i, 0.1)
+    assert (sums[0].hex(), sums[1].hex()) == (s_t, s_e)
+    many = _kernels.lorentzian_sums(*args, np.array([q_i, 1.0]), 0.1)
+    assert (many[0][0].hex(), many[1][0].hex()) == (s_t, s_e)
+    assert _kernels.finite_time_sum(*args, q_i, 3.7).hex() == finite_time

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from becimpurity import (
     transition_rate_asymptotic,
     transition_rate_quadrature,
 )
+from becimpurity import _kernels
 from becimpurity.quadrature import integrate
 
 UNIT = SystemParams(g=1.0)
@@ -157,6 +159,56 @@ def test_box_rate_subcritical_scales_linearly_with_eta():
         cfg = BoxOracleConfig(L=60.0, eta=eta, p_cut=3.0)
         assert box_rate(0.5, UNIT, cfg).gamma_T == pytest.approx(expected, rel=1e-12)
     assert frozen[0.02] / frozen[0.01] == pytest.approx(2.0, abs=0.01)
+
+
+# q_c = 1 for UNIT: the grid holds subcritical residue, q_c itself and supercritical points
+_BOX_GRID = np.linspace(0.0, 2.75, 12)
+
+
+@pytest.mark.parametrize("L", [30.0, 60.0])
+def test_box_rate_over_momenta_matches_each_momentum_bit_for_bit(L):
+    cfg = BoxOracleConfig(L=L, eta=3.0 / L, p_cut=3.0)
+    many = box_rate(_BOX_GRID, UNIT, cfg)
+    assert many.method == "box"
+    assert np.array_equal(many.q_i, _BOX_GRID)
+    for k, q_i in enumerate(_BOX_GRID.tolist()):
+        one = box_rate(q_i, UNIT, cfg)
+        for field in ("gamma_T", "gamma_E", "est_error", "smallness"):
+            assert getattr(many, field)[k].hex() == getattr(one, field).hex(), (q_i, field)
+
+
+@pytest.mark.parametrize("count", [1, 3, 20])
+def test_box_rate_makes_two_lattice_passes_whatever_the_grid(count, monkeypatch):
+    calls = []
+    sums = _kernels.lorentzian_sums
+    monkeypatch.setattr(_kernels, "lorentzian_sums", lambda *a: calls.append(a[-1]) or sums(*a))
+    box_rate(np.linspace(0.5, 2.5, count), UNIT, BoxOracleConfig(L=20.0, eta=0.3))
+    assert calls == [0.3, 0.6]
+
+
+def test_box_rate_of_no_momenta_visits_no_lattice(monkeypatch):
+    monkeypatch.setattr(_kernels, "lorentzian_sums", None)
+    r = box_rate(np.array([]), UNIT, BoxOracleConfig(L=1e4))  # above the point budget
+    assert r.gamma_T.shape == r.est_error.shape == (0,)
+
+
+@pytest.mark.parametrize("grid, cfg, error, message", [
+    # the window of 5.0 (p_max = 4.8) is not covered, whatever follows
+    ([2.0, 5.0, 1e-155], BoxOracleConfig(L=20.0, eta=0.3), ConfigurationError, "p_cut = 3.0"),
+    # the smallness at 1e-155 fails before the window of 5.0 is checked
+    ([1e-155, 5.0], BoxOracleConfig(L=20.0, eta=0.3), NumericalError, "smallness at q_i = 1e-155"),
+    # the first window comes before the budget, the budget before any rate
+    ([5.0, 1e-155], BoxOracleConfig(L=20.0, max_points=10), ConfigurationError, "p_cut = 3.0"),
+    ([1e-155, 5.0], BoxOracleConfig(L=20.0, max_points=10), ConfigurationError, "budget"),
+    ([2.0, 1e200], BoxOracleConfig(L=20.0, eta=0.3), NumericalError,
+     "largest emitted momentum at q_i = 1e+200"),
+])
+def test_box_rate_over_momenta_raises_what_a_loop_raises_first(grid, cfg, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        box_rate(np.array(grid), UNIT, cfg)
+    with pytest.raises(error, match=re.escape(message)):
+        for q_i in grid:
+            box_rate(q_i, UNIT, cfg)
 
 
 def test_survival_at_zero_time_is_one():
