@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import finite_time_kernel
+from .kinematics import _entries, _finite_time_kernel
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -100,12 +100,21 @@ def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
 
 
 def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
-    """Transition weight sum: sum over modes of w * finite-time kernel."""
-    acc = 0.0
+    """Transition weight sum: sum over modes of w * finite-time kernel.
+
+    t_time is a float or a 1-D array of times, each held to the scalar
+    nonnegative "time" rule, and the sums are a float or an array to match.
+    One pass over the slabs serves every time: the kernel is formed as a
+    (times, entries) block per slab, and each time's sum keeps the bits of
+    its own one-time call.
+    """
+    t, pack = _entries(t_time, "time", "times")
+    times = t[:, None]
+    acc = np.zeros(t.size)
     for count, w, _eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
         om = base - q_i * dk * float(nz) / M_imp
-        acc += float(np.sum(count * (w * finite_time_kernel(om, t_time))))
-    return acc
+        acc += (count * (w * _finite_time_kernel(om, times))).sum(axis=1)
+    return pack(acc)
 
 
 def inverse_square_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):

@@ -367,10 +367,9 @@ def golden_rule_linear_regime() -> tuple:
     q_i = 2.0
     cfg = BoxOracleConfig(L=60.0, eta=0.05, p_cut=3.0)
     gamma = transition_rate(q_i, params).gamma_T
+    times = [depletion / gamma for depletion in (0.02, 0.04)]
     worst = 0.0
-    for depletion in (0.02, 0.04):
-        t = depletion / gamma
-        p = survival_probability(q_i, params, cfg, t)
+    for t, p in zip(times, survival_probability(q_i, params, cfg, times).tolist()):
         worst = max(worst, abs((1.0 - p) / (gamma * t) - 1.0))
     return worst, f"max rel dev of 1 - P(t) from gamma_T*t at depletion 0.02, 0.04 = {worst:.3g}"
 
@@ -381,7 +380,7 @@ def _subcritical_survival() -> tuple:
     q_i = 0.5
     cfg = BoxOracleConfig(L=60.0, eta=0.05, p_cut=3.0)
     floor = survival_lower_bound(q_i, params, cfg)
-    min_p = min(survival_probability(q_i, params, cfg, t) for t in (1.0, 5.0, 20.0, 100.0, 200.0))
+    min_p = min(survival_probability(q_i, params, cfg, (1.0, 5.0, 20.0, 100.0, 200.0)).tolist())
     return floor, min_p
 
 

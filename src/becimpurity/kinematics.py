@@ -124,20 +124,28 @@ def max_emission_momentum(q_i, params: SystemParams):
     return pack(p_max)
 
 
-def _momenta(q_i):
-    """Initial momenta as a float array, each entry held to errors._require, and their pack.
+def _entries(values, name: str, plural: str):
+    """values as a float array, each entry held to errors._require (nonnegative), and their pack.
 
-    The pack turns an array over the momenta into a float (or bool) for one
-    real scalar and leaves it an array for a 1-D array, list or tuple.
+    The pack turns an array over the entries into a float (or bool) for one
+    real scalar and leaves it an array for a 1-D array, list or tuple. name
+    words the per-entry message, plural the message for a wrong shape.
     """
-    if isinstance(q_i, np.ndarray) and q_i.ndim > 1:
-        raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_i.shape}")
-    if not (isinstance(q_i, (list, tuple)) or isinstance(q_i, np.ndarray) and q_i.ndim == 1):
-        return np.array([_require(q_i, "initial momentum", positive=False)]), np.ndarray.item
-    if isinstance(q_i, np.ndarray) and q_i.dtype.kind == "f" and ((q_i >= 0) & (q_i < np.inf)).all():
-        return q_i.astype(float), np.asarray  # every entry passes the scalar rule
-    entries = q_i.tolist() if isinstance(q_i, np.ndarray) else q_i
-    return np.array([_require(q, "initial momentum", positive=False) for q in entries]), np.asarray
+    if isinstance(values, np.ndarray) and values.ndim > 1:
+        raise DomainError(f"{plural} must be a float or a 1-D array, got shape {values.shape}")
+    if not (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1):
+        return np.array([_require(values, name, positive=False)]), np.ndarray.item
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f" and (
+        (values >= 0) & (values < np.inf)
+    ).all():
+        return values.astype(float), np.asarray  # every entry passes the scalar rule
+    entries = values.tolist() if isinstance(values, np.ndarray) else values
+    return np.array([_require(v, name, positive=False) for v in entries]), np.asarray
+
+
+def _momenta(q_i):
+    """Initial momenta as a float array and their pack; see _entries."""
+    return _entries(q_i, "initial momentum", "initial momenta")
 
 
 def emission_window(q_i, params: SystemParams) -> EmissionWindow:
@@ -160,13 +168,17 @@ def finite_time_kernel(omega_val, t: float):
     Bounded by min(t**2, 4/omega**2) everywhere. Vectorized over omega_val.
     """
     t = _require(t, "time", positive=False)
-    w = np.asarray(omega_val, dtype=float)
+    out = _finite_time_kernel(np.asarray(omega_val, dtype=float), t)
+    return out if out.ndim else float(out)
+
+
+def _finite_time_kernel(w, t):
+    """finite_time_kernel on a float array w, for a float t or an array t broadcast against w."""
     z = w * t
     small = np.abs(z) < _KERNEL_SERIES_CUT
     w_safe = np.where(small, 1.0, w)
-    out = np.where(
+    return np.where(
         small,
         t * t * (1.0 - z * z / 12.0),
         4.0 * np.sin(0.5 * z) ** 2 / (w_safe * w_safe),
     )
-    return out if out.ndim else float(out)

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .bogoliubov import _as_momentum, _excitation_energy, dispersion
 from .errors import ConfigurationError, DomainError, NumericalError, _require
-from .kinematics import _momenta, _p_max, _raise_first, max_emission_momentum
+from .kinematics import _entries, _momenta, _p_max, _raise_first, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -324,27 +324,32 @@ def box_rate(q_i, params: SystemParams, cfg: BoxOracleConfig) -> RateResult:
     return _rate_result(q, pack, params, "box", gamma_T, gamma_E, est)
 
 
-def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig, t: float) -> float:
+def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig, t):
     """Probability that the impurity has not yet emitted after time t.
 
     First-order expression 1 - sum_p w(p)/L**3 * kernel(omega(p), t) on the
     box lattice, with the exact finite-time kernel (no broadening). Clamped
     to [0, 1]; a clamp means first-order perturbation theory has broken down
-    at this coupling and time, and a warning is emitted.
+    at this coupling and time, and a warning is emitted for each clamped
+    time. t is a float or a 1-D array of times (a list or tuple too), each
+    held to the scalar nonnegative rule, and the result is a float or an
+    array to match, each entry bit-identical to its float call. One lattice
+    pass serves every time.
     """
     q_i = _require(q_i, "initial momentum", positive=False)
-    _require(t, "time", positive=False)
+    times, pack = _entries(t, "time", "times")
     _check_window(q_i, params, cfg)
-    depletion = _kernels.finite_time_sum(*_lattice_args(params, cfg), q_i, t) / cfg.L**3
+    depletion = _kernels.finite_time_sum(*_lattice_args(params, cfg), q_i, times) / cfg.L**3
     raw = 1.0 - depletion
-    if raw < 0.0:
+    clamped = raw < 0.0
+    for time, lost in zip(times[clamped].tolist(), depletion[clamped].tolist()):
         warnings.warn(
-            f"first-order depletion {depletion} exceeds 1 at t = {t}; "
+            f"first-order depletion {lost} exceeds 1 at t = {time}; "
             "clamping survival to 0, result not perturbatively reliable",
             stacklevel=2,
         )
-        return 0.0
-    return min(raw, 1.0)
+    # min(raw, 1.0) keeps raw unless 1.0 < raw
+    return pack(np.where(clamped, 0.0, np.where(1.0 < raw, 1.0, raw)))
 
 
 def survival_lower_bound(q_i: float, params: SystemParams, cfg: BoxOracleConfig) -> float:

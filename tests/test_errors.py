@@ -64,6 +64,12 @@ _SITES = [
          ConfigurationError, "eta must be positive and finite, got 0"),
     _row("survival_probability-t", lambda v: survival_probability(0.5, UNIT, EMPTY_BOX, v), -1.0,
          DomainError, "time must be nonnegative and finite, got -1.0"),
+    _row("survival_probability-times",
+         lambda v: survival_probability(0.5, UNIT, EMPTY_BOX, np.array([1.0, v])), float("inf"),
+         DomainError, "time must be nonnegative and finite, got inf"),
+    _row("survival_probability-times-shape",
+         lambda v: survival_probability(0.5, UNIT, EMPTY_BOX, v), np.ones((1, 2)),
+         DomainError, "times must be a float or a 1-D array, got shape (1, 2)"),
     _row("second_derivative-h", lambda v: second_derivative(abs, 0.0, v), 0.0,
          DomainError, "step h must be positive and finite, got 0.0"),
     _row("I0", I0, -0.5, DomainError, "mass ratio must be positive and finite, got -0.5"),

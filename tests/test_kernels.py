@@ -225,3 +225,22 @@ def test_lattice_sums_keep_their_bits_where_omega_rounds(q_i, s_t, s_e, finite_t
     many = _kernels.lorentzian_sums(*args, np.array([q_i, 1.0]), 0.1)
     assert (many[0][0].hex(), many[1][0].hex()) == (s_t, s_e)
     assert _kernels.finite_time_sum(*args, q_i, 3.7).hex() == finite_time
+
+
+@pytest.mark.parametrize("L", [30.0, 60.0])
+def test_finite_time_sum_over_times_matches_each_time_bit_for_bit(L):
+    # t = 1e-5 puts some modes on the series side of the kernel, t = 0 all of them
+    dk = 2.0 * math.pi / L
+    args = (math.ceil(3.0 / dk), dk, 9.0, *_ODD, 2.31)
+    times = np.array([0.0, 1e-5, 0.37, 3.7, 20.0, 200.0, 1e4])
+    sums = _kernels.finite_time_sum(*args, times)
+    assert sums.shape == times.shape
+    for t, s in zip(times.tolist(), sums.tolist()):
+        assert s.hex() == _kernels.finite_time_sum(*args, t).hex()
+
+
+def test_finite_time_sum_keeps_the_shape_of_the_times():
+    assert isinstance(_kernels.finite_time_sum(*_ARGS, 1.0), float)
+    assert _kernels.finite_time_sum(*_ARGS, np.array([1.0])).shape == (1,)
+    assert _kernels.finite_time_sum(*_ARGS, [1.0, 2.0]).shape == (2,)
+    assert _kernels.finite_time_sum(*_ARGS, np.array([])).shape == (0,)

@@ -121,7 +121,10 @@ def test_nonfinite_integrand_raises_numerical():
 
 
 def _reference_panel(y, a, b):
-    """The per-panel GK15 arithmetic as 1-D dots on one panel's 15 values."""
+    """The per-panel GK15 arithmetic as 1-D dots on one panel's 15 values.
+
+    Returns (estimate, error estimate, the heuristic's branches taken).
+    """
     half = 0.5 * (b - a)
     k15 = half * float(_W_KRONROD @ y)
     g7 = half * float(_W_GAUSS @ y[1::2])
@@ -129,9 +132,45 @@ def _reference_panel(y, a, b):
     mean = k15 / (b - a)
     resasc = half * float(_W_KRONROD @ np.abs(y - mean))
     err = abs(k15 - g7)
+    branches = set()
+    if err == 0.0:
+        branches.add("err == 0")
+    elif resasc == 0.0:
+        branches.add("resasc == 0")
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return k15, max(err, 50.0 * _EPS * resabs)
+        ratio = 200.0 * err / resasc
+        branches.add("clamp" if ratio >= 1.0 else "power")
+        err = resasc * min(1.0, ratio ** 1.5)
+    floor = 50.0 * _EPS * resabs
+    if floor > err:
+        branches.add("floor")
+    return k15, max(err, floor), branches
+
+
+def _trial_rows(rng, n, kind):
+    """n panels of integrand values of one of seven kinds (kind 6 needs n >= 2)."""
+    y = rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-30, 30, size=(n, 1))
+    if kind == 0:
+        # smooth rows keep 200*err/resasc < 1, where the 1.5 power acts
+        y = np.exp(rng.uniform(-4, 4, size=(n, 1)) * _NODES) * y[:, :1]
+    elif kind == 1:
+        y = np.abs(y)
+    elif kind == 2:
+        y[rng.integers(n)] = 0.0
+    elif kind == 3:
+        y[rng.integers(n)] = rng.uniform(-1, 1)  # constant row: resasc ~ 0
+    elif kind == 4:
+        y *= 10.0 ** rng.uniform(-5, 5, size=(n, 15))  # mixed scales in a row
+    elif kind == 6:
+        # exact cancellations, with a power of two c: +-c at the outer Kronrod
+        # nodes gives k15 = g7 = 0 and resasc > 0; a constant c gives mean = c
+        # (the Kronrod weights sum to 2 exactly), so resasc = 0 and err > 0
+        first, second = rng.choice(n, size=2, replace=False)
+        c = 2.0 ** rng.integers(-60, 60)
+        y[first] = 0.0
+        y[first, 0], y[first, -1] = c, -c
+        y[second] = c
+    return y
 
 
 def test_batched_panels_match_the_per_panel_arithmetic_bitwise():
@@ -141,29 +180,39 @@ def test_batched_panels_match_the_per_panel_arithmetic_bitwise():
     panels = 0
     for trial in range(660):
         n = (1, 2, 8)[trial % 3]
-        y = rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-30, 30, size=(n, 1))
-        kind = trial % 6
-        if kind == 0:
-            # smooth rows keep 200*err/resasc < 1, where the 1.5 power acts
-            y = np.exp(rng.uniform(-4, 4, size=(n, 1)) * _NODES) * y[:, :1]
-        elif kind == 1:
-            y = np.abs(y)
-        elif kind == 2:
-            y[rng.integers(n)] = 0.0
-        elif kind == 3:
-            y[rng.integers(n)] = rng.uniform(-1, 1)  # constant row: resasc ~ 0
-        elif kind == 4:
-            y *= 10.0 ** rng.uniform(-5, 5, size=(n, 15))  # mixed scales in a row
+        y = _trial_rows(rng, n, trial % 6)
         lo = rng.uniform(-10, 10, size=n)
         hi = lo + 10.0 ** rng.uniform(-6, 2, size=n)
         rows = iter(y)
         (vals,), (errs,), bad = _eval_panels(lambda x: next(rows), lo[None], hi[None])
         assert bad == [None]
         for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            ref_val, ref_err = _reference_panel(y[i], a, b)
+            ref_val, ref_err, _ = _reference_panel(y[i], a, b)
             assert (vals[i].hex(), errs[i].hex()) == (ref_val.hex(), ref_err.hex())
         panels += n
     assert panels >= 2000
+
+
+def test_a_full_block_of_panels_matches_the_per_panel_arithmetic_bitwise():
+    # one _eval_panels call on the widest block integrate forms, with every
+    # branch of the error heuristic taken somewhere in it
+    rng = np.random.default_rng(20261019)
+    rows, width = quadrature._BLOCK, quadrature._INITIAL_PANELS
+    y = np.concatenate([_trial_rows(rng, width, row % 7) for row in range(rows)])
+    lo = rng.uniform(-10, 10, size=(rows, width))
+    hi = lo + 10.0 ** rng.uniform(-6, 2, size=(rows, width))
+    it = iter(y)
+    vals, errs, bad = _eval_panels(lambda x: next(it), lo, hi)
+    assert bad == [None] * rows
+    assert len(vals) == len(errs) == rows
+    branches = set()
+    for i in range(rows):
+        assert len(vals[i]) == len(errs[i]) == width
+        for j in range(width):
+            ref_val, ref_err, taken = _reference_panel(y[i * width + j], lo[i, j], hi[i, j])
+            assert (vals[i][j].hex(), errs[i][j].hex()) == (ref_val.hex(), ref_err.hex())
+            branches |= taken
+    assert branches == {"err == 0", "resasc == 0", "clamp", "power", "floor"}
 
 
 def _counting(f):
@@ -218,9 +267,34 @@ def test_overflowing_total_raises_numerical():
         integrate(lambda x: np.full_like(x, 5e307), 0.0, 8.0)
 
 
+_SHAPE_MESSAGE = "integrand must return an array matching its input shape"
+
+
 def test_wrong_shape_integrand_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         integrate(lambda x: np.array([1.0]), 0.0, 1.0)
+    assert str(exc.value) == _SHAPE_MESSAGE
+
+
+def _short_fourth_panel():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x[:14] if len(calls) == 4 else x
+
+    return f
+
+
+@pytest.mark.parametrize("make", [
+    _short_fourth_panel,  # ragged: 14 values on one panel only
+    lambda: lambda x: 1.0,  # a scalar per panel
+    lambda: lambda x: x[None],  # shape (1, 15)
+], ids=["ragged", "scalar", "1x15"])
+def test_misshapen_integrand_outputs_raise_the_one_message(make):
+    with pytest.raises(DomainError) as exc:
+        integrate(make(), 0.0, 1.0)
+    assert str(exc.value) == _SHAPE_MESSAGE
 
 
 def test_config_validation():

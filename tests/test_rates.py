@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from becimpurity import (
     transition_rate_asymptotic,
     transition_rate_quadrature,
 )
-from becimpurity import _kernels
+from becimpurity import _kernels, checks
 from becimpurity.quadrature import integrate
 
 UNIT = SystemParams(g=1.0)
@@ -232,6 +233,50 @@ def test_survival_clamps_with_warning_when_depletion_exceeds_one():
     with pytest.warns(UserWarning, match="depletion"):
         val = survival_probability(2.0, strong, BOX, 20.0)
     assert val == 0.0
+
+
+def _survival_and_warnings(*args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = survival_probability(*args)
+    return value, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("L", [30.0, 60.0])
+def test_survival_over_times_matches_each_time_bit_for_bit(L):
+    # at g = 3 the depletion passes 1 before t = 20: those times clamp and warn
+    strong = SystemParams(g=3.0)
+    cfg = BoxOracleConfig(L=L, eta=0.05, p_cut=3.0)
+    times = [0.0, 0.5, 2.0, 20.0, 60.0]
+    many, warned = _survival_and_warnings(2.0, strong, cfg, np.array(times))
+    singles = [_survival_and_warnings(2.0, strong, cfg, t) for t in times]
+    assert many.shape == (5,)
+    assert [v.hex() for v in many.tolist()] == [v.hex() for v, _ in singles]
+    assert warned == [message for _, messages in singles for message in messages]
+    assert many[0] == 1.0 and 0.0 < many[1] < 1.0
+    assert many[-1] == 0.0 and len(warned) >= 1 and "at t = 60.0;" in warned[-1]
+
+
+def test_survival_of_no_times_is_empty():
+    assert survival_probability(0.5, UNIT, BOX, np.array([])).shape == (0,)
+    assert survival_probability(0.5, UNIT, BOX, []).shape == (0,)
+    assert isinstance(survival_probability(0.5, UNIT, BOX, 1.0), float)
+
+
+def test_survival_checks_make_one_lattice_pass_per_kernel(monkeypatch):
+    passes = []
+    slabs = _kernels._slabs
+
+    def counted(*args):
+        passes.append(args)
+        return slabs(*args)
+
+    monkeypatch.setattr(_kernels, "_slabs", counted)
+    checks._subcritical_survival.__wrapped__()  # the floor and five times
+    assert len(passes) == 2
+    passes.clear()
+    checks.golden_rule_linear_regime()  # two times
+    assert len(passes) == 1
 
 
 def test_survival_lower_bound_reference_value():
