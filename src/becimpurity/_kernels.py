@@ -8,13 +8,17 @@ distinct value of nx**2 + ny**2, weighted by the number of (nx, ny) sites that
 share it: about 2,500 entries instead of 37,249 sites per slab at L = 200.
 The histogram of nx**2 + ny**2 is built once per kernel call and the slabs are
 visited one at a time, so no array spans more than one (2*n_max + 1)**2
-plane. Only omega depends on the impurity momentum, so lorentzian_sums makes
-one pass over the slabs for an array of momenta, in blocks of _Q_BLOCK, and
-each momentum's sums keep the bits of its own one-momentum call. All kernels
-are deterministic for fixed inputs.
+plane. Only omega depends on the impurity momentum, and _omegas is the one
+place that forms it: one walk over the slabs, per block of _Q_BLOCK momenta.
+The three sums are reductions over that walk, lorentzian_sums over an array
+of momenta and the other two over the one-entry block [q_i], and each
+momentum's sums keep the bits of its own one-momentum call. All kernels are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
+
+from itertools import cycle
 
 import numpy as np
 
@@ -31,7 +35,7 @@ __all__ = [
 # the only backend; kept as a name because perfbench/run.py records it
 ACTIVE_BACKEND = "numpy"
 
-# momenta per block of a lorentzian_sums slab: bounds its temporaries at
+# momenta per block of an _omegas slab: bounds the temporaries of a sum at
 # _Q_BLOCK times one slab, whatever the number of momenta
 _Q_BLOCK = 8
 
@@ -47,8 +51,7 @@ def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
 
     One entry per distinct nx**2 + ny**2 over the square [-n_max, n_max]**2;
     count is the number of (nx, ny) sites that share it. base = eps + p**2/2M
-    is omega without its momentum term: omega at q_i is
-    base - q_i * dk * float(nz) / M_imp, evaluated left to right.
+    is omega without its momentum term, which _omegas adds.
     """
     idx = np.arange(-n_max, n_max + 1)
     sq = idx * idx
@@ -67,6 +70,25 @@ def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
         yield counts[mask], w, eps, eps + p2m / (2.0 * M_imp), nz
 
 
+def _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q):
+    """Yield (count, w, eps, om) per nz slab and, in order, per block of _Q_BLOCK momenta of q.
+
+    q is a 1-D float array. count, w and eps are (1, entries) rows, and
+    om = base - q*dk*nz/M_imp is (momenta, entries), from a q*dk*nz/M_imp table
+    built once per block: nz*(q*dk) is (q*dk)*nz exactly, so each momentum
+    keeps the bits of its own one-momentum block.
+    """
+    nz_all = np.arange(-n_max, n_max + 1, dtype=np.float64)
+    shifts = [np.multiply.outer(nz_all, q[lo:lo + _Q_BLOCK] * dk)[..., None] / M_imp
+              for lo in range(0, q.size, _Q_BLOCK)]
+    for count, w, eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
+        # as (1, entries) rows they match a one-momentum block's shape; broadcasting a
+        # 1-D array instead costs about 1.5 us per numpy call, 10% of a small lattice
+        count, w, eps, base = count[None], w[None], eps[None], base[None]
+        for shift in shifts:
+            yield count, w, eps, base - shift[n_max + nz]
+
+
 def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
     """Broadened golden-rule sums: (sum w/(om^2+eta^2), sum w*eps/(om^2+eta^2)).
 
@@ -78,24 +100,14 @@ def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
     flat = q.reshape(-1)
     s_t = np.zeros(q.size)
     s_e = np.zeros(q.size)
-    nz_all = np.arange(-n_max, n_max + 1, dtype=np.float64)
-    blocks = []
-    for lo in range(0, q.size, _Q_BLOCK):
-        block = slice(lo, lo + _Q_BLOCK)
-        # q_i*dk*nz/M_imp of every slab as a (slab, momentum, 1) table, built once:
-        # nz*(q_i*dk) is (q_i*dk)*nz exactly, so omega keeps its one-momentum bits
-        shift = np.multiply.outer(nz_all, flat[block] * dk)[..., None] / M_imp
-        blocks.append((shift, s_t[block], s_e[block]))  # views: the sums add up in place
+    # views, one per block in the order _omegas yields them: the sums add up in place
+    blocks = [(s_t[lo:lo + _Q_BLOCK], s_e[lo:lo + _Q_BLOCK]) for lo in range(0, q.size, _Q_BLOCK)]
     eta2 = eta * eta
-    for count, w, eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
-        # as (1, entries) rows they match a one-momentum block's shape; broadcasting a
-        # 1-D array instead costs about 1.5 us per numpy call, 10% of a small lattice
-        count, w, eps, base = count[None], w[None], eps[None], base[None]
-        for shift, t, e in blocks:
-            om = base - shift[n_max + nz]
-            lor = count * (w / (om * om + eta2))
-            t += lor.sum(axis=1)
-            e += (lor * eps).sum(axis=1)
+    walk = _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, flat)
+    for (t, e), (count, w, eps, om) in zip(cycle(blocks), walk):
+        lor = count * (w / (om * om + eta2))
+        t += lor.sum(axis=1)
+        e += (lor * eps).sum(axis=1)
     return s_t.reshape(q.shape)[()], s_e.reshape(q.shape)[()]
 
 
@@ -111,8 +123,7 @@ def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
     t, pack = _entries(t_time, "time", "times")
     times = t[:, None]
     acc = np.zeros(t.size)
-    for count, w, _eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
-        om = base - q_i * dk * float(nz) / M_imp
+    for count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, np.array([q_i])):
         acc += (count * (w * _finite_time_kernel(om, times))).sum(axis=1)
     return pack(acc)
 
@@ -120,7 +131,6 @@ def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
 def inverse_square_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
     """Kernel-bound sum: sum over modes of 4*w/omega^2 (subcritical only)."""
     acc = 0.0
-    for count, w, _eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
-        om = base - q_i * dk * float(nz) / M_imp
+    for count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, np.array([q_i])):
         acc += float(np.sum(count * (4.0 * w / (om * om))))
     return acc

@@ -165,10 +165,15 @@ def finite_time_kernel(omega_val, t: float):
 
     Continuous at omega = 0 with value t**2; for |omega*t| below 1e-4 the
     series t**2 * (1 - (omega*t)**2/12) is used, accurate to ~1e-17 there.
-    Bounded by min(t**2, 4/omega**2) everywhere. Vectorized over omega_val.
+    Bounded by min(t**2, 4/omega**2) everywhere. Vectorized over omega_val;
+    raises DomainError where omega_val is not finite.
     """
     t = _require(t, "time", positive=False)
-    out = _finite_time_kernel(np.asarray(omega_val, dtype=float), t)
+    w = np.asarray(omega_val, dtype=float)
+    bad = w[~np.isfinite(w)]
+    if bad.size:
+        raise DomainError(f"frequency mismatch must be finite, got {bad[0].item()!r}")
+    out = _finite_time_kernel(w, t)
     return out if out.ndim else float(out)
 
 

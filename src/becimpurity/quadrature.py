@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -82,7 +83,10 @@ _DEFAULT_REL_TOL = 1e-10  # default rel_tol of integrate, the quadrature rates a
 
 
 def _check_rel_tol(rel_tol: float):
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
+    """Raise unless rel_tol is a finite real > 0; a bool is not a tolerance."""
+    if isinstance(rel_tol, bool) or not (
+        isinstance(rel_tol, numbers.Real) and math.isfinite(rel_tol) and rel_tol > 0
+    ):
         raise ConfigurationError(f"tol must be positive, got {rel_tol!r}")
 
 
@@ -196,8 +200,8 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     b is a float or a 1-D array of upper bounds. Returns (value,
     error_estimate): floats for a float b, arrays shaped like b otherwise.
     Every interval gets the result a call with its own float bound would
-    give, bit for bit. Raises ConfigurationError unless rel_tol is finite
-    and positive. Raises NumericalError, carrying the best value and its
+    give, bit for bit. Raises ConfigurationError unless rel_tol is a finite
+    positive real, and DomainError unless a and b are real. Raises NumericalError, carrying the best value and its
     estimate, if _MAX_SUBDIVISIONS bisections do not bring the error
     estimate down to rel_tol*|value|, or if the estimate or its error leaves
     the float range; for an array b, the first interval in index order to
@@ -206,7 +210,10 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     block is summed.
     """
     _check_rel_tol(rel_tol)
-    upper = np.asarray(b, dtype=float)
+    upper = np.asarray(b)
+    if not (isinstance(a, numbers.Real) and upper.dtype.kind in "biuf"):
+        raise DomainError(f"integration bounds must be real numbers, got a={a!r}, b={b!r}")
+    upper = upper.astype(float, copy=False)
     if upper.ndim > 1:
         raise DomainError(f"upper bounds must be a float or a 1-D array, got shape {upper.shape}")
     bounds = upper.reshape(-1)

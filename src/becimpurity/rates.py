@@ -256,17 +256,20 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
     return rate
 
 
-def _check_window(q_i: float, params: SystemParams, cfg: BoxOracleConfig):
-    """Raise unless p_cut covers the emission window at q_i."""
-    p_max = max_emission_momentum(q_i, params)
-    if cfg.p_cut <= p_max:
+def _lattice_args(q_i, params: SystemParams, cfg: BoxOracleConfig):
+    """The gate of the box routes: the lattice kernel arguments that precede q_i.
+
+    Raises, in this order, at the first momentum of q_i (a float or an
+    array) whose emission window p_cut does not cover or whose p_max leaves
+    the float range, then if the lattice exceeds the point budget.
+    """
+    q = np.atleast_1d(q_i)
+    missed = np.flatnonzero(~(cfg.p_cut > _p_max(q, params)))  # nan past the float range too
+    if missed.size:
+        p_max = max_emission_momentum(float(q[missed[0]]), params)  # raises past the float range
         raise ConfigurationError(
             f"p_cut = {cfg.p_cut} does not cover the emission window (p_max = {p_max})"
         )
-
-
-def _lattice_args(params: SystemParams, cfg: BoxOracleConfig):
-    """Budget check and packing of the lattice kernel arguments that precede q_i."""
     dk = 2.0 * math.pi / cfg.L
     n_max = math.ceil(cfg.p_cut / dk)
     n_points = _kernels.lattice_points(n_max)
@@ -303,15 +306,12 @@ def box_rate(q_i, params: SystemParams, cfg: BoxOracleConfig) -> RateResult:
     its rates.
     """
     q, pack = _momenta(q_i)
-    missed = np.flatnonzero(~(cfg.p_cut > _p_max(q, params)))  # nan past the float range too
+    missed = np.flatnonzero(~(cfg.p_cut > _p_max(q, params)))
     if missed.size:  # a loop raises at the momenta before the first missed window, then there
-        n = missed[0]
-        if n:
-            box_rate(q[:n], params, cfg)
-        _check_window(float(q[n]), params, cfg)  # raises
+        box_rate(q[:missed[0]], params, cfg)
     if not q.size:  # no momenta, no lattice
         return _rate_result(q, pack, params, "box", q, q, q)
-    args = _lattice_args(params, cfg)
+    args = _lattice_args(q, params, cfg)
     vol = cfg.L**3
     s_t, s_e = _kernels.lorentzian_sums(*args, q, cfg.eta)
     s_t2, _ = _kernels.lorentzian_sums(*args, q, 2.0 * cfg.eta)
@@ -338,8 +338,7 @@ def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig,
     """
     q_i = _require(q_i, "initial momentum", positive=False)
     times, pack = _entries(t, "time", "times")
-    _check_window(q_i, params, cfg)
-    depletion = _kernels.finite_time_sum(*_lattice_args(params, cfg), q_i, times) / cfg.L**3
+    depletion = _kernels.finite_time_sum(*_lattice_args(q_i, params, cfg), q_i, times) / cfg.L**3
     raw = 1.0 - depletion
     clamped = raw < 0.0
     for time, lost in zip(times[clamped].tolist(), depletion[clamped].tolist()):
@@ -363,5 +362,4 @@ def survival_lower_bound(q_i: float, params: SystemParams, cfg: BoxOracleConfig)
     q_i = _require(q_i, "initial momentum", positive=False)
     if q_i >= derive(params).q_c:
         raise DomainError("survival bound is defined for subcritical momenta only")
-    _check_window(q_i, params, cfg)
-    return 1.0 - _kernels.inverse_square_sum(*_lattice_args(params, cfg), q_i) / cfg.L**3
+    return 1.0 - _kernels.inverse_square_sum(*_lattice_args(q_i, params, cfg), q_i) / cfg.L**3

@@ -253,12 +253,16 @@ def effective_mass_finite_difference(params: SystemParams) -> MassResult:
 def energy_spectrum(q_list, params: SystemParams) -> list[SpectrumPoint]:
     """Quadratic subcritical spectrum E(q_i) = E(0) + q_i**2/(2*M_ef).
 
-    Built from the closed forms; even in q_i. Rejects any momentum at or
-    beyond the critical one, listing the offenders.
+    Built from the closed forms; even in q_i. q_list is a float or a 1-D
+    array, list or tuple. Rejects any momentum at or beyond the critical
+    one, listing the offenders.
     """
     d = derive(params)
     arr = _real_array(q_list)
-    q_arr = np.atleast_1d(np.asarray(q_list) if arr is None else arr).tolist()
+    q_arr = np.asarray(q_list) if arr is None else arr
+    if q_arr.ndim > 1:
+        raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_arr.shape}")
+    q_arr = np.atleast_1d(q_arr).tolist()
     offenders = [q for q in q_arr if arr is None or not (math.isfinite(q) and abs(q) < d.q_c)]
     if offenders:
         raise DomainError(

@@ -17,10 +17,12 @@ from becimpurity import (
     box_rate,
     derive,
     dispersion,
+    effective_mass_quadrature,
     emission_window,
     energy_shift_quadrature,
     energy_spectrum,
     finite_time_kernel,
+    integrate,
     max_emission_momentum,
     omega,
     resonance_cos,
@@ -111,6 +113,31 @@ _SITES = [
          f"spectrum is defined for |q_i| < q_c = {_QC}; offending values: ['0.5']"),
     _row("str-dispersion-p", lambda v: dispersion(v, UNIT), "2", DomainError,
          "momentum magnitude must be nonnegative and finite"),
+    # input types that leaked a raw TypeError or passed where no other input does
+    _row("energy_spectrum-2d", lambda v: energy_spectrum(v, DILUTE), np.zeros((2, 2)),
+         DomainError, "initial momenta must be a float or a 1-D array, got shape (2, 2)"),
+    _row("energy_spectrum-nested", lambda v: energy_spectrum(v, DILUTE), [[0.1]],
+         DomainError, "initial momenta must be a float or a 1-D array, got shape (1, 1)"),
+    _row("str-integrate-b", lambda v: integrate(abs, 0.0, v), "1", DomainError,
+         "integration bounds must be real numbers, got a=0.0, b='1'"),
+    _row("str-integrate-a", lambda v: integrate(abs, v, 1.0), "0", DomainError,
+         "integration bounds must be real numbers, got a='0', b=1.0"),
+    _row("None-integrate-a", lambda v: integrate(abs, v, 1.0), None, DomainError,
+         "integration bounds must be real numbers, got a=None, b=1.0"),
+    _row("bool-effective_mass_quadrature-tol",
+         lambda v: effective_mass_quadrature(DILUTE, tol=v), True,
+         ConfigurationError, "tol must be positive, got True"),
+    _row("bool-integrate-tol", lambda v: integrate(abs, 0, 1, v), True,
+         ConfigurationError, "tol must be positive, got True"),
+    _row("str-transition_rate_quadrature-tol",
+         lambda v: transition_rate_quadrature(2.0, UNIT, tol=v), "1e-9",
+         ConfigurationError, "tol must be positive, got '1e-9'"),
+    _row("finite_time_kernel-omega-inf", lambda v: finite_time_kernel(v, 1.0), float("inf"),
+         DomainError, "frequency mismatch must be finite, got inf"),
+    _row("finite_time_kernel-omega-nan", lambda v: finite_time_kernel(v, 1.0), float("nan"),
+         DomainError, "frequency mismatch must be finite, got nan"),
+    _row("finite_time_kernel-omegas", lambda v: finite_time_kernel(np.array([1.0, v]), 1.0),
+         -float("inf"), DomainError, "frequency mismatch must be finite, got -inf"),
 ]
 
 

@@ -22,7 +22,7 @@ from becimpurity import (
     transition_rate_asymptotic,
     transition_rate_quadrature,
 )
-from becimpurity import _kernels, checks
+from becimpurity import _kernels, checks, rates
 from becimpurity.quadrature import integrate
 
 UNIT = SystemParams(g=1.0)
@@ -212,6 +212,30 @@ def test_box_rate_over_momenta_raises_what_a_loop_raises_first(grid, cfg, error,
             box_rate(q_i, UNIT, cfg)
 
 
+_OVER_BUDGET = BoxOracleConfig(L=1e4)  # 871257511151 lattice points, above the default budget
+
+
+@pytest.mark.parametrize("q_i, message", [
+    # p_max = 4.8: the window fails before the budget is checked
+    (5.0, "p_cut = 3.0 does not cover the emission window (p_max = 4.8)"),
+    (2.0, "lattice would hold 871257511151 points, above the budget 100000000"),
+])
+def test_survival_checks_the_window_before_the_budget(q_i, message):
+    with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+        survival_probability(q_i, UNIT, _OVER_BUDGET, 1.0)
+
+
+def test_each_box_route_makes_one_gate_call(monkeypatch):
+    calls = []
+    gate = rates._lattice_args
+    monkeypatch.setattr(rates, "_lattice_args", lambda *a: calls.append(a[0]) or gate(*a))
+    cfg = BoxOracleConfig(L=20.0, eta=0.3)
+    box_rate(np.array([0.5, 2.0, 2.5]), UNIT, cfg)
+    survival_probability(2.0, UNIT, cfg, [1.0, 2.0])
+    survival_lower_bound(0.5, UNIT, cfg)
+    assert [np.size(q) for q in calls] == [3, 1, 1]
+
+
 def test_survival_at_zero_time_is_one():
     assert survival_probability(0.5, UNIT, BOX, 0.0) == 1.0
 
@@ -350,8 +374,6 @@ def test_quadrature_on_an_array_matches_float_calls_bitwise(M):
 
 def _traced_integrate(monkeypatch):
     """Wrap rates.integrate at its module binding, counting integrand calls."""
-    import becimpurity.rates as rates
-
     log = {"integrate": 0, "integrand": []}
     original = rates.integrate
 
