@@ -6,23 +6,25 @@ These triple sums are the only hot loops in the package. The summand depends
 on (nx, ny) only through nx**2 + ny**2, so each nz slab holds one entry per
 distinct value of nx**2 + ny**2, weighted by the number of (nx, ny) sites that
 share it: about 2,500 entries instead of 37,249 sites per slab at L = 200.
-The histogram of nx**2 + ny**2 is built once per kernel call and the slabs are
-visited one at a time, so no array spans more than one (2*n_max + 1)**2
-plane. Only omega depends on the impurity momentum, and _omegas is the one
-place that forms it: one walk over the slabs, per block of _Q_BLOCK momenta.
-The three sums are reductions over that walk, lorentzian_sums over an array
-of momenta and the other two over the one-entry block [q_i], and each
-momentum's sums keep the bits of its own one-momentum call. All kernels are
-deterministic for fixed inputs.
+The histogram of nx**2 + ny**2 is built once per kernel call, sorted, and the
+slabs are built one at a time, so no array spans more than one
+(2*n_max + 1)**2 plane. Slabs -nz and +nz share one build, since only omega
+tells them apart, and the mask |p| <= p_cut is a prefix slice of the sorted
+histogram. Only omega depends on the impurity momentum, and _omegas is the
+one place that forms it: one walk over the slab pairs, per block of _Q_BLOCK
+momenta, with the rows of -nz and +nz stacked. The three sums are reductions
+over that walk, lorentzian_sums over an array of momenta and the other two
+over the one-entry block [q_i]. Each reduction stores one 1-D sum per slab
+in a (2*n_max + 1, ...) table and adds its rows in nz order, -n_max first, so
+each momentum's sums keep the bits of a slab-by-slab loop over its own
+one-momentum call. All kernels are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-from itertools import cycle
-
 import numpy as np
 
-from .kinematics import _entries, _finite_time_kernel
+from .kinematics import _entries, _finite_time_kernel, _phase_in_range
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -35,8 +37,8 @@ __all__ = [
 # the only backend; kept as a name because perfbench/run.py records it
 ACTIVE_BACKEND = "numpy"
 
-# momenta per block of an _omegas slab: bounds the temporaries of a sum at
-# _Q_BLOCK times one slab, whatever the number of momenta
+# momenta per block of an _omegas slab pair: bounds the temporaries of a sum
+# at _Q_BLOCK times two slabs, whatever the number of momenta
 _Q_BLOCK = 8
 
 
@@ -47,11 +49,16 @@ def lattice_points(n_max: int) -> int:
 
 
 def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
-    """Yield (count, w, eps, base, nz) for each nz slab of the masked lattice.
+    """Yield (count, w, eps, base, nz) for nz = 0, 1, ..., n_max, each slab holding a mode.
 
-    One entry per distinct nx**2 + ny**2 over the square [-n_max, n_max]**2;
-    count is the number of (nx, ny) sites that share it. base = eps + p**2/2M
-    is omega without its momentum term, which _omegas adds.
+    Slab nz serves slab -nz too: everything but omega depends on nz through
+    nz**2 only. One entry per distinct nx**2 + ny**2 over the square
+    [-n_max, n_max]**2; count is the number of (nx, ny) sites that share it.
+    The entries are sorted and p2 rounds monotonically, so the mask
+    0 < p2 <= p_cut2 is a slice of them, and count, w, eps and base are over
+    that slice only; as p2 grows with nz, each slab's slice ends where the
+    previous one's did or sooner, and p2 is formed on that prefix only.
+    base = eps + p**2/2M is omega without its momentum term, which _omegas adds.
     """
     idx = np.arange(-n_max, n_max + 1)
     sq = idx * idx
@@ -59,34 +66,49 @@ def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
     perp = np.flatnonzero(counts)
     counts = counts[perp]
     perp2 = perp.astype(np.float64)
-    for nz in idx:
-        p2 = (perp2 + float(nz * nz)) * dk * dk
-        mask = (p2 > 0.0) & (p2 <= p_cut2)
-        if not mask.any():
+    end = perp2.size
+    for nz in range(n_max + 1):
+        p2 = (perp2[:end] + float(nz * nz)) * dk * dk
+        lo = p2.searchsorted(0.0, "right")
+        end = p2.searchsorted(p_cut2, "right")
+        if lo >= end:
             continue
-        p2m = p2[mask]
+        p2m = p2[lo:end]
         eps = np.sqrt(p2m * (p2m + 4.0 * m * nU0)) / (2.0 * m)
         w = g2n * p2m / (2.0 * m * eps)
-        yield counts[mask], w, eps, eps + p2m / (2.0 * M_imp), nz
+        yield counts[lo:end], w, eps, eps + p2m / (2.0 * M_imp), nz
 
 
 def _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q):
-    """Yield (count, w, eps, om) per nz slab and, in order, per block of _Q_BLOCK momenta of q.
+    """Yield (rows, cols, count, w, eps, om) per slab pair -nz, +nz and per block of q.
 
-    q is a 1-D float array. count, w and eps are (1, entries) rows, and
-    om = base - q*dk*nz/M_imp is (momenta, entries), from a q*dk*nz/M_imp table
-    built once per block: nz*(q*dk) is (q*dk)*nz exactly, so each momentum
-    keeps the bits of its own one-momentum block.
+    q is a 1-D float array, cut into blocks of _Q_BLOCK momenta. rows selects
+    the slabs in a (2*n_max + 1, ...) table indexed by nz + n_max (rows
+    n_max - nz and n_max + nz, or n_max alone at nz = 0), and cols the
+    block's momenta. count, w and eps are 1-D over the slab's entries, and
+    om = base - q*dk*nz/M_imp is a fresh (rows, momenta, entries) array, from
+    a q*dk*nz/M_imp table built once per block: nz*(q*dk) is (q*dk)*nz
+    exactly, so each momentum keeps the bits of its own one-momentum block.
     """
     nz_all = np.arange(-n_max, n_max + 1, dtype=np.float64)
-    shifts = [np.multiply.outer(nz_all, q[lo:lo + _Q_BLOCK] * dk)[..., None] / M_imp
+    blocks = [(slice(lo, lo + _Q_BLOCK),
+               np.multiply.outer(nz_all, q[lo:lo + _Q_BLOCK] * dk)[..., None] / M_imp)
               for lo in range(0, q.size, _Q_BLOCK)]
     for count, w, eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
-        # as (1, entries) rows they match a one-momentum block's shape; broadcasting a
-        # 1-D array instead costs about 1.5 us per numpy call, 10% of a small lattice
-        count, w, eps, base = count[None], w[None], eps[None], base[None]
-        for shift in shifts:
-            yield count, w, eps, base - shift[n_max + nz]
+        rows = slice(n_max - nz, n_max + nz + 1, 2 * nz or 1)
+        for cols, shift in blocks:
+            yield rows, cols, count, w, eps, base - shift[rows]
+
+
+def _in_nz_order(table):
+    """The rows of a per-slab sum table added one by one, slab -n_max first.
+
+    Each row is one slab's 1-D sum, so the total is the one a loop adding
+    the slabs into an accumulator in nz order would give, bit for bit. Rows
+    of slabs without a mode stay 0.0, which leaves the nonnegative running
+    sums as they are.
+    """
+    return np.add.accumulate(table)[-1]
 
 
 def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
@@ -97,18 +119,19 @@ def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
     sums are accumulated slab by slab with the arithmetic of its own call.
     """
     q = np.asarray(q_i, dtype=float)
-    flat = q.reshape(-1)
-    s_t = np.zeros(q.size)
-    s_e = np.zeros(q.size)
-    # views, one per block in the order _omegas yields them: the sums add up in place
-    blocks = [(s_t[lo:lo + _Q_BLOCK], s_e[lo:lo + _Q_BLOCK]) for lo in range(0, q.size, _Q_BLOCK)]
+    table_t = np.zeros((2 * n_max + 1, q.size))
+    table_e = np.zeros((2 * n_max + 1, q.size))
     eta2 = eta * eta
-    walk = _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, flat)
-    for (t, e), (count, w, eps, om) in zip(cycle(blocks), walk):
-        lor = count * (w / (om * om + eta2))
-        t += lor.sum(axis=1)
-        e += (lor * eps).sum(axis=1)
-    return s_t.reshape(q.shape)[()], s_e.reshape(q.shape)[()]
+    for rows, cols, count, w, eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
+                                                 q.reshape(-1)):
+        lor = np.multiply(om, om, out=om)  # count * (w / (om*om + eta2)), in place
+        lor += eta2
+        np.divide(w, lor, out=lor)
+        lor *= count
+        table_t[rows, cols] = lor.sum(axis=-1)
+        lor *= eps
+        table_e[rows, cols] = lor.sum(axis=-1)
+    return _in_nz_order(table_t).reshape(q.shape)[()], _in_nz_order(table_e).reshape(q.shape)[()]
 
 
 def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
@@ -117,20 +140,26 @@ def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
     t_time is a float or a 1-D array of times, each held to the scalar
     nonnegative "time" rule, and the sums are a float or an array to match.
     One pass over the slabs serves every time: the kernel is formed as a
-    (times, entries) block per slab, and each time's sum keeps the bits of
-    its own one-time call.
+    (slabs, times, entries) block per slab pair, and each time's sum keeps
+    the bits of its own one-time call. Raises NumericalError at the first
+    time whose sum leaves the float range, as it does where omega*t
+    overflows.
     """
     t, pack = _entries(t_time, "time", "times")
     times = t[:, None]
-    acc = np.zeros(t.size)
-    for count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, np.array([q_i])):
-        acc += (count * (w * _finite_time_kernel(om, times))).sum(axis=1)
-    return pack(acc)
+    table = np.zeros((2 * n_max + 1, t.size))
+    # past the float range the sums are inf or nan, and _phase_in_range raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, _cols, count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
+                                                       np.array([q_i])):
+            table[rows] = (count * (w * _finite_time_kernel(om, times))).sum(axis=-1)
+    return pack(_phase_in_range(_in_nz_order(table), t))
 
 
 def inverse_square_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
     """Kernel-bound sum: sum over modes of 4*w/omega^2 (subcritical only)."""
-    acc = 0.0
-    for count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, np.array([q_i])):
-        acc += float(np.sum(count * (4.0 * w / (om * om))))
-    return acc
+    table = np.zeros((2 * n_max + 1, 1))
+    for rows, _cols, count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
+                                                   np.array([q_i])):
+        table[rows] = (count * (4.0 * w / (om * om))).sum(axis=-1)
+    return float(_in_nz_order(table)[0])

@@ -36,10 +36,13 @@ class BogoliubovCoefficients:
 def _real_array(value):
     """value as a float array if it is a real scalar or an array of bools, ints or floats.
 
-    Anything else, numeric strings included, gives None, which each caller
-    refuses with its own message.
+    Anything else, numeric strings and ragged nestings included, gives None,
+    which each caller refuses with its own message.
     """
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged: numpy refuses to build the array
+        return None
     if arr.dtype.kind in "biuf" or isinstance(value, numbers.Real):
         return np.asarray(arr, dtype=float)
     return None

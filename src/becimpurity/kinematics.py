@@ -166,19 +166,39 @@ def finite_time_kernel(omega_val, t: float):
     Continuous at omega = 0 with value t**2; for |omega*t| below 1e-4 the
     series t**2 * (1 - (omega*t)**2/12) is used, accurate to ~1e-17 there.
     Bounded by min(t**2, 4/omega**2) everywhere. Vectorized over omega_val;
-    raises DomainError where omega_val is not finite.
+    raises DomainError where omega_val is not finite, and NumericalError
+    where omega*t leaves the float range.
     """
     t = _require(t, "time", positive=False)
     w = np.asarray(omega_val, dtype=float)
     bad = w[~np.isfinite(w)]
     if bad.size:
         raise DomainError(f"frequency mismatch must be finite, got {bad[0].item()!r}")
-    out = _finite_time_kernel(w, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _finite_time_kernel(w, t)
+    _phase_in_range(out, t)
     return out if out.ndim else float(out)
 
 
+def _phase_in_range(values, times):
+    """values, a float array; NumericalError at the time of its first non-finite entry.
+
+    times broadcasts against values. For finite omega and t the kernel is
+    finite unless the phase omega*t overflows, which makes sin(omega*t/2) nan.
+    """
+    bad = ~np.isfinite(values)
+    if bad.any():
+        time = np.broadcast_to(times, values.shape)[bad][0]
+        raise NumericalError(f"phase omega*t at t = {float(time)!r} leaves the float range")
+    return values
+
+
 def _finite_time_kernel(w, t):
-    """finite_time_kernel on a float array w, for a float t or an array t broadcast against w."""
+    """finite_time_kernel on a float array w, for a float t or an array t broadcast against w.
+
+    Where w*t overflows the value is nan, with numpy's RuntimeWarnings; the
+    callers silence them and check the result with _phase_in_range.
+    """
     z = w * t
     small = np.abs(z) < _KERNEL_SERIES_CUT
     w_safe = np.where(small, 1.0, w)

@@ -90,6 +90,14 @@ def _check_rel_tol(rel_tol: float):
         raise ConfigurationError(f"tol must be positive, got {rel_tol!r}")
 
 
+def _real_bounds(a, b):
+    """b as an array; DomainError unless a is a real scalar and b real (bools, ints or floats)."""
+    upper = np.asarray(b)
+    if not (isinstance(a, numbers.Real) and upper.dtype.kind in "biuf"):
+        raise DomainError(f"integration bounds must be real numbers, got a={a!r}, b={b!r}")
+    return upper
+
+
 def _eval_panels(f, lo, hi):
     """One Gauss-Kronrod pass over each panel [lo[i, j], hi[i, j]].
 
@@ -210,10 +218,7 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     block is summed.
     """
     _check_rel_tol(rel_tol)
-    upper = np.asarray(b)
-    if not (isinstance(a, numbers.Real) and upper.dtype.kind in "biuf"):
-        raise DomainError(f"integration bounds must be real numbers, got a={a!r}, b={b!r}")
-    upper = upper.astype(float, copy=False)
+    upper = _real_bounds(a, b).astype(float, copy=False)
     if upper.ndim > 1:
         raise DomainError(f"upper bounds must be a float or a 1-D array, got shape {upper.shape}")
     bounds = upper.reshape(-1)
@@ -241,7 +246,10 @@ def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = _DEFAULT_REL
 
     The rational map p = a + t/(1-t) carries [a, inf) to t in [0, 1); the
     decay contract keeps the transformed integrand bounded near t = 1.
+    Raises DomainError unless a is a finite real, non-real a in integrate's
+    words.
     """
+    _real_bounds(a, math.inf)
     if not np.isfinite(a):
         raise DomainError("lower bound must be finite")
 

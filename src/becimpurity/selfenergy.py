@@ -259,7 +259,8 @@ def energy_spectrum(q_list, params: SystemParams) -> list[SpectrumPoint]:
     """
     d = derive(params)
     arr = _real_array(q_list)
-    q_arr = np.asarray(q_list) if arr is None else arr
+    # an object array holds ragged input too, as a list of its entries
+    q_arr = np.asarray(q_list, dtype=object) if arr is None else arr
     if q_arr.ndim > 1:
         raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_arr.shape}")
     q_arr = np.atleast_1d(q_arr).tolist()

@@ -12,6 +12,7 @@ from becimpurity import (
     BoxOracleConfig,
     ConfigurationError,
     DomainError,
+    NumericalError,
     ParameterDomainError,
     SystemParams,
     box_rate,
@@ -33,7 +34,7 @@ from becimpurity import (
 )
 from becimpurity.errors import _require
 from becimpurity.params import renormalized_coupling
-from becimpurity.quadrature import second_derivative
+from becimpurity.quadrature import integrate_semi_infinite, second_derivative
 
 UNIT = SystemParams(g=1.0)
 DILUTE = SystemParams(a=0.01)
@@ -138,6 +139,21 @@ _SITES = [
          DomainError, "frequency mismatch must be finite, got nan"),
     _row("finite_time_kernel-omegas", lambda v: finite_time_kernel(np.array([1.0, v]), 1.0),
          -float("inf"), DomainError, "frequency mismatch must be finite, got -inf"),
+    # faults that ended in nan with numpy's RuntimeWarnings or in a raw numpy error
+    _row("survival_probability-phase",
+         lambda v: survival_probability(0.5, UNIT, BoxOracleConfig(L=20.0), v), 1e308,
+         NumericalError, "phase omega*t at t = 1e+308 leaves the float range"),
+    _row("finite_time_kernel-phase", lambda v: finite_time_kernel(1e300, v), 1e300,
+         NumericalError, "phase omega*t at t = 1e+300 leaves the float range"),
+    _row("str-integrate_semi_infinite-a", lambda v: integrate_semi_infinite(abs, v), "0",
+         DomainError, "integration bounds must be real numbers, got a='0', b=inf"),
+    _row("None-integrate_semi_infinite-a", lambda v: integrate_semi_infinite(abs, v), None,
+         DomainError, "integration bounds must be real numbers, got a=None, b=inf"),
+    _row("ragged-dispersion-p", lambda v: dispersion(v, UNIT), [[0.1], 0.2], DomainError,
+         "momentum magnitude must be nonnegative and finite"),
+    _row("ragged-energy_spectrum-q_i", lambda v: energy_spectrum(v, DILUTE), [[0.1], 0.2],
+         DomainError,
+         f"spectrum is defined for |q_i| < q_c = {_QC}; offending values: [[0.1], 0.2]"),
 ]
 
 

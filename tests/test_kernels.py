@@ -72,9 +72,13 @@ def test_inverse_square_sum_matches_reference():
 
 
 def _slab_counts(n_max, dk, p_cut2):
-    """(modes, entries): summed multiplicities and array lengths over the slabs."""
-    slabs = list(_kernels._slabs(n_max, dk, p_cut2, 1.0, 1.0, 1.0, 1.0))
-    return sum(int(c.sum()) for c, *_ in slabs), sum(c.size for c, *_ in slabs)
+    """(modes, entries): summed multiplicities and array lengths over the slabs.
+
+    _slabs yields nz >= 0 only; slab nz > 0 stands for slabs -nz and +nz.
+    """
+    slabs = [(2 if nz else 1, c)
+             for c, *_, nz in _kernels._slabs(n_max, dk, p_cut2, 1.0, 1.0, 1.0, 1.0)]
+    return sum(k * int(c.sum()) for k, c in slabs), sum(k * c.size for k, c in slabs)
 
 
 def _brute_mode_count(n_max, dk, p_cut2):
@@ -244,3 +248,16 @@ def test_finite_time_sum_keeps_the_shape_of_the_times():
     assert _kernels.finite_time_sum(*_ARGS, np.array([1.0])).shape == (1,)
     assert _kernels.finite_time_sum(*_ARGS, [1.0, 2.0]).shape == (2,)
     assert _kernels.finite_time_sum(*_ARGS, np.array([])).shape == (0,)
+
+
+def test_box_rate_keeps_its_bits_at_workload_scale():
+    # L = 160, p_cut = 3 (n_max = 77) and eta = 3/L, as in the box workload: about
+    # 1.6M modes in 78 slabs, the middle one and 77 pairs of -nz and +nz
+    r = box_rate(np.array([1.7, 2.05, 2.4]), SystemParams(g=1.0),
+                 BoxOracleConfig(L=160.0, eta=3.0 / 160.0, p_cut=3.0))
+    assert [v.hex() for v in r.gamma_T.tolist()] == [
+        "0x1.4d68bd40ed775p-6", "0x1.5c3c0d4c4f7b4p-5", "0x1.1d3218699caefp-4"]
+    assert [v.hex() for v in r.gamma_E.tolist()] == [
+        "0x1.4c2d90c8a5db6p-6", "0x1.e80f178fe1125p-5", "0x1.0b685815a64afp-3"]
+    assert [v.hex() for v in r.est_error.tolist()] == [
+        "0x1.80dcf150e6be2p-6", "0x1.ac2074ad906ecp-8", "0x1.117cb056b7294p-7"]
