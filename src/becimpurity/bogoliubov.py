@@ -66,14 +66,19 @@ def _in_range(value, arr, what: str):
     raise NumericalError(f"{what} at p = {float(bad)!r} leaves the float range")
 
 
+def _energy_scales(params: SystemParams):
+    """(2m, 2mc): eps(p) = p/2m * hypot(p, 2mc), as _excitation_energy forms it."""
+    two_m = 2.0 * params.m
+    return two_m, two_m * derive(params).c
+
+
 def _excitation_energy(params: SystemParams):
     """eps(p) for momenta already validated by _as_momentum.
 
     2m and 2mc are computed once, so quadrature integrands can call the
     returned function on every panel without re-deriving the sound speed.
     """
-    two_m = 2.0 * params.m
-    two_mc = two_m * derive(params).c
+    two_m, two_mc = _energy_scales(params)
 
     def eps(p):
         return p / two_m * np.hypot(p, two_mc)

@@ -159,12 +159,26 @@ def _cell(value) -> str:
     return _FMT % value
 
 
+def _csv_rows(rows) -> list:
+    """Each row as ",".join(map(_cell, row)), with one row format per table.
+
+    A column of Python floats only is formatted by _FMT inside the row
+    format; any other column (bools, strings, a None among floats) goes
+    through _cell.
+    """
+    columns = list(zip(*rows))
+    plain = [{float}.issuperset(map(type, col)) for col in columns]
+    row_format = ",".join(_FMT if p else "%s" for p in plain)
+    cells = zip(*(col if p else map(_cell, col) for col, p in zip(columns, plain)))
+    return [row_format % row for row in cells]
+
+
 def _render(cfg: dict, command: str, grid, header, rows, extra: dict) -> str:
     """CSV with extra as '# k = v' comments, or JSON with extra among the results."""
     if cfg["format"] == "csv":
         lines = [f"# {k} = {_FMT % v}" for k, v in extra.items()]
         lines.append(",".join(header))
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        lines.extend(_csv_rows(rows))
         return "\n".join(lines) + "\n"
     inputs = {"command": command, "params": asdict(cfg["params"]), "grid": grid}
     if "box" in cfg:

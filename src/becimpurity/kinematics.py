@@ -170,7 +170,10 @@ def finite_time_kernel(omega_val, t: float):
     where omega*t leaves the float range.
     """
     t = _require(t, "time", positive=False)
-    w = np.asarray(omega_val, dtype=float)
+    try:
+        w = np.asarray(omega_val, dtype=float)
+    except ValueError:  # ragged, or a string that is not a number
+        raise DomainError(f"frequency mismatch must be finite, got {omega_val!r}") from None
     bad = w[~np.isfinite(w)]
     if bad.size:
         raise DomainError(f"frequency mismatch must be finite, got {bad[0].item()!r}")

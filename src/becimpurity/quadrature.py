@@ -20,21 +20,28 @@ nodes form one (128*8, 15) array, the integrand's outputs are stacked into
 one array of the same shape, and everything after the calls is array passes
 over the block: the Kronrod and Gauss sums, the finite check, and the
 QUADPACK error heuristic (Piessens et al., 1983) with its branches, its
-clamp at 1 and its roundoff floor. Each interval of the block then runs its
-own heap of panels, in index order, exactly as a call with its bound alone
-would; a bisected pair is evaluated the same way, as a block of one. The
-weighted sums are taken as ``np.dot`` on a 3-D operand, which numpy
-evaluates as one 1-D dot per panel, bit-identical to summing each panel
-alone; a 2-D ``np.dot`` or ``@`` goes to a BLAS matrix-vector product and
-moves the last bit on most panels. The heuristic's 1.5 power is the one
-step left per panel: Python's float ``**`` is the C library's ``pow``,
-while ``np.power`` may dispatch to a SIMD loop (AVX-512 on x86-64) that does
-not round like it. So a batched call returns, for every interval, the bits
-a scalar call on that interval returns.
+clamp at 1 and its roundoff floor. In a block of at least ``_SETTLE_ROWS``
+intervals, one more array pass settles each interval that a call with its
+bound alone would return before any bisection: no non-finite node, a
+finite total and error, and the error within rel_tol*|total|. It sums
+each interval's 8 panels left to right in the array order of that call's
+heap, which depends only on how the 8 errors rank, so the totals carry the
+scalar call's bits. Every other interval, and every interval of a smaller
+block, runs its own heap of panels in ``_refine``, in index order, exactly
+as a call with its bound alone would; a bisected pair is evaluated the same
+way, as a block of one. The weighted sums are taken as ``np.dot`` on a 3-D
+operand, which numpy evaluates as one 1-D dot per panel, bit-identical to
+summing each panel alone; a 2-D ``np.dot`` or ``@`` goes to a BLAS
+matrix-vector product and moves the last bit on most panels. The
+heuristic's 1.5 power is the one step left per panel: Python's float ``**``
+is the C library's ``pow``, while ``np.power`` may dispatch to a SIMD loop
+(AVX-512 on x86-64) that does not round like it. So a batched call returns,
+for every interval, the bits a scalar call on that interval returns.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -78,6 +85,15 @@ _EDGE_INDEX = np.arange(_INITIAL_PANELS + 1.0)
 # intervals per array pass: node arrays of 120 kB; one pass over all 2000
 # intervals of a sweep, with its temporaries, raised its peak RSS by 10 MB
 _BLOCK = 128
+# blocks with fewer intervals go straight to _refine: below it the settle pass
+# costs a small call more than it saves
+_SETTLE_ROWS = 16
+# the pairs i < j of initial panels whose error comparisons code a heap order;
+# the codes are sums of distinct powers of two below 2**28, exact in floats,
+# which keep the settle pass on numpy loops the quadrature already runs
+_PAIRS = [(i, j) for i in range(_INITIAL_PANELS) for j in range(i + 1, _INITIAL_PANELS)]
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_PAIR_BITS = np.array([2.0 ** k for k in range(len(_PAIRS))])
 _MAX_SUBDIVISIONS = 200  # bisections per interval after the initial partition
 _DEFAULT_REL_TOL = 1e-10  # default rel_tol of integrate, the quadrature rates and the CLI
 
@@ -92,8 +108,11 @@ def _check_rel_tol(rel_tol: float):
 
 def _real_bounds(a, b):
     """b as an array; DomainError unless a is a real scalar and b real (bools, ints or floats)."""
-    upper = np.asarray(b)
-    if not (isinstance(a, numbers.Real) and upper.dtype.kind in "biuf"):
+    try:
+        upper = np.asarray(b)
+    except ValueError:  # ragged: numpy refuses to build the array
+        upper = None
+    if not (isinstance(a, numbers.Real) and upper is not None and upper.dtype.kind in "biuf"):
         raise DomainError(f"integration bounds must be real numbers, got a={a!r}, b={b!r}")
     return upper
 
@@ -103,9 +122,9 @@ def _eval_panels(f, lo, hi):
 
     lo and hi have shape (rows, panels). f is called once per panel, on its
     15 nodes, row by row. Returns (estimates, error_estimates, bad): the
-    first two as nested lists of floats shaped like lo, and bad holding, for
-    each row, the first node where f is not finite, or None. The estimates
-    of a row with a bad node are meaningless.
+    first two as float arrays shaped like lo, and bad holding, for each row,
+    the first node where f is not finite, or None. The estimates of a row
+    with a bad node are meaningless.
     """
     rows, width = lo.shape
     lo, hi = lo.ravel(), hi.ravel()
@@ -143,7 +162,7 @@ def _eval_panels(f, lo, hi):
         # never report an estimate below the roundoff floor of the panel
         floor = 50.0 * _EPS * resabs
         err = np.where(floor > err, floor, err)
-    return k15.reshape(rows, width).tolist(), err.reshape(rows, width).tolist(), bad
+    return k15.reshape(rows, width), err.reshape(rows, width), bad
 
 
 def _initial_edges(a: float, b: np.ndarray) -> np.ndarray:
@@ -157,6 +176,54 @@ def _initial_edges(a: float, b: np.ndarray) -> np.ndarray:
         edges[tiny] = _EDGE_INDEX / _INITIAL_PANELS * delta[tiny, None] + a
     edges[:, -1] = b
     return edges
+
+
+@functools.lru_cache(maxsize=256)
+def _heap_order(code: int) -> np.ndarray:
+    """The panel order of _refine's heap after its first 8 pushes, for one error pattern.
+
+    Bit k of code says err[i] >= err[j] for the k-th pair i < j of _PAIRS,
+    that is (-err[i], i) < (-err[j], j). heapq makes the same moves for any
+    keys that compare alike, so the ranks those bits give stand in for the
+    errors. A sweep block holds about one pattern.
+    """
+    rank = [0] * _INITIAL_PANELS
+    for k, (i, j) in enumerate(_PAIRS):
+        rank[j if code >> k & 1 else i] += 1
+    heap = []
+    for item in zip(rank, range(_INITIAL_PANELS)):
+        heapq.heappush(heap, item)
+    order = np.array([j for _, j in heap])
+    order.flags.writeable = False
+    return order
+
+
+def _settle(vals, errs, bad, rel_tol):
+    """(total, total_err, pending): each row's first totals, and the rows _refine must finish.
+
+    vals and errs are (rows, 8) arrays of initial panels. The totals are
+    summed left to right in the order _refine's heap holds the panels, so
+    they carry its bits; the + 0.0 turns an all -0.0 row into the 0.0 that
+    _refine's 0.0 + ... gives. A row is settled where _refine would return
+    these totals before any bisection: no bad node, both finite, and
+    total_err <= rel_tol*|total|, tested in Python floats as _refine tests
+    it, so a numpy rel_tol compares alike. pending lists the other rows in
+    index order.
+    """
+    # silent where nan and inf meet, as _refine's float comparisons and sums are
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes = np.where(errs[:, _PAIR_I] >= errs[:, _PAIR_J], _PAIR_BITS, 0.0).sum(axis=1)
+        order = np.empty(errs.shape, dtype=np.intp)
+        for code in set(codes.tolist()):  # one mask per pattern: no numpy sort
+            order[codes == code] = _heap_order(int(code))
+        total, total_err = (
+            np.add.accumulate(np.take_along_axis(v, order, axis=1), axis=1)[:, -1] + 0.0
+            for v in (vals, errs))
+    pending = [
+        i for i, (t, e, b) in enumerate(zip(total.tolist(), total_err.tolist(), bad))
+        if not (b is None and math.isfinite(t) and math.isfinite(e) and e <= rel_tol * abs(t))
+    ]
+    return total, total_err, pending
 
 
 def _refine(f, rel_tol, lo, hi, vals, errs, bad):
@@ -198,7 +265,8 @@ def _refine(f, rel_tol, lo, hi, vals, errs, bad):
         _, _, piece_lo, piece_hi, _ = heapq.heappop(heap)
         mid = 0.5 * (piece_lo + piece_hi)
         lo, hi = [piece_lo, mid], [mid, piece_hi]
-        (vals,), (errs,), (bad,) = _eval_panels(f, np.array([lo]), np.array([hi]))
+        vals, errs, (bad,) = _eval_panels(f, np.array([lo]), np.array([hi]))
+        (vals,), (errs,) = vals.tolist(), errs.tolist()
         splits += 1
 
 
@@ -215,7 +283,9 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     the float range; for an array b, the first interval in index order to
     fail raises. The intervals go in blocks of 128: the integrand is called
     on the initial panels of a whole block before any interval of that
-    block is summed.
+    block is summed. In a block of _SETTLE_ROWS or more, one array pass
+    settles the intervals that meet their target on those panels; the rest,
+    and all of a smaller block, are bisected by _refine in index order.
     """
     _check_rel_tol(rel_tol)
     upper = _real_bounds(a, b).astype(float, copy=False)
@@ -228,16 +298,22 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     if b_list and not a < min(b_list):
         raise DomainError(f"need a < b, got a={a}, b={next(x for x in b_list if not a < x)}")
 
-    results = []
+    values, errors = np.empty(len(b_list)), np.empty(len(b_list))
     for start in range(0, len(b_list), _BLOCK):
         edges = _initial_edges(a, bounds[start:start + _BLOCK])
         lo, hi = edges[:, :-1], edges[:, 1:]
         vals, errs, bad = _eval_panels(f, lo, hi)
-        pieces = zip(lo.tolist(), hi.tolist(), vals, errs, bad)
-        results += [_refine(f, rel_tol, *piece) for piece in pieces]
+        if len(bad) >= _SETTLE_ROWS:
+            rows = slice(start, start + len(bad))
+            values[rows], errors[rows], pending = _settle(vals, errs, bad, rel_tol)
+        else:
+            pending = range(len(bad))
+        if pending:
+            pieces = list(zip(lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist(), bad))
+        for i in pending:
+            values[start + i], errors[start + i] = _refine(f, rel_tol, *pieces[i])
     if upper.ndim == 0:
-        return results[0]
-    values, errors = np.array(results, dtype=float).reshape(-1, 2).T
+        return float(values[0]), float(errors[0])
     return values, errors
 
 

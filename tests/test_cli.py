@@ -450,3 +450,17 @@ def test_readme_config_table_matches_the_command(name, keys, example, tmp_path, 
     expected = 1 if name == "check" else 0
     code, _, err = run(capsys, name, "--config", str(cfg))
     assert (code, err) == (expected, "")
+
+
+def test_csv_rows_keep_the_bytes_of_cell_by_cell_formatting():
+    from becimpurity.cli import _cell, _csv_rows
+
+    rows = [
+        [0.0, None, True, "closed", 1e-310, np.float64(2.5), 3],
+        [-0.0, 0.1, False, "quadrature", float("inf"), 1.0, 4],
+        [1 / 3, float("nan"), True, "", -1e308, np.float64(-0.0), 5],
+    ]
+    assert _csv_rows(rows) == [",".join(map(_cell, row)) for row in rows]
+    floats = [[x, -x, x * 1e300] for x in np.linspace(-3.0, 3.0, 101).tolist()]
+    assert _csv_rows(floats) == [",".join(map(_cell, row)) for row in floats]
+    assert _csv_rows([]) == []

@@ -154,6 +154,10 @@ _SITES = [
     _row("ragged-energy_spectrum-q_i", lambda v: energy_spectrum(v, DILUTE), [[0.1], 0.2],
          DomainError,
          f"spectrum is defined for |q_i| < q_c = {_QC}; offending values: [[0.1], 0.2]"),
+    _row("ragged-integrate-b", lambda v: integrate(abs, 0.0, v), [[0.1], 0.2], DomainError,
+         "integration bounds must be real numbers, got a=0.0, b=[[0.1], 0.2]"),
+    _row("ragged-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), [[0.1], 0.2],
+         DomainError, "frequency mismatch must be finite, got [[0.1], 0.2]"),
 ]
 
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 import re
 
@@ -373,6 +374,7 @@ def test_bounds_spanning_several_blocks_match_scalar_calls_bitwise():
         f, shapes = _counting(_KINK)
         scalar.append(_hex(integrate(f, 0.0, b)))
         calls += len(shapes)
+    assert calls > 8 * len(bounds)  # blocks of settled and of bisected intervals
     f, shapes = _counting(_KINK)
     vals, errs = integrate(f, 0.0, bounds)
     assert [_hex(pair) for pair in zip(vals, errs)] == scalar
@@ -435,3 +437,109 @@ def test_subnormal_width_partition_matches_linspace():
     edges = _initial_edges(0.0, bounds)
     for row, b in zip(edges, bounds.tolist()):
         assert [v.hex() for v in row.tolist()] == [v.hex() for v in np.linspace(0.0, b, 9).tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the settle pass: intervals that meet their target on their initial panels
+
+
+def _first_totals(vals, errs):
+    """_refine's first (total, total_err): the heap's array order, summed left to right."""
+    heap = []
+    for seq, (err, val) in enumerate(zip(errs, vals)):
+        heapq.heappush(heap, (-err, seq, val))
+    total = total_err = 0.0
+    for item in heap:
+        total += item[2]
+        total_err += -item[0]
+    return total, total_err
+
+
+def _settle_rows(rng, rows):
+    """(rows, 8) panel estimates and errors with ties, zeros, -0.0 and non-finite entries."""
+    width = quadrature._INITIAL_PANELS
+    vals = rng.uniform(-1, 1, (rows, width)) * 10.0 ** rng.integers(-3, 17, (rows, width))
+    errs = np.abs(vals) * 10.0 ** rng.uniform(-15, -7, (rows, width))
+    bad = [None] * rows
+    for i in range(rows):
+        kind = i % 9
+        if kind == 1:
+            errs[i] = rng.integers(0, 3, width) * 1e-12  # ties and zeros
+        elif kind == 2:
+            errs[i] = 0.0
+        elif kind == 3:
+            vals[i, rng.random(width) < 0.5] = -0.0
+        elif kind == 4:
+            vals[i], errs[i] = -0.0, 0.0
+        elif kind == 5:
+            vals[i, rng.integers(width)] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 6:
+            errs[i, rng.integers(width)] = rng.choice([np.nan, np.inf])
+        elif kind == 7:
+            bad[i] = 0.5
+        elif kind == 8:
+            vals[i, :4] = 1.5e308  # a finite row whose sum leaves the float range
+    return vals, errs, bad
+
+
+@pytest.mark.parametrize("rel_tol", [1e-14, 1e-10, 1e-6])
+def test_settle_pass_matches_the_first_totals_of_refine_bitwise(rel_tol):
+    rng = np.random.default_rng(20261020)
+    vals, errs, bad = _settle_rows(rng, 900)
+    total, total_err, pending = quadrature._settle(vals, errs, bad, rel_tol)
+
+    def forbidden(x):
+        raise AssertionError("a settled row must not bisect")
+
+    lo, hi = [0.0] * 8, [1.0] * 8
+    settled = 0
+    for i in range(len(bad)):
+        ref = _first_totals(vals[i].tolist(), errs[i].tolist())
+        if not np.isnan(errs[i]).any():
+            assert (total[i].hex(), total_err[i].hex()) == (ref[0].hex(), ref[1].hex())
+        try:
+            returned = quadrature._refine(forbidden, rel_tol, lo, hi, vals[i].tolist(),
+                                          errs[i].tolist(), bad[i])
+        except (NumericalError, AssertionError):
+            assert i in pending  # it raises or bisects in _refine, so _refine gets it
+            continue
+        assert i not in pending
+        assert (returned[0].hex(), returned[1].hex()) == (total[i].hex(), total_err[i].hex())
+        settled += 1
+    assert 0 < settled < len(bad) and pending == sorted(pending)
+
+
+def test_settle_pass_leaves_an_all_negative_zero_row_at_positive_zero():
+    vals, errs = np.full((1, 8), -0.0), np.zeros((1, 8))
+    total, total_err, pending = quadrature._settle(vals, errs, [None], 1e-10)
+    assert (total[0].hex(), total_err[0].hex(), pending) == ((0.0).hex(), (0.0).hex(), [])
+
+
+def test_heap_order_codes_follow_heapq_for_every_tie_pattern():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        errs = rng.integers(0, 4, (1, 8)).astype(float)
+        ge = (errs[:, quadrature._PAIR_I] >= errs[:, quadrature._PAIR_J])[0].tolist()
+        code = sum(1 << k for k, bit in enumerate(ge) if bit)
+        heap = []
+        for seq, err in enumerate(errs[0].tolist()):
+            heapq.heappush(heap, (-err, seq))
+        assert quadrature._heap_order(code).tolist() == [seq for _, seq in heap]
+
+
+@pytest.mark.parametrize("where", [0, 17, 41])
+def test_settled_block_raises_what_the_first_failing_scalar_call_raises(where, monkeypatch):
+    # one interval exhausts its budget, and every later one holds a non-finite node
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    f = lambda x: np.where(x < 5.0, np.abs(x - 0.3), np.nan)
+    bounds = np.full(42, 0.2)
+    bounds[where] = 1.0
+    bounds[where + 1:] = 6.0
+    with pytest.raises(NumericalError) as alone:
+        integrate(f, 0.0, 1.0)
+    with pytest.raises(NumericalError) as batched:
+        integrate(f, 0.0, bounds)
+    assert "budget" in str(alone.value)
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.value.hex() == alone.value.value.hex()
+    assert batched.value.est_error.hex() == alone.value.est_error.hex()

@@ -23,6 +23,8 @@ from becimpurity import (
     transition_rate_quadrature,
 )
 from becimpurity import _kernels, checks, rates
+from becimpurity.bogoliubov import _excitation_energy
+from becimpurity.params import derive
 from becimpurity.quadrature import integrate
 
 UNIT = SystemParams(g=1.0)
@@ -370,6 +372,24 @@ def test_quadrature_on_an_array_matches_float_calls_bitwise(M):
             for name in fields:
                 assert float(getattr(batch, name)[i]).hex() == float(getattr(alone, name)).hex(), (
                     route.__name__, q_i, name)
+
+
+@pytest.mark.parametrize("M", [0.1, 1.0, 10.0])
+def test_quadrature_integrands_keep_the_bits_of_p3_over_eps_and_p3(M):
+    # the integrands inline eps and write p**3 as np.power(p, 3.0); both forms
+    # go through numpy's float64 power loop, so the rates keep every bit
+    params = SystemParams(g=1.0, M=M)
+    q = np.linspace(1.05, 10.0, 300) * derive(params).q_c
+    eps = _excitation_energy(params)
+    p_max = max_emission_momentum(q, params)
+    val_t, err_t = integrate(lambda p: p**3 / eps(p), 0.0, p_max)
+    val_e, err_e = integrate(lambda p: p**3, 0.0, p_max)
+    pref = rates._density_prefactor(q, params)
+    est = np.maximum(err_t / np.maximum(np.abs(val_t), rates._TINY),
+                     err_e / np.maximum(np.abs(val_e), rates._TINY))
+    r = transition_rate_quadrature(q, params)
+    for got, want in ((r.gamma_T, pref * val_t), (r.gamma_E, pref * val_e), (r.est_error, est)):
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def _traced_integrate(monkeypatch):
