@@ -14,6 +14,7 @@ rerunning a command with the same config reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -378,7 +379,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one becimpurity subcommand; the exit code is 0, 1 (a failed check), 2 or 3.
+
+    This is a process entry point: the console script and ``python -m
+    becimpurity``. Its first act is ``gc.freeze()``. The objects the imports
+    left alive, numpy's included, move to the permanent generation, which no
+    later collection scans, not even the ones interpreter exit runs; that is
+    most of the exit time of a short run. The freeze outlasts the call: in a
+    caller's own process, whatever was alive at the call stays until the
+    process exits, so a long-lived caller should use the library functions.
+    """
+    gc.freeze()
     args = _build_parser().parse_args(argv)
+    # argparse leaves ~350 objects in reference cycles, and the freeze restarts the
+    # allocation count that triggers a collection, so a short command could run
+    # none and hold them through its run (0.1 MB more peak RSS on a box-oracle op);
+    # this collection scans only what was made since the freeze
+    gc.collect()
     command = _COMMANDS[args.command]
     try:
         cfg = _resolve(args, command.keys)

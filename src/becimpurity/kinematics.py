@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _as_momentum, _in_range, dispersion
+from .bogoliubov import _as_momentum, _in_range, _real_array, dispersion
 from .errors import DomainError, NumericalError, _require
 from .params import SystemParams, derive
 
@@ -170,10 +170,9 @@ def finite_time_kernel(omega_val, t: float):
     where omega*t leaves the float range.
     """
     t = _require(t, "time", positive=False)
-    try:
-        w = np.asarray(omega_val, dtype=float)
-    except ValueError:  # ragged, or a string that is not a number
-        raise DomainError(f"frequency mismatch must be finite, got {omega_val!r}") from None
+    w = _real_array(omega_val)
+    if w is None:  # ragged, a string, None or any other non-real input
+        raise DomainError(f"frequency mismatch must be finite, got {omega_val!r}")
     bad = w[~np.isfinite(w)]
     if bad.size:
         raise DomainError(f"frequency mismatch must be finite, got {bad[0].item()!r}")

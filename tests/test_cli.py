@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -168,18 +172,19 @@ def test_dispersion_beyond_the_float_range_is_a_numerical_failure(capsys):
     assert err == "numerical failure: excitation energy at p = 1e+155 leaves the float range\n"
 
 
-def test_dispersion_overflow_leaks_no_warning():
-    import os
-    import subprocess
-    import sys
-
+def _python(*args):
+    """Run a fresh interpreter that imports this source tree's becimpurity."""
     src = pathlib.Path(becimpurity.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-W", "always", "-m", "becimpurity", "dispersion", "--grid", "0:1e155:2"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "numerical failure: excitation energy at p = 1e+155 leaves the float range\n"
+
+
+def test_dispersion_overflow_leaks_no_warning():
+    proc = _python("-W", "always", "-m", "becimpurity", "dispersion", "--grid", "0:1e155:2")
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"numerical failure: excitation energy at p = 1e+155 leaves the float range\n"
 
 
 def test_spectrum_beyond_critical_momentum_is_domain_error(capsys):
@@ -464,3 +469,49 @@ def test_csv_rows_keep_the_bytes_of_cell_by_cell_formatting():
     floats = [[x, -x, x * 1e300] for x in np.linspace(-3.0, 3.0, 101).tolist()]
     assert _csv_rows(floats) == [",".join(map(_cell, row)) for row in floats]
     assert _csv_rows([]) == []
+
+
+def test_main_freezes_the_import_time_heap_on_every_exit(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grids": "0:1:3"}))
+    argvs = [["dispersion"], ["check", "--output", str(tmp_path / "report.json")],
+             ["dispersion", "--config", str(cfg)], ["dispersion", "--no-such-flag"]]
+    script = textwrap.dedent("""
+        import argparse, contextlib, gc, io, json, sys
+        from becimpurity.cli import main
+        seen = []
+        for argv in json.loads(sys.argv[1]):
+            gc.unfreeze()  # each call starts from an unfrozen heap
+            before = gc.get_freeze_count()
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(io.StringIO())):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+            after = gc.get_freeze_count()
+            gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds, to look at it
+            gc.collect()
+            parser_garbage = any(isinstance(o, argparse.HelpFormatter) for o in gc.garbage)
+            gc.set_debug(0)
+            gc.garbage.clear()
+            seen.append([code, before, after, parser_garbage])
+        print(json.dumps(seen))
+    """)
+    proc = _python("-c", script, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    assert [code for code, *_ in seen] == [0, 1, 2, 2]
+    assert all(before == 0 and after > 0 for _, before, after, _ in seen), seen
+    # the parser's reference cycles are freed before the command runs; a usage
+    # error exits from inside the parser, before that collection
+    assert [garbage for *_, garbage in seen] == [False, False, False, True]
+
+
+@pytest.mark.parametrize("argv", [["rates", "--grid", "1.1:3:50"],
+                                  ["box-oracle", "--L", "30", "--eta", "0.1"]], ids=" ".join)
+def test_a_fresh_process_prints_what_main_prints_in_process(argv, capsys):
+    proc = _python("-m", "becimpurity", *argv)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")

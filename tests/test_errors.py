@@ -158,6 +158,10 @@ _SITES = [
          "integration bounds must be real numbers, got a=0.0, b=[[0.1], 0.2]"),
     _row("ragged-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), [[0.1], 0.2],
          DomainError, "frequency mismatch must be finite, got [[0.1], 0.2]"),
+    _row("str-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), "2",
+         DomainError, "frequency mismatch must be finite, got '2'"),
+    _row("None-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), None,
+         DomainError, "frequency mismatch must be finite, got None"),
 ]
 
 
