@@ -86,6 +86,34 @@ def _excitation_energy(params: SystemParams):
     return eps
 
 
+def _odd_taylor_tail(weight, first: int, last: int):
+    """tail(u, z), the sum over odd j from first to last of weight(j) * u**j / j!.
+
+    Every cancelling closed form of the package is such a sum in a
+    rapidity u: for the rates p = 2mc*sinh(u/2) and eps = m*c**2*sinh(u),
+    for I0 and I1 the mass ratio is cosh(u/2) or cos(u/2). tail evaluates
+    it as u**first times a Horner polynomial in z, highest power first:
+    z = u*u gives the hyperbolic function, z = -u*u its trigonometric twin.
+    The coefficients are weight(j)/j! from exact factorials.
+    """
+    coeffs = [weight(j) / math.factorial(j) for j in range(last, first - 1, -2)]
+    head, rest = coeffs[0], coeffs[1:]
+
+    def tail(u, z):
+        y = head
+        for c in rest:
+            y = y * z + c
+        return u**first * y
+
+    return tail
+
+
+# sinh(u) - u, used below u = 1: the radial integral of the rates, and I0
+_sinh_tail = _odd_taylor_tail(lambda j: 1.0, 3, 19)
+# (2 + cosh(u))*u - 3*sinh(u), used below u = 3: the numerator of I1
+_mass_tail = _odd_taylor_tail(lambda j: j - 3.0, 5, 31)
+
+
 def dispersion(p, params: SystemParams):
     """Excitation energy at momentum magnitude p.
 

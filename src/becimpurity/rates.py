@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bogoliubov import _as_momentum, _energy_scales, dispersion
+from .bogoliubov import _as_momentum, _energy_scales, _sinh_tail, dispersion
 from .errors import ConfigurationError, DomainError, NumericalError, _require
 from .kinematics import _entries, _momenta, _p_max, _raise_first, max_emission_momentum
 from .params import SystemParams, derive
@@ -82,8 +82,6 @@ class BoxOracleConfig:
             raise ConfigurationError(f"max_points must be a positive integer, got {self.max_points!r}")
 
 
-# below u = 1 these Taylor coefficients of sinh(u) - u, times u**3, replace the cancelling difference
-_SINH_SERIES = np.array([1.0 / math.factorial(j) for j in range(19, 2, -2)])
 _PREFACTOR_RANGE = "rate prefactor at q_i = {!r} leaves the float range"
 
 
@@ -160,8 +158,9 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
         gamma_E = pref * p_max**4/4
 
     gamma_E is an identity, not an approximation: the eps(p) weight integrates
-    in closed form. sinh(u) - u takes its Taylor series below u = 1 and
-    p_max its factored gap, so both rates are exact to rounding up to
+    in closed form. sinh(u) - u takes its odd Taylor tail below u = 1
+    (bogoliubov._sinh_tail, shared with selfenergy.I0) and p_max its
+    factored gap, so both rates are exact to rounding up to
     threshold, and exactly zero at or below it. transition_rate_quadrature
     shares pref and p_max and must reproduce both to its tolerance. q_i is a
     float or a 1-D array; each entry is bit-identical to the float call.
@@ -172,8 +171,7 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
     with np.errstate(over="ignore", invalid="ignore"):
         s = p_max / k
         u = 2.0 * np.arcsinh(s)
-        series = u**3 * np.polyval(_SINH_SERIES, u * u)
-        shape = np.where(u < 1.0, series, 2.0 * s * np.hypot(1.0, s) - u)  # sinh(u) - u
+        shape = np.where(u < 1.0, _sinh_tail(u, u * u), 2.0 * s * np.hypot(1.0, s) - u)  # sinh(u) - u
         pref = _density_prefactor(q, params)
         window = p_max > 0.0
         gamma_T = np.where(window, pref * (0.5 * params.m * k * k * shape), 0.0)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _excitation_energy, _real_array
-from .errors import ConfigurationError, DomainError, PerturbativeBreakdownError, _require
+from .bogoliubov import _excitation_energy, _mass_tail, _real_array, _sinh_tail
+from .errors import ConfigurationError, DomainError, NumericalError, PerturbativeBreakdownError, _require
 from .params import SystemParams, derive
 from .quadrature import integrate, integrate_semi_infinite, second_derivative
 
@@ -44,12 +44,6 @@ __all__ = [
     "effective_mass_finite_difference",
     "energy_spectrum",
 ]
-
-# Half-width of the series branch around the equal-mass point of I0/I1.
-# The closed forms cancel like 0/0 there, with relative rounding noise
-# growing as eps/e**2 while the linear series truncates like e**2; the two
-# cross near e = 5e-4.
-_BRANCH_DELTA = 5e-4
 
 _DEFAULT_TOL = 1e-12
 _FD_CUTOFF = 4000.0
@@ -81,40 +75,59 @@ class MassResult:
     method: str
 
 
+def _rapidity(x: float):
+    """(u, z, s, d) at a mass ratio x != 1, shared by I0 and I1.
+
+    u = 2*acosh(x) above 1 and 2*acos(x) below it, z = u*u or -u*u to match
+    (see bogoliubov._odd_taylor_tail), s = sqrt(|x*x - 1|) without squaring
+    x, so in range for every finite x, and d = x - 1.
+    """
+    d = x - 1.0
+    s = math.sqrt(abs(d)) * math.sqrt(x + 1.0)
+    if x > 1.0:
+        u = 2.0 * math.acosh(x)
+        return u, u * u, s, d
+    u = 2.0 * math.acos(x)
+    return u, -u * u, s, d
+
+
 def I0(x: float) -> float:
     """First fluctuation integral as a function of the mass ratio m/M.
 
-    Strictly decreasing on (0, inf) with I0(0+) = pi/2 and I0(1) = 4/3.
-    Three branches share real values: the closed form for x > 1, its real
-    continuation through arccos for x < 1, and a series near the equal-mass
-    point where both closed forms degenerate to 0/0.
+    Strictly decreasing on (0, inf) with I0(0+) = pi/2, I0(1) = 4/3 and
+    I0(inf) = 1. In the rapidity u of _rapidity, I0 = x/d - u/(2*d*s) on
+    both sides of the equal-mass point, where it cancels like 0/0. That is
+    (sinh(u) - u)/(2*d*s) above it and (u - sin(u))/(2*|d|*s) below it, and
+    below u = 1 the numerator is its odd Taylor tail instead. Exact to
+    rounding for every positive finite x.
     """
     x = _require(x, "mass ratio")
-    e = x - 1.0
-    if abs(e) <= _BRANCH_DELTA:
-        return 4.0 / 3.0 - (2.0 / 15.0) * e
-    if x > 1.0:
-        s = math.sqrt((x - 1.0) * (x + 1.0))
-        return (x * s - math.log(x + s)) / ((x - 1.0) * s)
-    s = math.sqrt((1.0 - x) * (1.0 + x))
-    return (x * s - math.acos(x)) / ((x - 1.0) * s)
+    if x == 1.0:
+        return 4.0 / 3.0
+    u, z, s, d = _rapidity(x)
+    if u < 1.0:
+        return _sinh_tail(u, z) / (2.0 * abs(d) * s)
+    return x / d - u / (2.0 * d * s)
 
 
 def I1(y: float) -> float:
     """Second fluctuation integral (effective-mass weight) vs the mass ratio.
 
-    Strictly decreasing with I1(0+) = pi/4 and I1(1) = 2/15; same branch
-    layout as I0.
+    Strictly decreasing with I1(0+) = pi/4, I1(1) = 2/15 and I1(inf) = 0.
+    In the rapidity u of _rapidity, I1 = ((1 + 2*y*y)*u - 6*y*s)/(4*s**5),
+    written with s divided out first so that no step overflows; below u = 3
+    the numerator (2 + cosh(u))*u - 3*sinh(u) (or its trigonometric twin)
+    is its odd Taylor tail instead. Exact to rounding for every positive
+    finite y, and 0.0 only where the true value underflows.
     """
     y = _require(y, "mass ratio")
-    e = y - 1.0
-    if abs(e) <= _BRANCH_DELTA:
-        return 2.0 / 15.0 - (6.0 / 35.0) * e
-    if y > 1.0:
-        s = math.sqrt((y - 1.0) * (y + 1.0))
-        return ((1.0 + 2.0 * y * y) * math.log(y + s) - 3.0 * y * s) / (2.0 * s**5)
-    s = math.sqrt((1.0 - y) * (1.0 + y))
-    return ((1.0 + 2.0 * y * y) * math.acos(y) - 3.0 * y * s) / (2.0 * s**5)
+    if y == 1.0:
+        return 2.0 / 15.0
+    u, z, s, _ = _rapidity(y)
+    if u < 3.0:
+        return _mass_tail(u, z) / (4.0 * s**5)
+    r = y / s
+    return (u * (1.0 / (s * s) + 2.0 * r * r) - 6.0 * r) / (4.0 * s) / (s * s)
 
 
 def mean_field_shift(params: SystemParams) -> float:
@@ -196,12 +209,20 @@ def effective_mass_closed(params: SystemParams) -> MassResult:
     sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * I1(m/M).
     """
     d = derive(params)
-    sigma = (
-        (16.0 / 3.0)
-        * params.n * params.a**2 / (params.M * d.c)
-        * (params.m / d.m_r) ** 2
-        * I1(params.m / params.M)
-    )
+    ratio = params.m / params.M
+    try:
+        sigma = (
+            (16.0 / 3.0)
+            * params.n * params.a**2 / (params.M * d.c)
+            * (params.m / d.m_r) ** 2
+            * I1(ratio)
+        )
+    except OverflowError:  # float ** raises where * would give inf
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise NumericalError(
+            f"closed-form mass correction at m/M = {ratio!r}: its factors leave the float range"
+        )
     return _mass_from_sigma(sigma, params, "closed")
 
 

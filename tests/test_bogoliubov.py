@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from becimpurity import (
     dispersion,
     transform_coefficients,
 )
+from becimpurity.bogoliubov import _mass_tail, _sinh_tail
 
 UNIT = SystemParams(g=1.0)
 
@@ -156,3 +158,24 @@ def test_transform_stays_exact_where_s_times_s_plus_2_overflows(p):
     batch = transform_coefficients(np.array([2.0, p]), UNIT)
     assert batch.alpha[1] == co.alpha and batch.beta[1] == co.beta
     assert batch.alpha[0] == transform_coefficients(2.0, UNIT).alpha
+
+
+def test_sinh_tail_is_the_horner_series_the_rates_always_used():
+    # bit for bit the u**3 * polyval form of sinh(u) - u below u = 1
+    u = np.linspace(1e-3, 1.0, 257)
+    coeffs = [1.0 / math.factorial(j) for j in range(19, 2, -2)]
+    want = u**3 * np.polyval(coeffs, u * u)
+    assert [v.hex() for v in _sinh_tail(u, u * u).tolist()] == [v.hex() for v in want.tolist()]
+
+
+@pytest.mark.parametrize("tail, cut, hyperbolic, trigonometric", [
+    (_sinh_tail, 1.0, lambda u: mpmath.sinh(u) - u, lambda u: u - mpmath.sin(u)),
+    (_mass_tail, 3.0, lambda u: (2 + mpmath.cosh(u)) * u - 3 * mpmath.sinh(u),
+     lambda u: (2 + mpmath.cos(u)) * u - 3 * mpmath.sin(u)),
+])
+def test_odd_tails_match_their_closed_forms_below_the_cut(tail, cut, hyperbolic, trigonometric):
+    with mpmath.workdps(60):
+        for u in np.geomspace(1e-8, cut, 97).tolist():
+            for z, exact in ((u * u, hyperbolic), (-u * u, trigonometric)):
+                ref = exact(mpmath.mpf(u))
+                assert float(abs((tail(u, z) - ref) / ref)) <= 1e-15, (u, z)

@@ -23,7 +23,7 @@ WEAK = SystemParams(a=0.01)
 
 
 def test_branch_integrals_at_equal_masses():
-    # the equal-mass point sits inside the series window; coefficients exact
+    # the equal-mass point, where both closed forms are 0/0, is exact
     assert I0(1.0) == 4.0 / 3.0
     assert I1(1.0) == 2.0 / 15.0
 
@@ -47,16 +47,31 @@ def test_branch_integrals_monotone_decreasing():
     assert all(b < a for a, b in zip(v1, v1[1:]))
 
 
+def _cut_neighbours(x: float, cut: float):
+    """Adjacent floats (a, b) near x with rapidity u(a) < cut <= u(b).
+
+    u = 2*acosh(x) above the equal-mass point and 2*acos(x) below it, as in
+    I0 and I1, so a takes the odd Taylor tail and b the closed expression.
+    """
+    u = (lambda v: 2.0 * math.acosh(v)) if x > 1.0 else (lambda v: 2.0 * math.acos(v))
+    a, b = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
+    if u(a) >= cut:
+        a, b = b, a
+    assert u(a) < cut <= u(b)
+    while math.nextafter(a, b) != b:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if u(mid) < cut else (a, mid)
+    return a, b
+
+
 def test_branch_integrals_seam_continuity():
-    # closed branches meet the series expansion at |x-1| = 5e-4
-    for x in (1.0 - 5e-4, 1.0 + 5e-4):
-        assert abs(I0(x) - I0(1.0)) < 1e-3
-    eps = 1e-12
-    for edge in (1.0 - 5e-4, 1.0 + 5e-4):
-        jump0 = abs(I0(edge * (1 + eps)) - I0(edge * (1 - eps)))
-        jump1 = abs(I1(edge * (1 + eps)) - I1(edge * (1 - eps)))
-        assert jump0 < 1e-7
-        assert jump1 < 1e-7
+    # on both sides of the equal-mass point, the odd Taylor tail and the
+    # closed expression meet within a few ulps at the rapidity cut: u = 1
+    # for I0 and u = 3 for I1
+    for integral, cut in ((I0, 1.0), (I1, 3.0)):
+        for x in (math.cosh(cut / 2.0), math.cos(cut / 2.0)):
+            a, b = _cut_neighbours(x, cut)
+            assert abs(integral(b) - integral(a)) <= 8 * math.ulp(integral(a)), (integral, a, b)
 
 
 def test_branch_integrals_domain_errors():
