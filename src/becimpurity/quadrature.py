@@ -1,9 +1,9 @@
 """Adaptive Gauss-Kronrod integration and finite-difference stencils.
 
-Everything here is deterministic by construction: the interval queue breaks
-error ties by insertion order, node evaluation is vectorized with a fixed
-layout, and neither randomness nor wall clock enters the algorithm, so
-identical inputs produce bit-identical outputs.
+Everything here is deterministic by construction: an interval's pieces are
+summed left to right and break error ties by position, node evaluation is
+vectorized with a fixed layout, and neither randomness nor wall clock
+enters the algorithm, so identical inputs produce bit-identical outputs.
 
 Integrands must accept a numpy array of abscissae and return an array of the
 same shape. Interval endpoints are never evaluated (all nodes are interior),
@@ -20,16 +20,14 @@ nodes form one (128*8, 15) array, the integrand's outputs are stacked into
 one array of the same shape, and everything after the calls is array passes
 over the block: the Kronrod and Gauss sums, the finite check, and the
 QUADPACK error heuristic (Piessens et al., 1983) with its branches, its
-clamp at 1 and its roundoff floor. In a block of at least ``_SETTLE_ROWS``
-intervals, one more array pass settles each interval that a call with its
-bound alone would return before any bisection: no non-finite node, a
-finite total and error, and the error within rel_tol*|total|. It sums
-each interval's 8 panels left to right in the array order of that call's
-heap, which depends only on how the 8 errors rank, so the totals carry the
-scalar call's bits. Every other interval, and every interval of a smaller
-block, runs its own heap of panels in ``_refine``, in index order, exactly
-as a call with its bound alone would; a bisected pair is evaluated the same
-way, as a block of one. The weighted sums are taken as ``np.dot`` on a 3-D
+clamp at 1 and its roundoff floor. One more array pass settles each
+interval that a call with its bound alone would return before any
+bisection: no non-finite node, a finite total and error, and the error
+within rel_tol*|total|. It sums each interval's 8 panels left to right,
+as ``_refine`` does, so the totals carry the scalar call's bits. Every
+other interval goes to ``_refine`` in index order, exactly as a call with
+its bound alone would; a bisected pair is evaluated the same way, as a
+block of one. The weighted sums are taken as ``np.dot`` on a 3-D
 operand, which numpy evaluates as one 1-D dot per panel, bit-identical to
 summing each panel alone; a 2-D ``np.dot`` or ``@`` goes to a BLAS
 matrix-vector product and moves the last bit on most panels. The
@@ -41,8 +39,6 @@ for every interval, the bits a scalar call on that interval returns.
 
 from __future__ import annotations
 
-import functools
-import heapq
 import math
 import numbers
 from typing import Callable
@@ -85,15 +81,6 @@ _EDGE_INDEX = np.arange(_INITIAL_PANELS + 1.0)
 # intervals per array pass: node arrays of 120 kB; one pass over all 2000
 # intervals of a sweep, with its temporaries, raised its peak RSS by 10 MB
 _BLOCK = 128
-# blocks with fewer intervals go straight to _refine: below it the settle pass
-# costs a small call more than it saves
-_SETTLE_ROWS = 16
-# the pairs i < j of initial panels whose error comparisons code a heap order;
-# the codes are sums of distinct powers of two below 2**28, exact in floats,
-# which keep the settle pass on numpy loops the quadrature already runs
-_PAIRS = [(i, j) for i in range(_INITIAL_PANELS) for j in range(i + 1, _INITIAL_PANELS)]
-_PAIR_I, _PAIR_J = np.array(_PAIRS).T
-_PAIR_BITS = np.array([2.0 ** k for k in range(len(_PAIRS))])
 _MAX_SUBDIVISIONS = 200  # bisections per interval after the initial partition
 _DEFAULT_REL_TOL = 1e-10  # default rel_tol of integrate, the quadrature rates and the CLI
 
@@ -178,47 +165,21 @@ def _initial_edges(a: float, b: np.ndarray) -> np.ndarray:
     return edges
 
 
-@functools.lru_cache(maxsize=256)
-def _heap_order(code: int) -> np.ndarray:
-    """The panel order of _refine's heap after its first 8 pushes, for one error pattern.
-
-    Bit k of code says err[i] >= err[j] for the k-th pair i < j of _PAIRS,
-    that is (-err[i], i) < (-err[j], j). heapq makes the same moves for any
-    keys that compare alike, so the ranks those bits give stand in for the
-    errors. A sweep block holds about one pattern.
-    """
-    rank = [0] * _INITIAL_PANELS
-    for k, (i, j) in enumerate(_PAIRS):
-        rank[j if code >> k & 1 else i] += 1
-    heap = []
-    for item in zip(rank, range(_INITIAL_PANELS)):
-        heapq.heappush(heap, item)
-    order = np.array([j for _, j in heap])
-    order.flags.writeable = False
-    return order
-
-
 def _settle(vals, errs, bad, rel_tol):
     """(total, total_err, pending): each row's first totals, and the rows _refine must finish.
 
     vals and errs are (rows, 8) arrays of initial panels. The totals are
-    summed left to right in the order _refine's heap holds the panels, so
-    they carry its bits; the + 0.0 turns an all -0.0 row into the 0.0 that
-    _refine's 0.0 + ... gives. A row is settled where _refine would return
-    these totals before any bisection: no bad node, both finite, and
-    total_err <= rel_tol*|total|, tested in Python floats as _refine tests
-    it, so a numpy rel_tol compares alike. pending lists the other rows in
-    index order.
+    summed left to right, as _refine sums them, so they carry its bits;
+    the + 0.0 turns an all -0.0 row into the 0.0 that _refine's 0.0 + ...
+    gives. A row is settled where _refine would return these totals before
+    any bisection: no bad node, both finite, and total_err <=
+    rel_tol*|total|, tested in Python floats as _refine tests it, so a
+    numpy rel_tol compares alike. pending lists the other rows in index
+    order.
     """
-    # silent where nan and inf meet, as _refine's float comparisons and sums are
+    # silent where nan and inf meet, as _refine's float sums are
     with np.errstate(over="ignore", invalid="ignore"):
-        codes = np.where(errs[:, _PAIR_I] >= errs[:, _PAIR_J], _PAIR_BITS, 0.0).sum(axis=1)
-        order = np.empty(errs.shape, dtype=np.intp)
-        for code in set(codes.tolist()):  # one mask per pattern: no numpy sort
-            order[codes == code] = _heap_order(int(code))
-        total, total_err = (
-            np.add.accumulate(np.take_along_axis(v, order, axis=1), axis=1)[:, -1] + 0.0
-            for v in (vals, errs))
+        total, total_err = (np.add.accumulate(v, axis=1)[:, -1] + 0.0 for v in (vals, errs))
     pending = [
         i for i, (t, e, b) in enumerate(zip(total.tolist(), total_err.tolist(), bad))
         if not (b is None and math.isfinite(t) and math.isfinite(e) and e <= rel_tol * abs(t))
@@ -227,25 +188,22 @@ def _settle(vals, errs, bad, rel_tol):
 
 
 def _refine(f, rel_tol, lo, hi, vals, errs, bad):
-    """Sum one interval's panels, bisecting the worst until the target is met.
+    """Sum one interval's pieces, bisecting the worst until the target is met.
 
     lo, hi, vals and errs are the interval's initial panels as lists of
-    floats; bad is the first non-finite node among them, or None.
+    floats in order of position, which _refine updates in place; bad is
+    the first non-finite node among them, or None. The pieces are summed
+    left to right, and the first of those with the largest error is
+    bisected, its halves taking its place.
     """
-    heap = []
-    seq = 0
     splits = 0
     while True:
         if bad is not None:
             raise NumericalError(f"integrand returned a non-finite value near x = {bad}")
-        for err, piece_lo, piece_hi, val in zip(errs, lo, hi, vals):
-            heapq.heappush(heap, (-err, seq, piece_lo, piece_hi, val))
-            seq += 1
-        total = 0.0
-        total_err = 0.0
-        for item in heap:
-            total += item[4]
-            total_err += -item[0]
+        total = total_err = 0.0
+        for val, err in zip(vals, errs):
+            total += val
+            total_err += err
         if not (math.isfinite(total) and math.isfinite(total_err)):
             raise NumericalError(
                 f"estimate {total!r} with error {total_err!r} leaves the float range",
@@ -262,11 +220,11 @@ def _refine(f, rel_tol, lo, hi, vals, errs, bad):
                 value=total,
                 est_error=total_err,
             )
-        _, _, piece_lo, piece_hi, _ = heapq.heappop(heap)
-        mid = 0.5 * (piece_lo + piece_hi)
-        lo, hi = [piece_lo, mid], [mid, piece_hi]
-        vals, errs, (bad,) = _eval_panels(f, np.array([lo]), np.array([hi]))
-        (vals,), (errs,) = vals.tolist(), errs.tolist()
+        k = errs.index(max(errs))
+        mid = 0.5 * (lo[k] + hi[k])
+        lo[k:k + 1], hi[k:k + 1] = [lo[k], mid], [mid, hi[k]]
+        halves, half_errs, (bad,) = _eval_panels(f, np.array([lo[k:k + 2]]), np.array([hi[k:k + 2]]))
+        vals[k:k + 1], errs[k:k + 1] = halves[0].tolist(), half_errs[0].tolist()
         splits += 1
 
 
@@ -281,11 +239,11 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     estimate, if _MAX_SUBDIVISIONS bisections do not bring the error
     estimate down to rel_tol*|value|, or if the estimate or its error leaves
     the float range; for an array b, the first interval in index order to
-    fail raises. The intervals go in blocks of 128: the integrand is called
-    on the initial panels of a whole block before any interval of that
-    block is summed. In a block of _SETTLE_ROWS or more, one array pass
-    settles the intervals that meet their target on those panels; the rest,
-    and all of a smaller block, are bisected by _refine in index order.
+    fail raises. The intervals go in blocks of 128, a float b as a block
+    of one: the integrand is called on the initial panels of a whole block
+    before any interval of that block is summed. One array pass settles
+    the intervals that meet their target on those panels; _refine bisects
+    the rest in index order.
     """
     _check_rel_tol(rel_tol)
     upper = _real_bounds(a, b).astype(float, copy=False)
@@ -303,15 +261,11 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
         edges = _initial_edges(a, bounds[start:start + _BLOCK])
         lo, hi = edges[:, :-1], edges[:, 1:]
         vals, errs, bad = _eval_panels(f, lo, hi)
-        if len(bad) >= _SETTLE_ROWS:
-            rows = slice(start, start + len(bad))
-            values[rows], errors[rows], pending = _settle(vals, errs, bad, rel_tol)
-        else:
-            pending = range(len(bad))
-        if pending:
-            pieces = list(zip(lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist(), bad))
+        rows = slice(start, start + len(bad))
+        values[rows], errors[rows], pending = _settle(vals, errs, bad, rel_tol)
         for i in pending:
-            values[start + i], errors[start + i] = _refine(f, rel_tol, *pieces[i])
+            values[start + i], errors[start + i] = _refine(
+                f, rel_tol, lo[i].tolist(), hi[i].tolist(), vals[i].tolist(), errs[i].tolist(), bad[i])
     if upper.ndim == 0:
         return float(values[0]), float(errors[0])
     return values, errors

@@ -22,6 +22,7 @@ crosses zero and a principal-value treatment would be needed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +127,13 @@ def I1(y: float) -> float:
     u, z, s, _ = _rapidity(y)
     if u < 3.0:
         return _mass_tail(u, z) / (4.0 * s**5)
+    return _scaled_I1(u, s, y) / (4.0 * s) / (s * s)
+
+
+def _scaled_I1(u: float, s: float, y: float) -> float:
+    """4*s**3*I1(y) from _rapidity's u and s, for u >= 3: finite for every finite y."""
     r = y / s
-    return (u * (1.0 / (s * s) + 2.0 * r * r) - 6.0 * r) / (4.0 * s) / (s * s)
+    return u * (1.0 / (s * s) + 2.0 * r * r) - 6.0 * r
 
 
 def mean_field_shift(params: SystemParams) -> float:
@@ -207,16 +213,32 @@ def effective_mass_closed(params: SystemParams) -> MassResult:
     """Closed-form dressed mass M_ef = M / (1 - sigma), with
 
     sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * I1(m/M).
+
+    Where I1(m/M) leaves the normal floats (m/M above about 2.2e103) while
+    (m/m_r)**2 = (1 + m/M)**2 grows as fast, sigma is formed instead as
+    (4/3) * (n*a**2/(m*c)) * (y/s) * ((1 + y)/s)**2 * (4*s**3*I1(y)) with
+    y = m/M and s = sqrt(y*y - 1), whose factors all stay near their
+    large-y limits.
     """
     d = derive(params)
     ratio = params.m / params.M
+    i1 = I1(ratio)
     try:
-        sigma = (
-            (16.0 / 3.0)
-            * params.n * params.a**2 / (params.M * d.c)
-            * (params.m / d.m_r) ** 2
-            * I1(ratio)
-        )
+        if i1 >= sys.float_info.min:
+            sigma = (
+                (16.0 / 3.0)
+                * params.n * params.a**2 / (params.M * d.c)
+                * (params.m / d.m_r) ** 2
+                * i1
+            )
+        else:
+            u, _, s, _ = _rapidity(ratio)
+            sigma = (
+                (4.0 / 3.0)
+                * params.n * params.a**2 / (params.m * d.c)
+                * (ratio / s) * ((1.0 + ratio) / s) ** 2
+                * _scaled_I1(u, s, ratio)
+            )
     except OverflowError:  # float ** raises where * would give inf
         sigma = math.inf
     if not math.isfinite(sigma):

@@ -163,8 +163,8 @@ _SITES = [
          DomainError, "frequency mismatch must be finite, got '2'"),
     _row("None-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), None,
          DomainError, "frequency mismatch must be finite, got None"),
-    _row("effective_mass_closed-M", lambda v: effective_mass_closed(SystemParams(a=0.01, M=v)), 1e-160,
-         NumericalError, "closed-form mass correction at m/M = 1e+160: its factors leave the float range"),
+    _row("effective_mass_closed-a", lambda v: effective_mass_closed(SystemParams(a=v)), 1e160,
+         NumericalError, "closed-form mass correction at m/M = 1.0: its factors leave the float range"),
 ]
 
 

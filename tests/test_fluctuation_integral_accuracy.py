@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from becimpurity import I0, I1, SystemParams, effective_mass_closed, energy_shift_closed
+from becimpurity import I0, I1, SystemParams, derive, effective_mass_closed, energy_shift_closed
 
 RATIOS = np.concatenate([
     np.geomspace(1e-6, 1e6, 1200),
@@ -79,3 +79,21 @@ def test_integrals_at_extreme_ratios():
 def test_closed_results_stay_finite_at_extreme_mass_ratios():
     assert math.isfinite(effective_mass_closed(SystemParams(a=0.01, M=1e-62)).M_ef)
     assert math.isfinite(energy_shift_closed(SystemParams(a=0.01, M=1e-160)))
+
+
+def _closed_sigma(params: SystemParams):
+    """(16/3)*(n*a**2/(M*c))*(m/m_r)**2*I1(m/M) to at least 30 digits, from the package's c."""
+    with mpmath.workdps(60):
+        n, a, m, M, c = (mpmath.mpf(v) for v in (params.n, params.a, params.m, params.M, derive(params).c))
+        i1 = _reference(params.m / params.M)[1]
+        return mpmath.mpf(16) / 3 * n * a * a / (M * c) * ((m + M) / M) ** 2 * i1
+
+
+@pytest.mark.parametrize("a, M", [
+    (0.01, 1e-100), (0.01, 1e-103), (0.01, 1e-160), (0.01, 1e-300),
+    (1e-10, 1e-103), (1e-10, 2e-109), (1e-10, 1e-200),
+])
+def test_closed_mass_matches_mpmath_where_I1_leaves_the_normal_floats(a, M):
+    # I1(m/M) is subnormal from m/M of about 2.2e103: the mass is then formed from s**3*I1
+    params = SystemParams(a=a, M=M)
+    assert _rel(-effective_mass_closed(params).correction, _closed_sigma(params)) <= 1e-14

@@ -1,4 +1,3 @@
-import heapq
 import math
 import re
 
@@ -15,6 +14,7 @@ from becimpurity import (
     transition_rate_quadrature,
 )
 from becimpurity.quadrature import (
+    _BLOCK,
     _EPS,
     _NODES,
     _W_GAUSS,
@@ -365,20 +365,20 @@ def test_array_bounds_match_scalar_calls_bitwise_and_count_8n_plus_2k():
     assert shapes == [(15,)] * (8 * len(_MIXED_BOUNDS) + 2 * bisections)
 
 
-def test_bounds_spanning_several_blocks_match_scalar_calls_bitwise():
-    from becimpurity.quadrature import _BLOCK
-
-    bounds = np.linspace(0.05, 2.0, 2 * _BLOCK + 44)
-    scalar, calls = [], 0
+@pytest.mark.parametrize("n", [1, 15, 16, 17, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 44])
+def test_bounds_spanning_several_blocks_match_scalar_calls_bitwise(n):
+    # descending, so even one bound bisects; from two on, the last settles at once
+    bounds = np.linspace(2.0, 0.05, n)
+    scalar, calls = [], []
     for b in bounds.tolist():
         f, shapes = _counting(_KINK)
         scalar.append(_hex(integrate(f, 0.0, b)))
-        calls += len(shapes)
-    assert calls > 8 * len(bounds)  # blocks of settled and of bisected intervals
+        calls.append(len(shapes))
+    assert max(calls) > 8 and (n == 1 or min(calls) == 8)
     f, shapes = _counting(_KINK)
     vals, errs = integrate(f, 0.0, bounds)
     assert [_hex(pair) for pair in zip(vals, errs)] == scalar
-    assert shapes == [(15,)] * calls
+    assert shapes == [(15,)] * sum(calls)
 
 
 def test_float_bound_gives_floats_and_one_element_array_gives_arrays():
@@ -444,14 +444,11 @@ def test_subnormal_width_partition_matches_linspace():
 
 
 def _first_totals(vals, errs):
-    """_refine's first (total, total_err): the heap's array order, summed left to right."""
-    heap = []
-    for seq, (err, val) in enumerate(zip(errs, vals)):
-        heapq.heappush(heap, (-err, seq, val))
+    """_refine's first (total, total_err): the panels summed left to right from 0.0."""
     total = total_err = 0.0
-    for item in heap:
-        total += item[2]
-        total_err += -item[0]
+    for val, err in zip(vals, errs):
+        total += val
+        total_err += err
     return total, total_err
 
 
@@ -515,16 +512,24 @@ def test_settle_pass_leaves_an_all_negative_zero_row_at_positive_zero():
     assert (total[0].hex(), total_err[0].hex(), pending) == ((0.0).hex(), (0.0).hex(), [])
 
 
-def test_heap_order_codes_follow_heapq_for_every_tie_pattern():
-    rng = np.random.default_rng(5)
-    for _ in range(400):
-        errs = rng.integers(0, 4, (1, 8)).astype(float)
-        ge = (errs[:, quadrature._PAIR_I] >= errs[:, quadrature._PAIR_J])[0].tolist()
-        code = sum(1 << k for k, bit in enumerate(ge) if bit)
-        heap = []
-        for seq, err in enumerate(errs[0].tolist()):
-            heapq.heappush(heap, (-err, seq))
-        assert quadrature._heap_order(code).tolist() == [seq for _, seq in heap]
+def test_refine_bisects_the_leftmost_of_tied_pieces_and_splices_its_halves_in_place():
+    # pieces 2 and 5 tie for the largest error; f = 1 gives every half a roundoff-sized error
+    spans = []
+
+    def f(x):
+        spans.append((x.min(), x.max()))
+        return np.ones_like(x)
+
+    lo, hi = [float(k) for k in range(8)], [float(k + 1) for k in range(8)]
+    vals, errs = [1.0] * 8, [0.0, 0.0, 5.0, 0.0, 0.0, 5.0, 0.0, 0.0]
+    total, total_err = quadrature._refine(f, 1e-10, lo, hi, vals, errs, None)
+    assert len(spans) == 4  # two bisections, one call per half
+    assert 2.0 < spans[0][0] < spans[0][1] < 2.5 < spans[1][0] < spans[1][1] < 3.0
+    assert 5.0 < spans[2][0] < spans[2][1] < 5.5 < spans[3][0] < spans[3][1] < 6.0
+    assert lo == [0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0]
+    assert hi == lo[1:] + [8.0]
+    assert vals[:2] == vals[4:6] == vals[8:] == [1.0, 1.0] and max(errs) < 1e-12
+    assert (total.hex(), total_err.hex()) == tuple(v.hex() for v in _first_totals(vals, errs))
 
 
 @pytest.mark.parametrize("where", [0, 17, 41])
