@@ -15,63 +15,16 @@ checks compare them at stated tolerances.
 __version__ = "0.1.0"
 
 from . import bogoliubov, checks, errors, kinematics, params, quadrature, rates, selfenergy
-from .bogoliubov import (
-    BogoliubovCoefficients,
-    coupling_weight,
-    dispersion,
-    transform_coefficients,
-)
-from .checks import DEFAULT_TOLERANCES, EXPECTED_FAILURES, CheckResult, run_all, run_check
-from .errors import (
-    BecImpurityError,
-    ConfigurationError,
-    DomainError,
-    NumericalError,
-    ParameterDomainError,
-    PerturbativeBreakdownError,
-    SingularityError,
-)
-from .kinematics import (
-    EmissionWindow,
-    emission_window,
-    finite_time_kernel,
-    max_emission_momentum,
-    omega,
-    resonance_cos,
-)
-from .params import (
-    DerivedQuantities,
-    SystemParams,
-    born_scattering_length,
-    derive,
-    renormalized_coupling,
-)
-from .quadrature import integrate, integrate_semi_infinite, second_derivative
-from .rates import (
-    BoxOracleConfig,
-    RateResult,
-    box_rate,
-    emission_spectral_density,
-    energy_dissipation_rate,
-    survival_lower_bound,
-    survival_probability,
-    transition_rate,
-    transition_rate_asymptotic,
-    transition_rate_quadrature,
-)
-from .selfenergy import (
-    I0,
-    I1,
-    MassResult,
-    SpectrumPoint,
-    effective_mass_closed,
-    effective_mass_finite_difference,
-    effective_mass_quadrature,
-    energy_shift_closed,
-    energy_shift_quadrature,
-    energy_spectrum,
-    mean_field_shift,
-)
+
+# each module's public names, as its own __all__ lists them
+from .bogoliubov import *
+from .checks import *
+from .errors import *
+from .kinematics import *
+from .params import *
+from .quadrature import *
+from .rates import *
+from .selfenergy import *
 
 # built from the modules' own lists, so the package surface cannot drift from them
 __all__ = [

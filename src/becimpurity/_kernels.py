@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import _entries, _finite_time_kernel, _phase_in_range
+from .errors import _in_float_range
+from .kinematics import _PHASE_RANGE, _entries, _finite_time_kernel
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -148,12 +149,12 @@ def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
     t, pack = _entries(t_time, "time", "times")
     times = t[:, None]
     table = np.zeros((2 * n_max + 1, t.size))
-    # past the float range the sums are inf or nan, and _phase_in_range raises
+    # past the float range the sums are inf or nan, and _in_float_range raises
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, _cols, count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
                                                        np.array([q_i])):
             table[rows] = (count * (w * _finite_time_kernel(om, times))).sum(axis=-1)
-    return pack(_phase_in_range(_in_nz_order(table), t))
+    return pack(_in_float_range(t, (_in_nz_order(table), _PHASE_RANGE)))
 
 
 def inverse_square_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):

@@ -8,12 +8,11 @@ the float range raises NumericalError instead of coming back as inf or nan.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SingularityError
+from .errors import DomainError, SingularityError, _in_float_range, _real_array
 from .params import SystemParams, derive
 
 __all__ = [
@@ -33,19 +32,8 @@ class BogoliubovCoefficients:
     beta: float
 
 
-def _real_array(value):
-    """value as a float array if it is a real scalar or an array of bools, ints or floats.
-
-    Anything else, numeric strings and ragged nestings included, gives None,
-    which each caller refuses with its own message.
-    """
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged: numpy refuses to build the array
-        return None
-    if arr.dtype.kind in "biuf" or isinstance(value, numbers.Real):
-        return np.asarray(arr, dtype=float)
-    return None
+# the tail of each out-of-range message here, naming the momentum
+_AT_P = " at p = {!r} leaves the float range"
 
 
 def _as_momentum(p):
@@ -53,17 +41,6 @@ def _as_momentum(p):
     if arr is None or not ((arr >= 0) & (arr < np.inf)).all():  # also rejects nan
         raise DomainError("momentum magnitude must be nonnegative and finite")
     return arr
-
-
-def _in_range(value, arr, what: str):
-    """value as a float (0-d) or array; NumericalError naming the first p where it is not finite."""
-    if value.ndim == 0:
-        if math.isfinite(value):
-            return float(value)
-    elif np.isfinite(value).all():
-        return value
-    bad = arr[~np.isfinite(value)][0] if arr.ndim else arr
-    raise NumericalError(f"{what} at p = {float(bad)!r} leaves the float range")
 
 
 def _energy_scales(params: SystemParams):
@@ -125,7 +102,7 @@ def dispersion(p, params: SystemParams):
     arr = _as_momentum(p)
     with np.errstate(over="ignore"):
         eps = _excitation_energy(params)(arr)
-    return _in_range(eps, arr, "excitation energy")
+    return _in_float_range(arr, (eps, "excitation energy" + _AT_P))
 
 
 def transform_coefficients(p, params: SystemParams) -> BogoliubovCoefficients:
@@ -149,9 +126,9 @@ def transform_coefficients(p, params: SystemParams) -> BogoliubovCoefficients:
         alpha = mu / root
         beta = 1.0 / root
     return BogoliubovCoefficients(
-        mu=_in_range(mu, arr, "transformation coefficient mu"),
-        alpha=_in_range(alpha, arr, "transformation coefficient alpha"),
-        beta=_in_range(beta, arr, "transformation coefficient beta"),
+        mu=_in_float_range(arr, (mu, "transformation coefficient mu" + _AT_P)),
+        alpha=_in_float_range(arr, (alpha, "transformation coefficient alpha" + _AT_P)),
+        beta=_in_float_range(arr, (beta, "transformation coefficient beta" + _AT_P)),
     )
 
 
@@ -171,4 +148,4 @@ def coupling_weight(p, params: SystemParams):
         with np.errstate(over="ignore", invalid="ignore"):
             # np.float64 ** has the bits of float ** but gives inf, not OverflowError, above |g| ~ 1e154
             out[mask] = np.float64(params.g) ** 2 * params.n * pm * pm / (2.0 * params.m * eps)
-    return _in_range(out, arr, "coupling weight")
+    return _in_float_range(arr, (out, "coupling weight" + _AT_P))

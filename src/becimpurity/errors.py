@@ -1,7 +1,18 @@
-"""Exception taxonomy shared by the whole package, and its scalar validator."""
+"""Exception taxonomy shared by the whole package, and the rules every module applies.
+
+Three rules are stated here and nowhere else:
+
+- _require: a parameter is a finite real scalar, positive or nonnegative;
+- _real_array: an input is a real scalar or an array of bools, ints or
+  floats, as a float array, or None for the caller to refuse;
+- _in_float_range: a computed result is finite, else NumericalError at the
+  first entry, in loop order, that leaves the float range.
+"""
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "BecImpurityError",
@@ -66,3 +77,38 @@ def _require(value, name: str, *, positive: bool = True, error=DomainError) -> f
         return x
     kind = "positive" if positive else "nonnegative"
     raise error(f"{name} must be {kind} and finite, got {value!r}")
+
+
+def _real_array(value):
+    """value as a float array if it is a real scalar or an array of bools, ints or floats.
+
+    Anything else gives None, which each caller refuses with its own
+    message: numeric strings, ragged nestings, and an int beyond the float
+    range included.
+    """
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "biuf" or isinstance(value, numbers.Real):
+            return np.asarray(arr, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an int beyond the float range
+        pass
+    return None
+
+
+def _in_float_range(at, *stages):
+    """The last stage's values, a float when 0-d; NumericalError where a stage is not finite.
+
+    stages are (values, message) pairs of one shape, in the order a loop
+    over the entries would compute them, and at labels those entries,
+    broadcast to that shape. At the first entry in C order where some
+    stage is not finite, the earliest such stage's message is raised, its
+    one {!r} filled with float(at) there.
+    """
+    finite = np.isfinite(np.array([values for values, _ in stages]))
+    if not finite.all():
+        bad = ~finite.reshape(len(stages), -1)
+        entry = bad.any(axis=0).argmax()
+        at = np.broadcast_to(at, np.shape(stages[0][0])).flat[entry]
+        raise NumericalError(stages[bad[:, entry].argmax()][1].format(float(at)))
+    values = stages[-1][0]
+    return float(values) if np.ndim(values) == 0 else values

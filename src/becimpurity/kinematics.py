@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _as_momentum, _in_range, _real_array, dispersion
-from .errors import DomainError, NumericalError, _require
+from .bogoliubov import _as_momentum, dispersion
+from .errors import DomainError, _in_float_range, _real_array, _require
 from .params import SystemParams, derive
 
 __all__ = [
@@ -31,6 +31,9 @@ __all__ = [
 
 # below this |omega*t| the oscillatory kernel switches to its series form
 _KERNEL_SERIES_CUT = 1e-4
+# for finite omega and t the kernel is finite unless the phase omega*t
+# overflows, which makes sin(omega*t/2) nan
+_PHASE_RANGE = "phase omega*t at t = {!r} leaves the float range"
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,13 @@ def omega(p, x, q_i: float, params: SystemParams):
     """
     q_i = _require(q_i, "initial momentum", positive=False)
     parr = _as_momentum(p)
-    xarr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(xarr) <= 1):  # also rejects nan
+    xarr = _real_array(x)
+    if xarr is None or not np.all(np.abs(xarr) <= 1):  # also rejects nan
         raise DomainError("direction cosine must lie in [-1, 1]")
     M = params.M
     with np.errstate(over="ignore", invalid="ignore"):
         out = dispersion(parr, params) + parr * parr / (2.0 * M) - q_i * parr * xarr / M
-    return _in_range(out, np.broadcast_to(parr, out.shape), "frequency mismatch")
+    return _in_float_range(parr, (out, "frequency mismatch at p = {!r} leaves the float range"))
 
 
 def resonance_cos(p: float, q_i: float, params: SystemParams):
@@ -73,19 +76,6 @@ def resonance_cos(p: float, q_i: float, params: SystemParams):
     if x0 <= 1.0 + 1e-12:
         return min(x0, 1.0)
     return None
-
-
-def _raise_first(q, stages):
-    """NumericalError at the first momentum of the array q where some stage's values are not finite.
-
-    stages are (values, message) pairs in the order a loop over the momenta
-    would compute them, so at that momentum the earliest failing stage names
-    the error; each message holds one {!r} for the momentum.
-    """
-    bad = ~np.isfinite(np.array([values for values, _ in stages]))
-    hits = np.flatnonzero(bad.any(axis=0))
-    if hits.size:
-        raise NumericalError(stages[bad[:, hits[0]].argmax()][1].format(float(q[hits[0]])))
 
 
 def _p_max(q, params: SystemParams):
@@ -120,8 +110,8 @@ def max_emission_momentum(q_i, params: SystemParams):
     """
     q, pack = _momenta(q_i)
     p_max = _p_max(q, params)
-    _raise_first(q, [(p_max, "largest emitted momentum at q_i = {!r} leaves the float range")])
-    return pack(p_max)
+    return pack(_in_float_range(
+        q, (p_max, "largest emitted momentum at q_i = {!r} leaves the float range")))
 
 
 def _entries(values, name: str, plural: str):
@@ -178,28 +168,14 @@ def finite_time_kernel(omega_val, t: float):
         raise DomainError(f"frequency mismatch must be finite, got {bad[0].item()!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _finite_time_kernel(w, t)
-    _phase_in_range(out, t)
-    return out if out.ndim else float(out)
-
-
-def _phase_in_range(values, times):
-    """values, a float array; NumericalError at the time of its first non-finite entry.
-
-    times broadcasts against values. For finite omega and t the kernel is
-    finite unless the phase omega*t overflows, which makes sin(omega*t/2) nan.
-    """
-    bad = ~np.isfinite(values)
-    if bad.any():
-        time = np.broadcast_to(times, values.shape)[bad][0]
-        raise NumericalError(f"phase omega*t at t = {float(time)!r} leaves the float range")
-    return values
+    return _in_float_range(t, (out, _PHASE_RANGE))
 
 
 def _finite_time_kernel(w, t):
     """finite_time_kernel on a float array w, for a float t or an array t broadcast against w.
 
     Where w*t overflows the value is nan, with numpy's RuntimeWarnings; the
-    callers silence them and check the result with _phase_in_range.
+    callers silence them and pass the result to errors._in_float_range with _PHASE_RANGE.
     """
     z = w * t
     small = np.abs(z) < _KERNEL_SERIES_CUT

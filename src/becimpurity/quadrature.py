@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError, _require
+from .errors import ConfigurationError, DomainError, NumericalError, _real_array, _require
 
 __all__ = [
     "integrate",
@@ -94,12 +94,9 @@ def _check_rel_tol(rel_tol: float):
 
 
 def _real_bounds(a, b):
-    """b as an array; DomainError unless a is a real scalar and b real (bools, ints or floats)."""
-    try:
-        upper = np.asarray(b)
-    except ValueError:  # ragged: numpy refuses to build the array
-        upper = None
-    if not (isinstance(a, numbers.Real) and upper is not None and upper.dtype.kind in "biuf"):
+    """b as a float array; DomainError unless a is a real scalar and b real (errors._real_array)."""
+    upper = _real_array(b)
+    if not (isinstance(a, numbers.Real) and upper is not None):
         raise DomainError(f"integration bounds must be real numbers, got a={a!r}, b={b!r}")
     return upper
 
@@ -246,7 +243,7 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     the rest in index order.
     """
     _check_rel_tol(rel_tol)
-    upper = _real_bounds(a, b).astype(float, copy=False)
+    upper = _real_bounds(a, b)
     if upper.ndim > 1:
         raise DomainError(f"upper bounds must be a float or a 1-D array, got shape {upper.shape}")
     bounds = upper.reshape(-1)

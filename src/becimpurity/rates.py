@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _kernels
 from .bogoliubov import _as_momentum, _energy_scales, _sinh_tail, dispersion
-from .errors import ConfigurationError, DomainError, NumericalError, _require
-from .kinematics import _entries, _momenta, _p_max, _raise_first, max_emission_momentum
+from .errors import ConfigurationError, DomainError, _in_float_range, _require
+from .kinematics import _entries, _momenta, _p_max, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -90,13 +90,13 @@ def _rate_result(q, pack, params: SystemParams, method: str, gamma_T, gamma_E, e
 
     smallness = gamma_T/(q**2/2M) is 0 where q or gamma_T is. stages are the
     route's own (values, message) checks, which a loop over the momenta runs
-    before the smallness and the energy rate (see kinematics._raise_first).
+    before the smallness and the energy rate (see errors._in_float_range).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # gamma_T == 0 also covers a supercritical q_i whose kinetic energy underflows
         smallness = np.where((q == 0.0) | (gamma_T == 0.0), 0.0, gamma_T / (q * q / (2.0 * params.M)))
-    _raise_first(q, [*stages, (smallness, "smallness at q_i = {!r} leaves the float range"),
-                     (gamma_E, "energy dissipation rate at q_i = {!r} leaves the float range")])
+    _in_float_range(q, *stages, (smallness, "smallness at q_i = {!r} leaves the float range"),
+                    (gamma_E, "energy dissipation rate at q_i = {!r} leaves the float range"))
     return RateResult(pack(q), pack(gamma_T), pack(gamma_E), method, pack(est_error), pack(smallness))
 
 
@@ -132,20 +132,15 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
         pm = arr[mask]
-        pref = float(_density_prefactor(q_i, params))
-        if not math.isfinite(pref):
-            raise NumericalError(_PREFACTOR_RANGE.format(q_i))
+        pref = _in_float_range(q_i, (_density_prefactor(q_i, params), _PREFACTOR_RANGE))
         eps = dispersion(pm, params)
         with np.errstate(over="ignore", invalid="ignore"):
             density = pref * pm**3 / eps
             # where pref * pm**3 overflows, dividing by eps first keeps a finite density
             spill = ~np.isfinite(density)
             density[spill] = pref * (pm[spill] / eps[spill] * pm[spill] * pm[spill])
-        if not np.isfinite(density).all():
-            raise NumericalError(
-                f"emission spectral density at q_i = {q_i!r} leaves the float range"
-            )
-        out[mask] = density
+        out[mask] = _in_float_range(
+            q_i, (density, "emission spectral density at q_i = {!r} leaves the float range"))
     return out if out.ndim else float(out)
 
 
@@ -250,10 +245,8 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
     }
     if regime not in tuple(rates):  # compared with ==, so an unhashable regime is refused too
         raise DomainError(f"unknown regime {regime!r}; expected 'threshold' or 'high_momentum'")
-    rate = float(_g2_last(rates[regime], params.g))
-    if not math.isfinite(rate):
-        raise NumericalError(f"{regime} rate at q_i = {q_i!r} leaves the float range")
-    return rate
+    rate = _g2_last(rates[regime], params.g)
+    return _in_float_range(q_i, (rate, f"{regime} rate at q_i = {{!r}} leaves the float range"))
 
 
 def _lattice_args(q_i, params: SystemParams, cfg: BoxOracleConfig):

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _excitation_energy, _mass_tail, _real_array, _sinh_tail
-from .errors import ConfigurationError, DomainError, NumericalError, PerturbativeBreakdownError, _require
+from .bogoliubov import _excitation_energy, _mass_tail, _sinh_tail
+from .errors import (ConfigurationError, DomainError, PerturbativeBreakdownError, _in_float_range,
+                     _real_array, _require)
 from .params import SystemParams, derive
 from .quadrature import integrate, integrate_semi_infinite, second_derivative
 
@@ -181,7 +182,9 @@ def energy_shift_quadrature(
     The fluctuation part converges to the closed form like 1/cutoff. The two
     modes are algebraically identical at every finite cutoff; "subtracted"
     avoids the large-constant cancellation and is preferred inside
-    finite-difference stencils.
+    finite-difference stencils. Raises NumericalError where the shift
+    leaves the float range, as it does for an impurity lighter than about
+    1e-156 m at a = 0.01.
     """
     q = _real_array(q_i)
     if q is not None and q.ndim == 0:
@@ -195,18 +198,25 @@ def energy_shift_quadrature(
     if mode not in ("counterterm", "subtracted"):
         raise ConfigurationError(f"unknown mode {mode!r}")
     m, m_r = params.m, d.m_r
-    pref = params.n * params.a**2 / (m * m_r * m_r)
+    # a numpy divisor gives inf, not ZeroDivisionError, where m*m_r*m_r underflows to 0
+    with np.errstate(divide="ignore", over="ignore"):
+        pref = float(params.n * params.a**2 / np.float64(m * m_r * m_r))
     divergence_rate = 4.0 * m * m_r  # large-p limit of the integrand
     eps = _excitation_energy(params)
-    if mode == "counterterm":
-        val, _ = integrate(lambda p: _shift_integrand(p, q_i, params, eps), 0.0, cutoff, _DEFAULT_TOL)
-        fluctuation = pref * (divergence_rate * cutoff - val)
-    else:
-        val, _ = integrate(
-            lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, cutoff, _DEFAULT_TOL
-        )
-        fluctuation = pref * val
-    return mean_field_shift(params) + fluctuation
+    # for a light impurity eps*w0 overflows to inf and the integrand to 0;
+    # past the float range integrate raises at the first non-finite node
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "counterterm":
+            val, _ = integrate(
+                lambda p: _shift_integrand(p, q_i, params, eps), 0.0, cutoff, _DEFAULT_TOL)
+            fluctuation = pref * (divergence_rate * cutoff - val)
+        else:
+            val, _ = integrate(
+                lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, cutoff,
+                _DEFAULT_TOL)
+            fluctuation = pref * val
+    energy = mean_field_shift(params) + fluctuation
+    return _in_float_range(q_i, (energy, "energy shift at q_i = {!r} leaves the float range"))
 
 
 def effective_mass_closed(params: SystemParams) -> MassResult:
@@ -241,14 +251,15 @@ def effective_mass_closed(params: SystemParams) -> MassResult:
             )
     except OverflowError:  # float ** raises where * would give inf
         sigma = math.inf
-    if not math.isfinite(sigma):
-        raise NumericalError(
-            f"closed-form mass correction at m/M = {ratio!r}: its factors leave the float range"
-        )
+    sigma = _in_float_range(
+        ratio, (sigma, "closed-form mass correction at m/M = {!r}: its factors leave the float range"))
     return _mass_from_sigma(sigma, params, "closed")
 
 
 def _mass_from_sigma(sigma: float, params: SystemParams, method: str) -> MassResult:
+    """MassResult from sigma = 1 - M/M_ef, once sigma is finite and below 0.5 in magnitude."""
+    message = f"{method} mass correction at m/M = {{!r}} leaves the float range"
+    sigma = _in_float_range(params.m / params.M, (sigma, message))
     if abs(sigma) >= 0.5:
         raise PerturbativeBreakdownError(
             f"mass correction magnitude {abs(sigma):.3g} is not perturbative (>= 0.5)"
@@ -261,7 +272,9 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
 
     1/M_ef = 1/M - (2/3) * (n*a**2/(m*m_r**2*M**2)) * K with
     K = int_0^inf p**6 / (eps * (eps + p**2/2M)**3) dp; the integrand decays
-    like 1/p**2, handled by the rational tail transform.
+    like 1/p**2, handled by the rational tail transform. sigma = 1 - M/M_ef
+    is formed with one power of M, (2/3) * n*a**2*K/(m*m_r**2*M), so that it
+    does not underflow to 0 for a heavy impurity (M from about 1e155).
     """
     d = derive(params)
     eps = _excitation_energy(params)
@@ -270,10 +283,15 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
         eps_p = eps(p)
         return p**6 / (eps_p * _recoil_energy(p, eps_p, params) ** 3)
 
-    K, _ = integrate_semi_infinite(curvature_integrand, 0.0, tol)
+    # for a light impurity the recoil cube overflows to inf and the integrand
+    # to 0; past the float range integrate raises at the first non-finite node
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, _ = integrate_semi_infinite(curvature_integrand, 0.0, tol)
     m, m_r, M = params.m, d.m_r, params.M
-    d2 = -(2.0 / 3.0) * params.n * params.a**2 / (m * m_r * m_r * M * M) * K
-    return _mass_from_sigma(-M * d2, params, "quadrature")
+    # a numpy divisor gives inf or nan, not ZeroDivisionError, where it underflows to 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sigma = (2.0 / 3.0) * params.n * params.a**2 / np.float64(m * m_r * m_r * M) * K
+    return _mass_from_sigma(sigma, params, "quadrature")
 
 
 def effective_mass_finite_difference(params: SystemParams) -> MassResult:

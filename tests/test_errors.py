@@ -1,4 +1,4 @@
-"""The scalar positivity rule: one validator, one wording, one type policy."""
+"""The shared rules: the positivity rule, the real-input test and the out-of-range report."""
 
 import pathlib
 
@@ -33,7 +33,7 @@ from becimpurity import (
     transition_rate,
     transition_rate_quadrature,
 )
-from becimpurity.errors import _require
+from becimpurity.errors import _in_float_range, _real_array, _require
 from becimpurity.params import renormalized_coupling
 from becimpurity.quadrature import integrate_semi_infinite, second_derivative
 
@@ -165,6 +165,13 @@ _SITES = [
          DomainError, "frequency mismatch must be finite, got None"),
     _row("effective_mass_closed-a", lambda v: effective_mass_closed(SystemParams(a=v)), 1e160,
          NumericalError, "closed-form mass correction at m/M = 1.0: its factors leave the float range"),
+    # inputs that errors._real_array refuses, where a raw numpy or Python error escaped
+    _row("huge-int-dispersion-p", lambda v: dispersion(v, UNIT), 10**400, DomainError,
+         "momentum magnitude must be nonnegative and finite"),
+    _row("ragged-omega-x", lambda v: omega(1.0, v, 2.0, UNIT), [[0.1], 0.2], DomainError,
+         "direction cosine must lie in [-1, 1]"),
+    _row("str-omega-x", lambda v: omega(1.0, v, 2.0, UNIT), "0.5", DomainError,
+         "direction cosine must lie in [-1, 1]"),
 ]
 
 
@@ -200,3 +207,49 @@ def test_the_positivity_rule_is_worded_in_errors_only():
     package = pathlib.Path(becimpurity.__file__).parent
     holders = sorted(p.name for p in package.glob("*.py") if "and finite, got" in p.read_text())
     assert holders == ["errors.py"]
+
+
+def test_real_array_takes_real_scalars_and_numeric_arrays_only():
+    assert _real_array(True).dtype == float and _real_array(3).shape == ()
+    assert _real_array([1, 2.5]).tolist() == [1.0, 2.5]
+    for value in ("1", [[0.1], 0.2], None, 10**400, [10**400], np.array(["1"])):
+        assert _real_array(value) is None, value
+
+
+_STAGES = "first stage at p = {!r}", "second stage at p = {!r}"
+
+
+def test_out_of_range_report_names_the_first_failing_entry_in_c_order():
+    at = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    first = np.ones((2, 3))
+    first[1, 0] = np.inf
+    second = np.ones((2, 3))
+    second[0, 2] = np.nan
+    # entry (0, 2) comes before (1, 0) in C order, whatever the stage
+    with pytest.raises(NumericalError, match=r"^second stage at p = 3\.0$"):
+        _in_float_range(at, (first, _STAGES[0]), (second, _STAGES[1]))
+    # at the failing entry, the earliest failing stage gives the message
+    second[1, 0], second[0, 2] = np.nan, 1.0
+    with pytest.raises(NumericalError, match=r"^first stage at p = 4\.0$"):
+        _in_float_range(at, (first, _STAGES[0]), (second, _STAGES[1]))
+    # a label that broadcasts: every entry is named by it
+    with pytest.raises(NumericalError, match=r"^first stage at p = 7\.0$"):
+        _in_float_range(7.0, (first, _STAGES[0]))
+
+
+def test_out_of_range_report_returns_the_last_stage():
+    values = np.arange(3.0)
+    assert _in_float_range(values, (-values, _STAGES[0]), (values, _STAGES[1])) is values
+    out = _in_float_range(np.array(2.0), (np.array(0.5), _STAGES[0]))
+    assert type(out) is float and out == 0.5
+    assert type(_in_float_range(2.0, (np.float64(0.25), _STAGES[0]))) is float
+
+
+def test_each_shared_rule_is_stated_in_errors_only():
+    # the out-of-range report is raised by errors._in_float_range; quadrature's own raises
+    # carry the best value and its error estimate
+    package = pathlib.Path(becimpurity.__file__).parent
+    raisers = sorted(p.name for p in package.glob("*.py") if "raise NumericalError(" in p.read_text())
+    assert raisers == ["errors.py", "quadrature.py"]
+    testers = sorted(p.name for p in package.glob("*.py") if 'dtype.kind in "biuf"' in p.read_text())
+    assert testers == ["errors.py"]

@@ -389,6 +389,16 @@ def test_float_bound_gives_floats_and_one_element_array_gives_arrays():
     assert (vals[0].hex(), errs[0].hex()) == (val.hex(), err.hex())
 
 
+def test_a_real_bound_of_any_type_matches_its_float_bound_bitwise():
+    # the bounds pass errors._real_array: any real scalar, as a already could be
+    from fractions import Fraction
+
+    exact = integrate(np.cos, 0.0, 0.5)
+    assert [v.hex() for v in integrate(np.cos, 0.0, Fraction(1, 2))] == [v.hex() for v in exact]
+    with pytest.raises(DomainError, match="must be real numbers"):
+        integrate(np.cos, 0.0, 10**400)  # beyond the float range: not a real number here
+
+
 def test_empty_bounds_integrate_nothing():
     f, shapes = _counting(np.cos)
     vals, errs = integrate(f, 0.0, np.array([]))

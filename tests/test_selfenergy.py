@@ -8,8 +8,10 @@ from becimpurity import (
     DomainError,
     I0,
     I1,
+    NumericalError,
     PerturbativeBreakdownError,
     SystemParams,
+    derive,
     effective_mass_closed,
     effective_mass_finite_difference,
     effective_mass_quadrature,
@@ -156,6 +158,38 @@ def test_effective_mass_finite_difference_matches_closed():
     closed = effective_mass_closed(WEAK)
     assert r.correction == pytest.approx(closed.correction, rel=1e-3)
     assert r.method == "finite_difference"
+
+
+@pytest.mark.parametrize("M", [1e155, 1e160, 1e300])
+def test_heavy_impurity_quadrature_mass_equals_the_closed_form(M):
+    # sigma is formed with one power of M: 1/M**2 underflowed and the correction came back -0.0
+    params = SystemParams(a=0.01, M=M)
+    quad, closed = effective_mass_quadrature(params), effective_mass_closed(params)
+    assert quad.correction.hex() == closed.correction.hex()
+    assert quad.correction < 0.0
+
+
+@pytest.mark.parametrize("route", [effective_mass_quadrature, effective_mass_finite_difference])
+@pytest.mark.parametrize("M", [1e-120, 1e-160, 1e-200, 1e-300])
+def test_light_impurity_mass_routes_report_leaving_the_float_range(M, route):
+    # these ended in a ZeroDivisionError, an overflow warning, a nan mass or a spurious breakdown
+    params = SystemParams(a=0.01, M=M)
+    method = route.__name__.removeprefix("effective_mass_")
+    expected = f"{method} mass correction at m/M = {1.0 / M!r} leaves the float range"
+    if route is effective_mass_finite_difference and M < 1e-156:
+        # the energy shift itself leaves the range first, at the stencil's first point q_i = -2h
+        h = 0.01 * derive(params).q_c
+        expected = f"energy shift at q_i = {-2.0 * h!r} leaves the float range"
+    with pytest.raises(NumericalError) as exc:
+        route(params)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("M", [1e-160, 1e-200])
+def test_light_impurity_energy_shift_reports_leaving_the_float_range(M):
+    # it returned inf at 1e-160 and ended in a ZeroDivisionError at 1e-200
+    with pytest.raises(NumericalError, match=r"^energy shift at q_i = 0\.0 leaves the float range$"):
+        energy_shift_quadrature(0.0, SystemParams(a=0.01, M=M), 200.0)
 
 
 def test_mass_result_is_frozen():
