@@ -142,8 +142,8 @@ def _threshold_fit() -> tuple:
     # geometric mean of pointwise prefactors; a free-intercept fit is biased
     # by the lever arm between exponent and intercept
     pref = math.exp(float(np.mean(np.log(gammas) - 3.0 * np.log(deltas))))
-    d = derive(params)
-    pref_exact = 2.0 * params.n * params.g**2 / (3.0 * math.pi * params.m * d.c**2)
+    # the asymptote at unit excess is its prefactor
+    pref_exact = transition_rate_asymptotic(q_c + 1.0, params, "threshold")
     return float(slope), _rel(pref, pref_exact)
 
 
@@ -350,8 +350,8 @@ def vanishing_linear_term() -> tuple:
     """
     params = SystemParams(a=0.01)
     h = 0.01 * derive(params).q_c
-    lo = energy_shift_quadrature(-h, params, 200.0, mode="subtracted")
-    hi = energy_shift_quadrature(h, params, 200.0, mode="subtracted")
+    lo = energy_shift_quadrature(-h, params, 200.0)
+    hi = energy_shift_quadrature(h, params, 200.0)
     d1 = abs(hi - lo) / (2.0 * h)
     return d1, f"|E(h) - E(-h)|/2h at h = 0.01*q_c is {d1:.3g}"
 

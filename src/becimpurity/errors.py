@@ -2,7 +2,8 @@
 
 Three rules are stated here and nowhere else:
 
-- _require: a parameter is a finite real scalar, positive or nonnegative;
+- _require: a parameter is a finite real scalar, positive, nonnegative or
+  of either sign;
 - _real_array: an input is a real scalar or an array of bools, ints or
   floats, as a float array, or None for the caller to refuse;
 - _in_float_range: a computed result is finite, else NumericalError at the
@@ -62,21 +63,23 @@ class NumericalError(BecImpurityError):
         self.est_error = est_error
 
 
-def _require(value, name: str, *, positive: bool = True, error=DomainError) -> float:
-    """Return value as a float if it is a finite real scalar > 0 (>= 0 unless positive).
+def _require(value, name: str, *, kind: str = "positive", error=DomainError) -> float:
+    """Return value as a float if it is a finite real scalar of the kind asked for.
 
-    Python and numpy ints and floats qualify; anything else, arrays included,
-    raises error(f"{name} must be positive and finite, got {value!r}"), with
-    "nonnegative" for positive=False. This is the one statement of that rule.
+    kind is "positive" (> 0), "nonnegative" (>= 0) or "signed" (any sign).
+    Python and numpy ints and floats qualify, a bool as 0.0 or 1.0;
+    anything else, arrays included, raises error with the message "<name>
+    must be <kind> and finite, got <value!r>", or "<name> must be finite,
+    got <value!r>" for "signed". This is the one statement of that rule.
     """
     try:
         x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:  # an int beyond the float range
         x = math.inf
-    if math.isfinite(x) and (x > 0.0 if positive else x >= 0.0):
+    if math.isfinite(x) and (kind == "signed" or x > 0.0 or (kind == "nonnegative" and x == 0.0)):
         return x
-    kind = "positive" if positive else "nonnegative"
-    raise error(f"{name} must be {kind} and finite, got {value!r}")
+    sign = "" if kind == "signed" else f"{kind} and "
+    raise error(f"{name} must be {sign}finite, got {value!r}")
 
 
 def _real_array(value):

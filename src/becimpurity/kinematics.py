@@ -51,7 +51,7 @@ def omega(p, x, q_i: float, params: SystemParams):
 
     Raises NumericalError when it leaves the float range.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
+    q_i = _require(q_i, "initial momentum", kind="nonnegative")
     parr = _as_momentum(p)
     xarr = _real_array(x)
     if xarr is None or not np.all(np.abs(xarr) <= 1):  # also rejects nan
@@ -124,13 +124,13 @@ def _entries(values, name: str, plural: str):
     if isinstance(values, np.ndarray) and values.ndim > 1:
         raise DomainError(f"{plural} must be a float or a 1-D array, got shape {values.shape}")
     if not (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1):
-        return np.array([_require(values, name, positive=False)]), np.ndarray.item
+        return np.array([_require(values, name, kind="nonnegative")]), np.ndarray.item
     if isinstance(values, np.ndarray) and values.dtype.kind == "f" and (
         (values >= 0) & (values < np.inf)
     ).all():
         return values.astype(float), np.asarray  # every entry passes the scalar rule
     entries = values.tolist() if isinstance(values, np.ndarray) else values
-    return np.array([_require(v, name, positive=False) for v in entries]), np.asarray
+    return np.array([_require(v, name, kind="nonnegative") for v in entries]), np.asarray
 
 
 def _momenta(q_i):
@@ -159,7 +159,7 @@ def finite_time_kernel(omega_val, t: float):
     raises DomainError where omega_val is not finite, and NumericalError
     where omega*t leaves the float range.
     """
-    t = _require(t, "time", positive=False)
+    t = _require(t, "time", kind="nonnegative")
     w = _real_array(omega_val)
     if w is None:  # ragged, a string, None or any other non-real input
         raise DomainError(f"frequency mismatch must be finite, got {omega_val!r}")

@@ -58,15 +58,20 @@ class SystemParams:
             object.__setattr__(self, name, value)
         for name in ("g", "a"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParameterDomainError(f"{name} must be finite, got {value!r}")
+            if value is not None:
+                value = _require(value, name, kind="signed", error=ParameterDomainError)
+                object.__setattr__(self, name, value)
         if self.g is None and self.a is None:
             raise ParameterDomainError("set at least one of g (bare coupling) or a (scattering length)")
         m_r = derive(self).m_r
-        if self.g is None:
-            object.__setattr__(self, "g", 2.0 * math.pi * self.a / m_r)
-        elif self.a is None:
-            object.__setattr__(self, "a", self.g * m_r / (2.0 * math.pi))
+        if self.g is None or self.a is None:
+            if self.g is None:
+                name, value, born = "g", 2.0 * math.pi * self.a / m_r, f"2*pi*a/m_r with a = {self.a!r}"
+            else:
+                name, value, born = "a", self.g * m_r / (2.0 * math.pi), f"g*m_r/(2*pi) with g = {self.g!r}"
+            if not math.isfinite(value):
+                raise ParameterDomainError(f"{name} = {born} and m_r = {m_r!r} leaves the float range")
+            object.__setattr__(self, name, value)
         elif self.g != 0.0:
             born = 2.0 * math.pi * self.a / m_r
             if abs(self.g - born) / abs(self.g) > 0.5:
@@ -78,19 +83,25 @@ class SystemParams:
 
 
 def derive(params: SystemParams) -> DerivedQuantities:
-    """Compute the derived scales; pure and deterministic."""
-    c = math.sqrt(params.n * params.U0 / params.m)
-    return DerivedQuantities(
-        c=c,
-        q_c=params.M * c,
-        m_r=1.0 / (1.0 / params.m + 1.0 / params.M),
-    )
+    """Compute the derived scales; pure and deterministic.
+
+    m_r = 1/(1/m + 1/M) is 0 where 1/m or 1/M overflows (a mass below about
+    5.6e-309); there it is formed as small/(1 + small/big) from the smaller
+    and larger mass instead, which stays in range.
+    """
+    m, M = params.m, params.M
+    c = math.sqrt(params.n * params.U0 / m)
+    m_r = 1.0 / (1.0 / m + 1.0 / M)
+    if m_r == 0.0:
+        small, big = sorted((m, M))
+        m_r = small / (1.0 + small / big)
+    return DerivedQuantities(c=c, q_c=M * c, m_r=m_r)
 
 
 def born_scattering_length(U0: float, m: float) -> float:
     """Boson-boson scattering length to first Born order, m*U0/(4*pi)."""
-    if not (math.isfinite(U0) and math.isfinite(m)):
-        raise ParameterDomainError("U0 and m must be finite")
+    U0 = _require(U0, "U0", kind="signed", error=ParameterDomainError)
+    m = _require(m, "m", kind="signed", error=ParameterDomainError)
     return m * U0 / (4.0 * math.pi)
 
 
@@ -101,8 +112,7 @@ def renormalized_coupling(a: float, m_r: float, cutoff: float) -> float:
     the counterterm that cancels the linear large-momentum divergence of the
     second-order energy. Affine in the cutoff by construction.
     """
-    if not math.isfinite(a):
-        raise ParameterDomainError(f"a must be finite, got {a!r}")
+    a = _require(a, "a", kind="signed", error=ParameterDomainError)
     m_r = _require(m_r, "m_r", error=ParameterDomainError)
-    cutoff = _require(cutoff, "cutoff", positive=False)
+    cutoff = _require(cutoff, "cutoff", kind="nonnegative")
     return (2.0 * math.pi * a / m_r) * (1.0 + (2.0 * a / math.pi) * cutoff)

@@ -94,11 +94,14 @@ def _check_rel_tol(rel_tol: float):
 
 
 def _real_bounds(a, b):
-    """b as a float array; DomainError unless a is a real scalar and b real (errors._real_array)."""
-    upper = _real_array(b)
-    if not (isinstance(a, numbers.Real) and upper is not None):
+    """(a as a float, b as a float array); DomainError unless a is a 0-d real and b real.
+
+    Both are tested with errors._real_array.
+    """
+    lower, upper = _real_array(a), _real_array(b)
+    if lower is None or lower.ndim or upper is None:
         raise DomainError(f"integration bounds must be real numbers, got a={a!r}, b={b!r}")
-    return upper
+    return float(lower), upper
 
 
 def _eval_panels(f, lo, hi):
@@ -243,7 +246,7 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     the rest in index order.
     """
     _check_rel_tol(rel_tol)
-    upper = _real_bounds(a, b)
+    a, upper = _real_bounds(a, b)
     if upper.ndim > 1:
         raise DomainError(f"upper bounds must be a float or a 1-D array, got shape {upper.shape}")
     bounds = upper.reshape(-1)
@@ -276,8 +279,8 @@ def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = _DEFAULT_REL
     Raises DomainError unless a is a finite real, non-real a in integrate's
     words.
     """
-    _real_bounds(a, math.inf)
-    if not np.isfinite(a):
+    a, _ = _real_bounds(a, math.inf)
+    if not math.isfinite(a):
         raise DomainError("lower bound must be finite")
 
     def transformed(t):
@@ -290,6 +293,7 @@ def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = _DEFAULT_REL
 
 def second_derivative(f: Callable, x0: float, h: float) -> float:
     """Five-point central second derivative, truncation error O(h**4)."""
+    x0 = _require(x0, "point x0", kind="signed")
     h = _require(h, "step h")
     num = (
         -f(x0 - 2.0 * h)

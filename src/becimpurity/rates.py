@@ -14,6 +14,7 @@ cancellation, so the dissipationless regime is a structural guarantee.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -78,8 +79,10 @@ class BoxOracleConfig:
         for name in ("L", "eta", "p_cut"):
             value = _require(getattr(self, name), name, error=ConfigurationError)
             object.__setattr__(self, name, value)
-        if not (isinstance(self.max_points, int) and self.max_points >= 1):
-            raise ConfigurationError(f"max_points must be a positive integer, got {self.max_points!r}")
+        points = self.max_points
+        if isinstance(points, bool) or not (isinstance(points, numbers.Integral) and points >= 1):
+            raise ConfigurationError(f"max_points must be a positive integer, got {points!r}")
+        object.__setattr__(self, "max_points", int(points))
 
 
 _PREFACTOR_RANGE = "rate prefactor at q_i = {!r} leaves the float range"
@@ -125,7 +128,7 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     (0, p_max) and 0 outside; identically 0 for subcritical q_i. Vectorized
     over p. Raises NumericalError where the density leaves the float range.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
+    q_i = _require(q_i, "initial momentum", kind="nonnegative")
     arr = _as_momentum(p)
     out = np.zeros_like(arr)
     p_max = max_emission_momentum(q_i, params)
@@ -234,7 +237,7 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
     The caller decides where each expansion applies. Raises NumericalError
     when the rate leaves the float range.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
+    q_i = _require(q_i, "initial momentum", kind="nonnegative")
     d = derive(params)
     n, m, M = params.n, params.m, params.M
     ratio = m / (M + m)
@@ -329,7 +332,7 @@ def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig,
     array to match, each entry bit-identical to its float call. One lattice
     pass serves every time.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
+    q_i = _require(q_i, "initial momentum", kind="nonnegative")
     times, pack = _entries(t, "time", "times")
     depletion = _kernels.finite_time_sum(*_lattice_args(q_i, params, cfg), q_i, times) / cfg.L**3
     raw = 1.0 - depletion
@@ -352,7 +355,7 @@ def survival_lower_bound(q_i: float, params: SystemParams, cfg: BoxOracleConfig)
     drop below this value at any time (no secular decay). May be negative
     for strong coupling, in which case it is true but uninformative.
     """
-    q_i = _require(q_i, "initial momentum", positive=False)
+    q_i = _require(q_i, "initial momentum", kind="nonnegative")
     if q_i >= derive(params).q_c:
         raise DomainError("survival bound is defined for subcritical momenta only")
     return 1.0 - _kernels.inverse_square_sum(*_lattice_args(q_i, params, cfg), q_i) / cfg.L**3

@@ -3,16 +3,11 @@ functions they need.
 
 The bare second-order energy diverges linearly with the momentum cutoff;
 re-expressing the contact coupling through the physical scattering length a
-cancels the divergence. Both realizations are provided and agree at any
-finite cutoff:
-
-- "counterterm": integrate the bare integrand to the cutoff and add the
-  affine counterterm 4*m*m_r*cutoff (the integrand's large-p limit times the
-  cutoff), written out inline; after the prefactor n*a**2/(m*m_r**2) it is
-  the same term, 4*n*a**2*cutoff/m_r, that params.renormalized_coupling adds
-  to the mean-field shift;
-- "subtracted": integrate (divergent-constant - integrand), which folds the
-  same counterterm under the integral sign.
+cancels the divergence. The quadrature route integrates the subtracted form,
+(divergence_rate - integrand) up to the cutoff, which folds the counterterm
+4*m*m_r (the integrand's large-p limit) under the integral sign; after the
+prefactor n*a**2/(m*m_r**2) it is the same term, 4*n*a**2*cutoff/m_r, that
+params.renormalized_coupling adds to the mean-field shift.
 
 Everything is parameterized by a; the bare coupling never appears here.
 Subcritical momenta only: above the critical momentum the energy denominator
@@ -28,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import _excitation_energy, _mass_tail, _sinh_tail
-from .errors import (ConfigurationError, DomainError, PerturbativeBreakdownError, _in_float_range,
-                     _real_array, _require)
+from .errors import DomainError, PerturbativeBreakdownError, _in_float_range, _real_array, _require
 from .params import SystemParams, derive
 from .quadrature import integrate, integrate_semi_infinite, second_derivative
 
@@ -174,17 +168,13 @@ def _shift_integrand(p, q_i: float, params: SystemParams, eps):
     return (p**3 / eps_p) * (params.M / (2.0 * q_i)) * (np.log1p(u) - np.log1p(-u))
 
 
-def energy_shift_quadrature(
-    q_i: float, params: SystemParams, cutoff: float, mode: str = "counterterm"
-) -> float:
+def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> float:
     """Mean-field plus cutoff-renormalized fluctuation shift at momentum q_i.
 
-    The fluctuation part converges to the closed form like 1/cutoff. The two
-    modes are algebraically identical at every finite cutoff; "subtracted"
-    avoids the large-constant cancellation and is preferred inside
-    finite-difference stencils. Raises NumericalError where the shift
-    leaves the float range, as it does for an impurity lighter than about
-    1e-156 m at a = 0.01.
+    The fluctuation part is the subtracted integral up to the cutoff, with
+    no large-constant cancellation, and converges to the closed form like
+    1/cutoff. Raises NumericalError where the shift leaves the float range,
+    as it does for an impurity lighter than about 1e-156 m at a = 0.01.
     """
     q = _real_array(q_i)
     if q is not None and q.ndim == 0:
@@ -195,8 +185,6 @@ def energy_shift_quadrature(
             f"energy shift is defined for |q_i| < q_c = {d.q_c}, got {q_i!r}"
         )
     cutoff = _require(cutoff, "cutoff")
-    if mode not in ("counterterm", "subtracted"):
-        raise ConfigurationError(f"unknown mode {mode!r}")
     m, m_r = params.m, d.m_r
     # a numpy divisor gives inf, not ZeroDivisionError, where m*m_r*m_r underflows to 0
     with np.errstate(divide="ignore", over="ignore"):
@@ -206,16 +194,10 @@ def energy_shift_quadrature(
     # for a light impurity eps*w0 overflows to inf and the integrand to 0;
     # past the float range integrate raises at the first non-finite node
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode == "counterterm":
-            val, _ = integrate(
-                lambda p: _shift_integrand(p, q_i, params, eps), 0.0, cutoff, _DEFAULT_TOL)
-            fluctuation = pref * (divergence_rate * cutoff - val)
-        else:
-            val, _ = integrate(
-                lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, cutoff,
-                _DEFAULT_TOL)
-            fluctuation = pref * val
-    energy = mean_field_shift(params) + fluctuation
+        val, _ = integrate(
+            lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, cutoff,
+            _DEFAULT_TOL)
+    energy = mean_field_shift(params) + pref * val
     return _in_float_range(q_i, (energy, "energy shift at q_i = {!r} leaves the float range"))
 
 
@@ -233,24 +215,17 @@ def effective_mass_closed(params: SystemParams) -> MassResult:
     d = derive(params)
     ratio = params.m / params.M
     i1 = I1(ratio)
-    try:
-        if i1 >= sys.float_info.min:
-            sigma = (
-                (16.0 / 3.0)
-                * params.n * params.a**2 / (params.M * d.c)
-                * (params.m / d.m_r) ** 2
-                * i1
-            )
-        else:
-            u, _, s, _ = _rapidity(ratio)
-            sigma = (
-                (4.0 / 3.0)
-                * params.n * params.a**2 / (params.m * d.c)
-                * (ratio / s) * ((1.0 + ratio) / s) ** 2
-                * _scaled_I1(u, s, ratio)
-            )
-    except OverflowError:  # float ** raises where * would give inf
-        sigma = math.inf
+    a = params.a
+    if i1 >= sys.float_info.min:
+        x = params.m / d.m_r
+        sigma = (16.0 / 3.0) * params.n * (a * a) / (params.M * d.c) * (x * x) * i1
+    else:
+        u, _, s, _ = _rapidity(ratio)
+        x = (1.0 + ratio) / s
+        sigma = (
+            (4.0 / 3.0) * params.n * (a * a) / (params.m * d.c)
+            * (ratio / s) * (x * x) * _scaled_I1(u, s, ratio)
+        )
     sigma = _in_float_range(
         ratio, (sigma, "closed-form mass correction at m/M = {!r}: its factors leave the float range"))
     return _mass_from_sigma(sigma, params, "closed")
@@ -305,7 +280,7 @@ def effective_mass_finite_difference(params: SystemParams) -> MassResult:
     h = 0.01 * derive(params).q_c
 
     def shift(q):
-        return energy_shift_quadrature(q, params, _FD_CUTOFF, mode="subtracted")
+        return energy_shift_quadrature(q, params, _FD_CUTOFF)
 
     d2 = second_derivative(shift, 0.0, h)
     return _mass_from_sigma(-params.M * d2, params, "finite_difference")

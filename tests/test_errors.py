@@ -34,7 +34,7 @@ from becimpurity import (
     transition_rate_quadrature,
 )
 from becimpurity.errors import _in_float_range, _real_array, _require
-from becimpurity.params import renormalized_coupling
+from becimpurity.params import born_scattering_length, renormalized_coupling
 from becimpurity.quadrature import integrate_semi_infinite, second_derivative
 
 UNIT = SystemParams(g=1.0)
@@ -172,6 +172,35 @@ _SITES = [
          "direction cosine must lie in [-1, 1]"),
     _row("str-omega-x", lambda v: omega(1.0, v, 2.0, UNIT), "0.5", DomainError,
          "direction cosine must lie in [-1, 1]"),
+    # the signed kind of the scalar rule, where a raw TypeError or OverflowError escaped
+    _row("str-SystemParams-g", lambda v: SystemParams(g=v), "1", ParameterDomainError,
+         "g must be finite, got '1'"),
+    _row("array-SystemParams-g", lambda v: SystemParams(g=v), np.array([1.0, 2.0]),
+         ParameterDomainError, "g must be finite, got array([1., 2.])"),
+    _row("huge-int-SystemParams-a", lambda v: SystemParams(a=v), 10**400, ParameterDomainError,
+         f"a must be finite, got {10**400!r}"),
+    _row("SystemParams-g-inf", lambda v: SystemParams(g=v), float("inf"), ParameterDomainError,
+         "g must be finite, got inf"),
+    _row("str-born_scattering_length-U0", lambda v: born_scattering_length(v, 1.0), "1",
+         ParameterDomainError, "U0 must be finite, got '1'"),
+    _row("born_scattering_length-m", lambda v: born_scattering_length(1.0, v), float("nan"),
+         ParameterDomainError, "m must be finite, got nan"),
+    _row("str-renormalized_coupling-a", lambda v: renormalized_coupling(v, 1.0, 1.0), "x",
+         ParameterDomainError, "a must be finite, got 'x'"),
+    _row("str-second_derivative-x0", lambda v: second_derivative(abs, v, 0.1), "0",
+         DomainError, "point x0 must be finite, got '0'"),
+    # a coupling derived to first Born order that leaves the float range
+    _row("derived-g", lambda v: SystemParams(M=v, a=1e10), 1e-300, ParameterDomainError,
+         "g = 2*pi*a/m_r with a = 10000000000.0 and m_r = 1e-300 leaves the float range"),
+    _row("derived-a", lambda v: SystemParams(m=v, M=v, g=1e300), 1e300, ParameterDomainError,
+         "a = g*m_r/(2*pi) with g = 1e+300 and m_r = 4.9999999999999995e+299 leaves the float range"),
+    # bounds and budgets that a raw error or a bool got past
+    _row("huge-int-integrate-a", lambda v: integrate(abs, v, 1.0), 10**400, DomainError,
+         f"integration bounds must be real numbers, got a={10**400!r}, b=1.0"),
+    _row("huge-int-integrate_semi_infinite-a", lambda v: integrate_semi_infinite(abs, v), 10**400,
+         DomainError, f"integration bounds must be real numbers, got a={10**400!r}, b=inf"),
+    _row("bool-BoxOracleConfig-max_points", lambda v: BoxOracleConfig(max_points=v), True,
+         ConfigurationError, "max_points must be a positive integer, got True"),
 ]
 
 
@@ -192,15 +221,26 @@ def test_numpy_and_int_scalars_are_accepted_and_stored_as_floats(value):
     assert type(box.L) is float and box.L == 20.0
 
 
+def test_couplings_are_stored_as_floats_and_budgets_as_ints():
+    # a bool coupling was stored as the bool, and a numpy integer budget was refused
+    assert type(SystemParams(g=True).g) is float and SystemParams(g=True).g == 1.0
+    assert type(SystemParams(a=np.int64(2)).a) is float
+    box = BoxOracleConfig(max_points=np.int64(5))
+    assert type(box.max_points) is int and box.max_points == 5
+
+
 def test_require_returns_floats_and_refuses_out_of_range_ints():
     assert _require(np.float32(0.5), "x") == 0.5
     assert type(_require(3, "x")) is float
-    assert _require(0, "x", positive=False) == 0.0
-    assert str(_require(-0.0, "x", positive=False)) == "-0.0"
+    assert _require(0, "x", kind="nonnegative") == 0.0
+    assert str(_require(-0.0, "x", kind="nonnegative")) == "-0.0"
     with pytest.raises(DomainError, match=r"^x must be positive and finite, got 1000"):
         _require(10**400, "x")
     with pytest.raises(ConfigurationError, match=r"^x must be nonnegative and finite, got -1$"):
-        _require(-1, "x", positive=False, error=ConfigurationError)
+        _require(-1, "x", kind="nonnegative", error=ConfigurationError)
+    assert _require(-2, "x", kind="signed") == -2.0
+    with pytest.raises(DomainError, match=r"^x must be finite, got -inf$"):
+        _require(-float("inf"), "x", kind="signed")
 
 
 def test_the_positivity_rule_is_worded_in_errors_only():

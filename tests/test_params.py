@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,23 @@ def test_params_frozen():
     p = SystemParams(g=1.0)
     with pytest.raises(AttributeError):
         p.m = 2.0
+
+
+@pytest.mark.parametrize("m, M", [(1.0, 1.0), (1.0, 3e-308), (3e-308, 2.0), (1e-300, 1e-300), (1e300, 5.0)])
+def test_reduced_mass_keeps_its_bits_where_the_reciprocal_form_is_in_range(m, M):
+    assert derive(SystemParams(m=m, M=M, g=1.0)).m_r.hex() == (1.0 / (1.0 / m + 1.0 / M)).hex()
+
+
+@pytest.mark.parametrize("m, M", [(1.0, 1e-310), (1e-310, 1.0), (2e-310, 1e-310), (1e-315, 1e-320)])
+def test_reduced_mass_of_a_subnormal_mass_stays_in_range(m, M):
+    # 1/m or 1/M overflowed, so m_r was 0.0: a = 0.0 from g, or a ZeroDivisionError from a
+    params = SystemParams(m=m, M=M, g=1.0)
+    exact = float(Fraction(m) * Fraction(M) / (Fraction(m) + Fraction(M)))
+    m_r = derive(params).m_r
+    # two roundings, in ulps of the normal floats or of the subnormal spacing 5e-324
+    assert m_r > 0.0 and abs(m_r - exact) <= 2.0 * 5e-324 + 4.5e-16 * exact
+    assert params.a == params.g * m_r / (2.0 * math.pi) > 0.0
+    assert SystemParams(m=m, M=M, a=1e-320).g == 2.0 * math.pi * 1e-320 / m_r
 
 
 def test_born_scattering_length():

@@ -1,10 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from becimpurity import (
-    ConfigurationError,
     DomainError,
     I0,
     I1,
@@ -94,12 +94,30 @@ def test_energy_shift_closed_value():
     assert energy_shift_closed(WEAK) == pytest.approx(expected, rel=1e-14)
 
 
-def test_energy_shift_modes_agree():
-    for cutoff in (200.0, 2000.0):
-        for q_i in (0.0, 0.5):
-            ct = energy_shift_quadrature(q_i, WEAK, cutoff, mode="counterterm")
-            sub = energy_shift_quadrature(q_i, WEAK, cutoff, mode="subtracted")
-            assert sub == pytest.approx(ct, rel=1e-12)
+def _subtracted_shift(q_i: float, params: SystemParams, cutoff: float):
+    """2*pi*n*a/m_r + (n*a**2/(m*m_r**2)) * int_0^cutoff (4*m*m_r - f(p, q_i)) dp, 40 digits."""
+    with mpmath.workdps(40):
+        n, a, m, M = (mpmath.mpf(v) for v in (params.n, params.a, params.m, params.M))
+        c, q = mpmath.sqrt(n * mpmath.mpf(params.U0) / m), mpmath.mpf(q_i)
+        m_r = 1 / (1 / m + 1 / M)
+
+        def subtracted(p):
+            eps = p / (2 * m) * mpmath.sqrt(p * p + (2 * m * c) ** 2)
+            w0 = eps + p * p / (2 * M)
+            if q == 0:
+                return 4 * m * m_r - p**4 / (eps * w0)
+            u = p * q / (M * w0)
+            return 4 * m * m_r - (p**3 / eps) * (M / (2 * q)) * (mpmath.log1p(u) - mpmath.log1p(-u))
+
+        integral = mpmath.quad(subtracted, [0, 1, 10, 100, cutoff])
+        return 2 * mpmath.pi * n * a / m_r + n * a * a / (m * m_r * m_r) * integral
+
+
+@pytest.mark.parametrize("cutoff", [200.0, 2000.0])
+@pytest.mark.parametrize("q_i", [0.0, 0.5, 0.9])
+def test_energy_shift_matches_the_subtracted_integral_in_mpmath(q_i, cutoff):
+    ref = _subtracted_shift(q_i, WEAK, cutoff)
+    assert float(abs(energy_shift_quadrature(q_i, WEAK, cutoff) - ref) / ref) <= 1e-14
 
 
 def test_energy_shift_converges_to_closed():
@@ -122,8 +140,6 @@ def test_energy_shift_validation():
         energy_shift_quadrature(0.5, WEAK, 0.0)
     with pytest.raises(DomainError):
         energy_shift_quadrature(0.5, WEAK, -10.0)
-    with pytest.raises(ConfigurationError):
-        energy_shift_quadrature(0.5, WEAK, 500.0, mode="renormalized")
 
 
 def test_effective_mass_closed_value():
@@ -158,6 +174,15 @@ def test_effective_mass_finite_difference_matches_closed():
     closed = effective_mass_closed(WEAK)
     assert r.correction == pytest.approx(closed.correction, rel=1e-3)
     assert r.method == "finite_difference"
+
+
+@pytest.mark.parametrize("M", [1e-3, 0.3, 3.0, 1e3])
+def test_stencil_mass_matches_the_closed_correction_over_mass_ratios(M):
+    # the stencil's O(1/cutoff) residue is 5.7e-4 at M = 1e-3; a counterterm form
+    # of the shift, 4*m*m_r*cutoff minus the bare integral, was 1.7e-3 off there
+    params = SystemParams(a=0.01, M=M)
+    fd, closed = effective_mass_finite_difference(params), effective_mass_closed(params)
+    assert fd.correction == pytest.approx(closed.correction, rel=1e-3)
 
 
 @pytest.mark.parametrize("M", [1e155, 1e160, 1e300])
