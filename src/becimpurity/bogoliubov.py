@@ -44,7 +44,7 @@ def _as_momentum(p):
 
 
 def _energy_scales(params: SystemParams):
-    """(2m, 2mc): eps(p) = p/2m * hypot(p, 2mc), as _excitation_energy forms it."""
+    """(2m, 2mc): eps(p) = p/2m * hypot(p, 2mc) and S(p) = p/hypot(p, 2mc)."""
     two_m = 2.0 * params.m
     return two_m, two_m * derive(params).c
 
@@ -61,6 +61,17 @@ def _excitation_energy(params: SystemParams):
         return p / two_m * np.hypot(p, two_mc)
 
     return eps
+
+
+def _structure_factor(params: SystemParams):
+    """S(p) = p/hypot(p, 2mc) = p**2/(2m*eps(p)), the condensate's static structure factor.
+
+    The Feynman relation: S grows like p/2mc from S(0) = 0 and tends to 1.
+    It is in [0, 1] for every finite p, also where p**2 and eps overflow,
+    since SystemParams keeps 2mc positive and finite.
+    """
+    _, two_mc = _energy_scales(params)
+    return lambda p: p / np.hypot(p, two_mc)
 
 
 def _odd_taylor_tail(weight, first: int, last: int):
@@ -135,17 +146,14 @@ def transform_coefficients(p, params: SystemParams) -> BogoliubovCoefficients:
 def coupling_weight(p, params: SystemParams):
     """Volume-independent squared impurity-excitation vertex.
 
-    w(p) = g**2 * n * p**2 / (2*m*eps(p)); the finite-box oracle divides by
-    the box volume to recover the per-mode coupling. Continuously extended to
-    w(0) = 0 (w grows like g**2*n*p/(2*m*c) at small p).
+    w(p) = g**2 * n * S(p), with S the static structure factor
+    p**2/(2*m*eps(p)) = p/hypot(p, 2mc); the finite-box oracle divides by the
+    box volume to recover the per-mode coupling. w(0) = 0, w grows like
+    g**2*n*p/(2*m*c) at small p and tends to g**2*n, so it is in range for
+    every finite p wherever g**2*n is.
     """
     arr = _as_momentum(p)
-    out = np.zeros_like(arr)
-    mask = arr > 0
-    if np.any(mask):
-        pm = arr[mask]
-        eps = dispersion(pm, params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # np.float64 ** has the bits of float ** but gives inf, not OverflowError, above |g| ~ 1e154
-            out[mask] = np.float64(params.g) ** 2 * params.n * pm * pm / (2.0 * params.m * eps)
-    return _in_float_range(arr, (out, "coupling weight" + _AT_P))
+    with np.errstate(over="ignore"):
+        # g enters twice, never as g*g, so w(0) = 0 at every g
+        w = params.n * _structure_factor(params)(arr) * params.g * params.g
+    return _in_float_range(arr, (w, "coupling weight" + _AT_P))

@@ -9,6 +9,7 @@ All containers are frozen after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -63,7 +64,15 @@ class SystemParams:
                 object.__setattr__(self, name, value)
         if self.g is None and self.a is None:
             raise ParameterDomainError("set at least one of g (bare coupling) or a (scattering length)")
-        m_r = derive(self).m_r
+        d = derive(self)
+        for name, value, inputs in (
+            ("c = sqrt(n*U0/m)", d.c, f"n = {self.n!r}, U0 = {self.U0!r} and m = {self.m!r}"),
+            ("q_c = M*c", d.q_c, f"M = {self.M!r} and c = {d.c!r}"),
+            ("2*m*c", 2.0 * self.m * d.c, f"m = {self.m!r} and c = {d.c!r}"),
+        ):
+            if not 0.0 < value < math.inf:
+                raise ParameterDomainError(f"{name} with {inputs} leaves the float range")
+        m_r = d.m_r
         if self.g is None or self.a is None:
             if self.g is None:
                 name, value, born = "g", 2.0 * math.pi * self.a / m_r, f"2*pi*a/m_r with a = {self.a!r}"
@@ -85,12 +94,18 @@ class SystemParams:
 def derive(params: SystemParams) -> DerivedQuantities:
     """Compute the derived scales; pure and deterministic.
 
+    c = sqrt(n*U0/m) is formed from the separate roots where n*U0 or
+    n*U0/m is not a normal float, so c is inf or 0 only where its value is.
     m_r = 1/(1/m + 1/M) is 0 where 1/m or 1/M overflows (a mass below about
     5.6e-309); there it is formed as small/(1 + small/big) from the smaller
     and larger mass instead, which stays in range.
     """
-    m, M = params.m, params.M
-    c = math.sqrt(params.n * params.U0 / m)
+    m, M, n, U0 = params.m, params.M, params.n, params.U0
+    ratio = n * U0 / m
+    if sys.float_info.min <= min(n * U0, ratio) and ratio < math.inf:
+        c = math.sqrt(ratio)
+    else:
+        c = math.sqrt(n) * math.sqrt(U0) / math.sqrt(m)
     m_r = 1.0 / (1.0 / m + 1.0 / M)
     if m_r == 0.0:
         small, big = sorted((m, M))

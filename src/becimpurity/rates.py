@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bogoliubov import _as_momentum, _energy_scales, _sinh_tail, dispersion
+from .bogoliubov import _as_momentum, _sinh_tail, _structure_factor
 from .errors import ConfigurationError, DomainError, _in_float_range, _require
 from .kinematics import _entries, _momenta, _p_max, max_emission_momentum
 from .params import SystemParams, derive
@@ -121,6 +121,18 @@ def _density_prefactor(q, params: SystemParams):
     return _g2_last(lambda g2: n * M * g2 / (4.0 * math.pi * m * q), params.g)
 
 
+def _emission_shape(params: SystemParams):
+    """p -> 2m*S(p)*p, which equals p**3/eps(p): the emission spectrum over its prefactor.
+
+    With S the structure factor, the shape stays finite where p**3
+    overflows (p from about 1e103), so the density needs no second form.
+    2m*S, at most 2m and at most p/c, is formed before the factor p, so a
+    heavy boson's 2m*p cannot overflow where the shape does not.
+    """
+    two_m, S = 2.0 * params.m, _structure_factor(params)
+    return lambda p: two_m * S(p) * p
+
+
 def emission_spectral_density(p, q_i: float, params: SystemParams):
     """Differential transition rate per emitted momentum, dGamma_T/dp.
 
@@ -134,14 +146,9 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     p_max = max_emission_momentum(q_i, params)
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
-        pm = arr[mask]
         pref = _in_float_range(q_i, (_density_prefactor(q_i, params), _PREFACTOR_RANGE))
-        eps = dispersion(pm, params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            density = pref * pm**3 / eps
-            # where pref * pm**3 overflows, dividing by eps first keeps a finite density
-            spill = ~np.isfinite(density)
-            density[spill] = pref * (pm[spill] / eps[spill] * pm[spill] * pm[spill])
+        with np.errstate(over="ignore"):
+            density = pref * _emission_shape(params)(arr[mask])
         out[mask] = _in_float_range(
             q_i, (density, "emission spectral density at q_i = {!r} leaves the float range"))
     return out if out.ndim else float(out)
@@ -186,9 +193,10 @@ energy_dissipation_rate = transition_rate
 def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_REL_TOL) -> RateResult:
     """Rates by adaptive integration over the emission window.
 
-    Integrates p**3/eps (and eps * that, for the energy rate) over
-    (0, p_max); est_error is the larger relative error estimate of the two
-    integrals. Subcritical momenta return exact zeros without integrating.
+    Integrates the emission shape p**3/eps (and eps * that, for the energy
+    rate) over (0, p_max); est_error is the larger relative error estimate
+    of the two integrals. Subcritical momenta return exact zeros without
+    integrating.
 
     q_i is a float or a 1-D array. For an array, the result holds arrays
     (one entry per momentum, each bit-identical to the float call) and each
@@ -205,19 +213,12 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
     window = p_max > 0.0
     val_t, err_t, val_e, err_e = np.zeros((4, q.size))
     if window.any():
-        two_m, two_mc = _energy_scales(params)
-
-        # p**3/eps(p) with eps's expression inlined: one Python frame fewer per
-        # call, the same float operations (p**3 is np.power's float64 loop too)
-        def radial(p):
-            return np.power(p, 3.0) / (p / two_m * np.hypot(p, two_mc))
-
         def radial_energy(p):
             return np.power(p, 3.0)  # p**3/eps * eps
 
         # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
         with np.errstate(over="ignore"):
-            val_t[window], err_t[window] = integrate(radial, 0.0, p_max[window], tol)
+            val_t[window], err_t[window] = integrate(_emission_shape(params), 0.0, p_max[window], tol)
             val_e[window], err_e[window] = integrate(radial_energy, 0.0, p_max[window], tol)
     pref = np.where(window, _density_prefactor(q, params), 0.0)
     est = np.maximum(err_t / np.maximum(np.abs(val_t), _TINY),

@@ -51,6 +51,7 @@ class SpectrumPoint:
 
     components holds the momentum-independent pieces: the mean-field shift
     (first order in a) and the condensate-fluctuation shift (second order).
+    Each point holds its own dict.
     """
 
     q_i: float
@@ -186,8 +187,9 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
         )
     cutoff = _require(cutoff, "cutoff")
     m, m_r = params.m, d.m_r
-    # a numpy divisor gives inf, not ZeroDivisionError, where m*m_r*m_r underflows to 0
-    with np.errstate(divide="ignore", over="ignore"):
+    # a numpy divisor gives inf (or nan, where a**2 underflows too), not
+    # ZeroDivisionError, where m*m_r*m_r underflows to 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pref = float(params.n * params.a**2 / np.float64(m * m_r * m_r))
     divergence_rate = 4.0 * m * m_r  # large-p limit of the integrand
     eps = _excitation_energy(params)
@@ -308,8 +310,8 @@ def energy_spectrum(q_list, params: SystemParams) -> list[SpectrumPoint]:
     e0 = energy_shift_closed(params)
     mf = mean_field_shift(params)
     mass = effective_mass_closed(params)
-    components = {"mean_field": mf, "fluctuation": e0 - mf}
     return [
-        SpectrumPoint(q_i=q, energy=e0 + q * q / (2.0 * mass.M_ef), components=components)
+        SpectrumPoint(q_i=q, energy=e0 + q * q / (2.0 * mass.M_ef),
+                      components={"mean_field": mf, "fluctuation": e0 - mf})
         for q in q_arr
     ]

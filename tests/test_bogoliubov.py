@@ -11,9 +11,10 @@ from becimpurity import (
     SystemParams,
     coupling_weight,
     dispersion,
+    derive,
     transform_coefficients,
 )
-from becimpurity.bogoliubov import _mass_tail, _sinh_tail
+from becimpurity.bogoliubov import _mass_tail, _sinh_tail, _structure_factor
 
 UNIT = SystemParams(g=1.0)
 
@@ -83,6 +84,14 @@ def test_coupling_weight_zero_momentum_vanishes():
     assert coupling_weight(0.0, UNIT) == 0.0
 
 
+def test_structure_factor_vanishes_at_rest_and_stays_in_the_unit_interval():
+    S = _structure_factor(SystemParams(M=0.3, m=2.0, n=0.7, U0=1.7, g=0.4))
+    s = S(np.concatenate(([0.0], np.geomspace(1e-300, 1e300, 61))))
+    assert s[0] == 0.0 and bool(((0.0 < s[1:]) & (s[1:] <= 1.0)).all())
+    # S = p**2/(2m*eps) = 1/sqrt(2) at p = 2mc
+    assert _structure_factor(UNIT)(2.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+
+
 def test_coupling_weight_saturates_at_g2n():
     assert coupling_weight(1e5, UNIT) == pytest.approx(1.0, abs=1e-8)
 
@@ -129,21 +138,51 @@ def test_dispersion_beyond_the_float_range_raises_numerical(p):
         dispersion(p, UNIT)
 
 
-@pytest.mark.parametrize("route", [transform_coefficients, coupling_weight])
-def test_transform_and_weight_beyond_the_float_range_raise_numerical(route):
+# the transform leaves the float range at p = 1e155 with eps; the weight is
+# g**2*n*S(p) with S <= 1, so only a coupling whose g**2*n does can take it out
+@pytest.mark.parametrize("route, params", [(transform_coefficients, UNIT),
+                                           (coupling_weight, SystemParams(g=1e200))],
+                         ids=["transform_coefficients", "coupling_weight"])
+def test_transform_and_weight_beyond_the_float_range_raise_numerical(route, params):
     with pytest.raises(NumericalError, match="float range"):
-        route(1e155, UNIT)
+        route(1e155, params)
     with pytest.raises(NumericalError, match="float range"):
-        route(np.array([1.0, 1e155]), UNIT)
+        route(np.array([1.0, 1e155]), params)
 
 
 def test_weight_overflowing_in_its_own_arithmetic_raises_numerical():
-    # eps is finite; g**2 * n * p * p is not
+    # g**2*n*S is finite at p = 1 (S = 0.447) and not at p = 1e60 (S = 1)
     with pytest.raises(NumericalError, match=r"coupling weight at p = 1e\+60"):
-        coupling_weight(np.array([1.0, 1e60]), SystemParams(g=1e100))
+        coupling_weight(np.array([1.0, 1e60]), SystemParams(g=1.5e154))
     # g**2 alone overflows: a NumericalError, not Python's OverflowError
     with pytest.raises(NumericalError, match=r"coupling weight at p = 1.0 "):
         coupling_weight(1.0, SystemParams(g=1e200))
+
+
+def test_weight_is_in_range_wherever_its_value_is():
+    # formed as g**2*n*p*p/(2*m*eps), these raised where p*p, eps or g**2*n overflow
+    assert coupling_weight(1e155, UNIT) == 1.0
+    assert coupling_weight(1e300, UNIT) == 1.0
+    w = coupling_weight(np.array([1.0, 1e60]), SystemParams(g=1e100))
+    assert w[0] == pytest.approx(1e200 / math.sqrt(5.0), rel=1e-15) and w[1] == 1e200
+    assert coupling_weight(1e-30, SystemParams(n=1e300, U0=1e-300, g=1e10)) == pytest.approx(5e289, rel=1e-15)
+    # w(0) = 0 at every coupling, also where g*g overflows
+    assert coupling_weight(0.0, SystemParams(g=1e200)) == 0.0
+
+
+@pytest.mark.parametrize("params", [UNIT, SystemParams(M=0.3, m=2.0, n=0.7, U0=1.7, g=0.4),
+                                    SystemParams(a=0.01)], ids=["unit", "mixed", "dilute"])
+def test_weight_matches_the_structure_factor_in_mpmath(params):
+    # w = g**2*n*p**2/(2*m*eps(p)), eps from the 40-digit square root
+    m, c = mpmath.mpf(params.m), mpmath.mpf(derive(params).c)
+    p = np.geomspace(1e-6, 1e6, 400)
+    w = coupling_weight(p, params)
+    with mpmath.workdps(40):
+        for p_j, w_j in zip(p.tolist(), w.tolist()):
+            x = mpmath.mpf(p_j)
+            eps = x / (2 * m) * mpmath.sqrt(x * x + (2 * m * c) ** 2)
+            want = mpmath.mpf(params.g) ** 2 * params.n * x * x / (2 * m * eps)
+            assert abs(w_j - want) <= 1e-15 * want, p_j
 
 
 @pytest.mark.parametrize("p", [1e78, 1e100, 1e150])

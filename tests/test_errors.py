@@ -194,6 +194,21 @@ _SITES = [
          "g = 2*pi*a/m_r with a = 10000000000.0 and m_r = 1e-300 leaves the float range"),
     _row("derived-a", lambda v: SystemParams(m=v, M=v, g=1e300), 1e300, ParameterDomainError,
          "a = g*m_r/(2*pi) with g = 1e+300 and m_r = 4.9999999999999995e+299 leaves the float range"),
+    # a derived scale that leaves the float range; c and q_c were stored as inf or 0.0
+    _row("derived-c-inf", lambda v: SystemParams(n=1e308, U0=1e308, m=v, g=1.0), 1e-300,
+         ParameterDomainError,
+         "c = sqrt(n*U0/m) with n = 1e+308, U0 = 1e+308 and m = 1e-300 leaves the float range"),
+    _row("derived-c-zero", lambda v: SystemParams(n=1e-320, U0=1e-320, m=v, g=1.0), 1e300,
+         ParameterDomainError,
+         "c = sqrt(n*U0/m) with n = 1e-320, U0 = 1e-320 and m = 1e+300 leaves the float range"),
+    _row("derived-q_c", lambda v: SystemParams(n=1e-300, U0=1e-300, M=v, a=0.01), 1e-300,
+         ParameterDomainError, "q_c = M*c with M = 1e-300 and c = 1e-300 leaves the float range"),
+    _row("derived-2mc", lambda v: SystemParams(m=v, n=v, U0=v, g=1.0), 1e300,
+         ParameterDomainError, "2*m*c with m = 1e+300 and c = 1e+150 leaves the float range"),
+    # the prefactor's 0/0 let a RuntimeWarning escape before the error
+    _row("energy_shift_quadrature-prefactor",
+         lambda v: energy_shift_quadrature(0.0, SystemParams(M=v, g=1.0), 200.0), 1e-310,
+         NumericalError, "energy shift at q_i = 0.0 leaves the float range"),
     # bounds and budgets that a raw error or a bool got past
     _row("huge-int-integrate-a", lambda v: integrate(abs, v, 1.0), 10**400, DomainError,
          f"integration bounds must be real numbers, got a={10**400!r}, b=1.0"),

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from becimpurity import (
@@ -10,6 +11,9 @@ from becimpurity import (
     SystemParams,
     born_scattering_length,
     derive,
+    effective_mass_closed,
+    emission_window,
+    energy_shift_closed,
     renormalized_coupling,
 )
 
@@ -42,6 +46,38 @@ def test_critical_momentum_scales_with_impurity_mass():
 def test_sound_speed_formula():
     d = derive(SystemParams(m=4.0, U0=9.0, g=1.0))
     assert d.c == pytest.approx(1.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(m=4.0, U0=9.0), dict(n=1e-300, m=1e-10),
+                                dict(n=1e150, U0=1e150, m=1e10), dict(m=1e-300, M=1e-300)])
+def test_sound_speed_keeps_its_bits_where_n_u0_over_m_is_a_normal_float(kw):
+    params = SystemParams(g=1.0, **kw)
+    assert derive(params).c.hex() == math.sqrt(params.n * params.U0 / params.m).hex()
+
+
+@pytest.mark.parametrize("kw", [
+    dict(m=1e-310, M=1e-310),          # n*U0/m overflows: c was inf
+    dict(n=1e-300, U0=1e-300),         # n*U0 underflows: c was 0.0
+    dict(n=1e-200, U0=1e-120, m=1e-20),  # n*U0 is subnormal: c was 5e-6 off
+])
+def test_sound_speed_stays_in_range_where_n_u0_over_m_does_not(kw):
+    params = SystemParams(g=1.0, **kw)
+    d = derive(params)
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(mpmath.mpf(params.n) * mpmath.mpf(params.U0) / mpmath.mpf(params.m))
+    assert abs(d.c - exact) <= 4.5e-16 * exact
+    assert d.q_c == params.M * d.c
+
+
+def test_a_sound_speed_in_range_mends_the_routes_that_read_it():
+    # c = inf made the closed shift nan; c = q_c = 0 made a subcritical momentum
+    # dissipative and the closed mass divide by zero
+    assert math.isfinite(energy_shift_closed(SystemParams(m=1e-310, M=1e-310, g=1.0)))
+    slow = SystemParams(n=1e-300, U0=1e-300, a=0.01)
+    assert not emission_window(1e-305, slow).dissipative
+    # sigma holds n/c, which is 1 here as at unit parameters
+    assert effective_mass_closed(slow).correction == pytest.approx(
+        effective_mass_closed(SystemParams(a=0.01)).correction, rel=1e-13)
 
 
 def test_both_couplings_unset_rejected():

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,6 @@ from becimpurity import (
     transition_rate_quadrature,
 )
 from becimpurity import _kernels, checks, rates
-from becimpurity.bogoliubov import _excitation_energy
 from becimpurity.params import derive
 from becimpurity.quadrature import integrate
 
@@ -375,14 +375,13 @@ def test_quadrature_on_an_array_matches_float_calls_bitwise(M):
 
 
 @pytest.mark.parametrize("M", [0.1, 1.0, 10.0])
-def test_quadrature_integrands_keep_the_bits_of_p3_over_eps_and_p3(M):
-    # the integrands inline eps and write p**3 as np.power(p, 3.0); both forms
-    # go through numpy's float64 power loop, so the rates keep every bit
+def test_quadrature_rates_are_the_prefactor_times_integrals_of_the_emission_shape(M):
+    # gamma_T integrates the one emission shape, 2m*S(p)*p, that the density
+    # uses; gamma_E integrates np.power(p, 3.0), which has the bits of p**3
     params = SystemParams(g=1.0, M=M)
     q = np.linspace(1.05, 10.0, 300) * derive(params).q_c
-    eps = _excitation_energy(params)
     p_max = max_emission_momentum(q, params)
-    val_t, err_t = integrate(lambda p: p**3 / eps(p), 0.0, p_max)
+    val_t, err_t = integrate(rates._emission_shape(params), 0.0, p_max)
     val_e, err_e = integrate(lambda p: p**3, 0.0, p_max)
     pref = rates._density_prefactor(q, params)
     est = np.maximum(err_t / np.maximum(np.abs(val_t), rates._TINY),
@@ -390,6 +389,31 @@ def test_quadrature_integrands_keep_the_bits_of_p3_over_eps_and_p3(M):
     r = transition_rate_quadrature(q, params)
     for got, want in ((r.gamma_T, pref * val_t), (r.gamma_E, pref * val_e), (r.est_error, est)):
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_emission_shape_is_finite_where_p_cubed_overflows():
+    p = np.geomspace(1e103, 1e300, 50)
+    shape = rates._emission_shape(UNIT)(p)
+    # p**3/eps = 2*p**2/sqrt(p**2 + 4) at unit parameters, 2p to rounding here
+    assert np.isfinite(shape).all() and (shape == 2.0 * p).all()
+    density = emission_spectral_density(1e110, 1e150, UNIT)
+    assert density == pytest.approx(1e110 / (2.0 * math.pi * 1e150), rel=1e-15)
+
+
+@pytest.mark.parametrize("params", [UNIT, SystemParams(M=0.3, m=2.0, n=0.7, U0=1.7, g=0.4),
+                                    SystemParams(a=0.01)], ids=["unit", "mixed", "dilute"])
+def test_spectral_density_matches_p3_over_eps_in_mpmath(params):
+    q_i = 3.0 * derive(params).q_c
+    p_max = max_emission_momentum(q_i, params)
+    p = np.linspace(0.0, p_max, 302)[1:-1]
+    density = emission_spectral_density(p, q_i, params)
+    m, c = mpmath.mpf(params.m), mpmath.mpf(derive(params).c)
+    with mpmath.workdps(40):
+        pref = params.n * mpmath.mpf(params.M) * mpmath.mpf(params.g) ** 2 / (4 * mpmath.pi * m * q_i)
+        for p_j, d_j in zip(p.tolist(), density.tolist()):
+            x = mpmath.mpf(p_j)
+            want = pref * x**3 / (x / (2 * m) * mpmath.sqrt(x * x + (2 * m * c) ** 2))
+            assert abs(d_j - want) <= 1e-15 * want, p_j
 
 
 def _traced_integrate(monkeypatch):

@@ -239,6 +239,12 @@ def test_energy_spectrum_reference_structure():
     )
 
 
+def test_energy_spectrum_points_do_not_share_their_components():
+    pts = energy_spectrum([0.0, 0.3], WEAK)
+    pts[0].components["mean_field"] = 99.0
+    assert pts[1].components["mean_field"] == mean_field_shift(WEAK)
+
+
 def test_energy_spectrum_rejects_supercritical_with_offenders():
     with pytest.raises(DomainError) as exc:
         energy_spectrum([0.5, 1.0, 1.5], WEAK)
