@@ -46,7 +46,9 @@ def _as_momentum(p):
 def _energy_scales(params: SystemParams):
     """(2m, 2mc): eps(p) = p/2m * hypot(p, 2mc) and S(p) = p/hypot(p, 2mc)."""
     two_m = 2.0 * params.m
-    return two_m, two_m * derive(params).c
+    # 0-d float64 arrays, not floats: a ufunc converts a Python-float operand
+    # on every call, and the integrands built on these run once per panel
+    return np.array(two_m), np.array(two_m * derive(params).c)
 
 
 def _excitation_energy(params: SystemParams):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bogoliubov import _as_momentum, _sinh_tail, _structure_factor
+from .bogoliubov import _as_momentum, _energy_scales, _sinh_tail, _structure_factor
 from .errors import ConfigurationError, DomainError, _in_float_range, _require
 from .kinematics import _entries, _momenta, _p_max, max_emission_momentum
 from .params import SystemParams, derive
@@ -129,7 +129,7 @@ def _emission_shape(params: SystemParams):
     2m*S, at most 2m and at most p/c, is formed before the factor p, so a
     heavy boson's 2m*p cannot overflow where the shape does not.
     """
-    two_m, S = 2.0 * params.m, _structure_factor(params)
+    two_m, S = _energy_scales(params)[0], _structure_factor(params)
     return lambda p: two_m * S(p) * p
 
 
@@ -177,9 +177,14 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
         s = p_max / k
         u = 2.0 * np.arcsinh(s)
         shape = np.where(u < 1.0, _sinh_tail(u, u * u), 2.0 * s * np.hypot(1.0, s) - u)  # sinh(u) - u
+        radial = 0.5 * params.m * k * k * shape
+        # past s ~ 9.5e153 sinh(u) overflows although radial need not: there it is
+        # m*(p_max*hypot(k, p_max) - k*k*u/2), with k**2*s*hypot(1, s) multiplied out
+        far = np.isinf(shape)
+        radial[far] = params.m * (p_max[far] * np.hypot(k, p_max[far]) - k * k * u[far] / 2.0)
         pref = _density_prefactor(q, params)
         window = p_max > 0.0
-        gamma_T = np.where(window, pref * (0.5 * params.m * k * k * shape), 0.0)
+        gamma_T = np.where(window, pref * radial, 0.0)
         gamma_E = np.where(window, pref * (p_max**4 / 4.0), 0.0)
     return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [
         (p_max, "largest emitted momentum at q_i = {!r} leaves the float range"),

@@ -334,6 +334,17 @@ def test_rates_stay_finite_up_to_1e76(route):
     assert r.gamma_E == pytest.approx(transition_rate(1e76, UNIT).gamma_E, rel=1e-12)
 
 
+@pytest.mark.parametrize("q_i", [0.25, 1.0, 3.0])
+def test_closed_transition_rate_is_in_range_where_sinh_u_overflows(q_i):
+    # c = 1e155, so s = p_max/2mc passes 1e153 and 2s*hypot(1, s) overflows,
+    # while gamma_T itself is a subnormal in range
+    params = SystemParams(m=1e-310, M=1e-310, g=1.0)
+    closed, quad = transition_rate(q_i, params), transition_rate_quadrature(q_i, params)
+    assert 0.0 < closed.gamma_T < 1e-300
+    assert closed.gamma_T == pytest.approx(quad.gamma_T, rel=1e-10)
+    assert closed.gamma_E == pytest.approx(quad.gamma_E, rel=1e-12)
+
+
 # 1e78: p_max**4 (closed) and the gamma_E integral (quadrature) overflow;
 # 1e120: the quadrature integrand p**3 overflows too;
 # 1e200: q_i**2 overflows inside max_emission_momentum
