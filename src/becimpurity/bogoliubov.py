@@ -65,14 +65,15 @@ def _excitation_energy(params: SystemParams):
     return eps
 
 
-def _structure_factor(params: SystemParams):
+def _structure_factor(two_mc):
     """S(p) = p/hypot(p, 2mc) = p**2/(2m*eps(p)), the condensate's static structure factor.
 
-    The Feynman relation: S grows like p/2mc from S(0) = 0 and tends to 1.
-    It is in [0, 1] for every finite p, also where p**2 and eps overflow,
-    since SystemParams keeps 2mc positive and finite.
+    two_mc is the second of _energy_scales(params), passed in so a caller
+    that also needs 2m forms the scales once. The Feynman relation: S grows
+    like p/2mc from S(0) = 0 and tends to 1. It is in [0, 1] for every
+    finite p, also where p**2 and eps overflow, since SystemParams keeps 2mc
+    positive and finite.
     """
-    _, two_mc = _energy_scales(params)
     return lambda p: p / np.hypot(p, two_mc)
 
 
@@ -155,7 +156,8 @@ def coupling_weight(p, params: SystemParams):
     every finite p wherever g**2*n is.
     """
     arr = _as_momentum(p)
+    _, two_mc = _energy_scales(params)
     with np.errstate(over="ignore"):
         # g enters twice, never as g*g, so w(0) = 0 at every g
-        w = params.n * _structure_factor(params)(arr) * params.g * params.g
+        w = params.n * _structure_factor(two_mc)(arr) * params.g * params.g
     return _in_float_range(arr, (w, "coupling weight" + _AT_P))

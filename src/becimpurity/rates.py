@@ -129,7 +129,8 @@ def _emission_shape(params: SystemParams):
     2m*S, at most 2m and at most p/c, is formed before the factor p, so a
     heavy boson's 2m*p cannot overflow where the shape does not.
     """
-    two_m, S = _energy_scales(params)[0], _structure_factor(params)
+    two_m, two_mc = _energy_scales(params)
+    S = _structure_factor(two_mc)
     return lambda p: two_m * S(p) * p
 
 

@@ -14,7 +14,7 @@ from becimpurity import (
     derive,
     transform_coefficients,
 )
-from becimpurity.bogoliubov import _mass_tail, _sinh_tail, _structure_factor
+from becimpurity.bogoliubov import _energy_scales, _mass_tail, _sinh_tail, _structure_factor
 
 UNIT = SystemParams(g=1.0)
 
@@ -85,11 +85,12 @@ def test_coupling_weight_zero_momentum_vanishes():
 
 
 def test_structure_factor_vanishes_at_rest_and_stays_in_the_unit_interval():
-    S = _structure_factor(SystemParams(M=0.3, m=2.0, n=0.7, U0=1.7, g=0.4))
-    s = S(np.concatenate(([0.0], np.geomspace(1e-300, 1e300, 61))))
+    _, two_mc = _energy_scales(SystemParams(M=0.3, m=2.0, n=0.7, U0=1.7, g=0.4))
+    s = _structure_factor(two_mc)(np.concatenate(([0.0], np.geomspace(1e-300, 1e300, 61))))
     assert s[0] == 0.0 and bool(((0.0 < s[1:]) & (s[1:] <= 1.0)).all())
     # S = p**2/(2m*eps) = 1/sqrt(2) at p = 2mc
-    assert _structure_factor(UNIT)(2.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+    _, two_mc = _energy_scales(UNIT)
+    assert _structure_factor(two_mc)(2.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
 
 def test_coupling_weight_saturates_at_g2n():

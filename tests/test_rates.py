@@ -345,6 +345,27 @@ def test_closed_transition_rate_is_in_range_where_sinh_u_overflows(q_i):
     assert closed.gamma_E == pytest.approx(quad.gamma_E, rel=1e-12)
 
 
+@pytest.mark.parametrize("q_i", [1e60, 1e70])
+def test_closed_transition_rate_past_sinh_u_overflow_matches_mpmath(q_i):
+    # k = 2mc = 1.59e-100 is not a power of two and s = p_max/k is 4e159 and
+    # 4e169, past the overflow of sinh(u); gamma_T is normal, so its second
+    # form must hold to a few ulps of the 40-digit closed form
+    params = SystemParams(m=0.7, M=1.3, n=0.9, U0=1e-200, g=0.3)
+    p_max = max_emission_momentum(q_i, params)
+    gamma_T = transition_rate(q_i, params).gamma_T
+    with mpmath.workdps(40):
+        m, n, g = mpmath.mpf(params.m), mpmath.mpf(params.n), mpmath.mpf(params.g)
+        k = 2 * m * mpmath.sqrt(n * mpmath.mpf(params.U0) / m)
+        u = 2 * mpmath.asinh(p_max / k)
+        assert p_max / k > 1e154
+        pref = n * mpmath.mpf(params.M) * g**2 / (4 * mpmath.pi * m * q_i)
+        want = pref * m * k**2 / 2 * (mpmath.sinh(u) - u)
+        assert abs(gamma_T - want) <= 4 * 2.0**-52 * want
+    # an array mixing an entry of the first form with this one keeps both bits
+    batch = transition_rate(np.array([1.0, q_i]), params).gamma_T
+    assert batch.tolist() == [transition_rate(1.0, params).gamma_T, gamma_T]
+
+
 # 1e78: p_max**4 (closed) and the gamma_E integral (quadrature) overflow;
 # 1e120: the quadrature integrand p**3 overflows too;
 # 1e200: q_i**2 overflows inside max_emission_momentum
