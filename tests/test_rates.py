@@ -334,25 +334,21 @@ def test_rates_stay_finite_up_to_1e76(route):
     assert r.gamma_E == pytest.approx(transition_rate(1e76, UNIT).gamma_E, rel=1e-12)
 
 
-@pytest.mark.parametrize("q_i", [0.25, 1.0, 3.0])
-def test_closed_transition_rate_is_in_range_where_sinh_u_overflows(q_i):
-    # c = 1e155, so s = p_max/2mc passes 1e153 and 2s*hypot(1, s) overflows,
-    # while gamma_T itself is a subnormal in range
-    params = SystemParams(m=1e-310, M=1e-310, g=1.0)
-    closed, quad = transition_rate(q_i, params), transition_rate_quadrature(q_i, params)
-    assert 0.0 < closed.gamma_T < 1e-300
-    assert closed.gamma_T == pytest.approx(quad.gamma_T, rel=1e-10)
-    assert closed.gamma_E == pytest.approx(quad.gamma_E, rel=1e-12)
-
-
-@pytest.mark.parametrize("q_i", [1e60, 1e70])
-def test_closed_transition_rate_past_sinh_u_overflow_matches_mpmath(q_i):
-    # k = 2mc = 1.59e-100 is not a power of two and s = p_max/k is 4e159 and
-    # 4e169, past the overflow of sinh(u); gamma_T is normal, so its second
-    # form must hold to a few ulps of the 40-digit closed form
-    params = SystemParams(m=0.7, M=1.3, n=0.9, U0=1e-200, g=0.3)
+# c = 1e155 in the tiny rows, so gamma_T is subnormal; in the mixed rows
+# k = 2mc = 1.59e-100 is not a power of two and gamma_T is normal
+@pytest.mark.parametrize("params, q_i", [
+    (SystemParams(m=1e-310, M=1e-310, g=1.0), 0.25),
+    (SystemParams(m=1e-310, M=1e-310, g=1.0), 1.0),
+    (SystemParams(m=1e-310, M=1e-310, g=1.0), 3.0),
+    (SystemParams(m=0.7, M=1.3, n=0.9, U0=1e-200, g=0.3), 1e60),
+    (SystemParams(m=0.7, M=1.3, n=0.9, U0=1e-200, g=0.3), 1e70),
+], ids=["tiny-0.25", "tiny-1", "tiny-3", "mixed-1e60", "mixed-1e70"])
+def test_closed_transition_rate_is_in_range_where_sinh_u_overflows(params, q_i):
+    # s = p_max/2mc passes 1e154, so sinh(u) = 2s*hypot(1, s) overflows,
+    # while gamma_T itself is in range: its second form must hold to a few
+    # ulps of the 40-digit closed form, and agree with the quadrature route
     p_max = max_emission_momentum(q_i, params)
-    gamma_T = transition_rate(q_i, params).gamma_T
+    closed, quad = transition_rate(q_i, params), transition_rate_quadrature(q_i, params)
     with mpmath.workdps(40):
         m, n, g = mpmath.mpf(params.m), mpmath.mpf(params.n), mpmath.mpf(params.g)
         k = 2 * m * mpmath.sqrt(n * mpmath.mpf(params.U0) / m)
@@ -360,10 +356,12 @@ def test_closed_transition_rate_past_sinh_u_overflow_matches_mpmath(q_i):
         assert p_max / k > 1e154
         pref = n * mpmath.mpf(params.M) * g**2 / (4 * mpmath.pi * m * q_i)
         want = pref * m * k**2 / 2 * (mpmath.sinh(u) - u)
-        assert abs(gamma_T - want) <= 4 * 2.0**-52 * want
-    # an array mixing an entry of the first form with this one keeps both bits
-    batch = transition_rate(np.array([1.0, q_i]), params).gamma_T
-    assert batch.tolist() == [transition_rate(1.0, params).gamma_T, gamma_T]
+        assert abs(closed.gamma_T - want) <= 4 * math.ulp(closed.gamma_T)
+    assert closed.gamma_T == pytest.approx(quad.gamma_T, rel=1e-10)
+    assert closed.gamma_E == pytest.approx(quad.gamma_E, rel=1e-12)
+    # in an array, the second form replaces only the entries that need it
+    batch = transition_rate(np.array([0.0, q_i]), params).gamma_T
+    assert batch.tolist() == [0.0, closed.gamma_T]
 
 
 # 1e78: p_max**4 (closed) and the gamma_E integral (quadrature) overflow;
