@@ -131,12 +131,11 @@ def transform_coefficients(p, params: SystemParams) -> BogoliubovCoefficients:
         raise SingularityError("transformation coefficients are singular at p = 0")
     nU0 = params.n * params.U0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # s = -(1 + mu) > 0; mu**2 - 1 factors as s*(s + 2) with no cancellation
+        # s = -(1 + mu) > 0; mu**2 - 1 factors as s*(s + 2) with no cancellation,
+        # and its root is taken factor by factor, so it is in range wherever s is
         s = (dispersion(arr, params) + arr * arr / (2.0 * params.m)) / nU0
         mu = -(1.0 + s)
-        root = np.sqrt(s * (s + 2.0))
-        # s*(s + 2) overflows long before s does (p ~ 1e77 at unit parameters)
-        root = np.where(np.isinf(root), np.sqrt(s) * np.sqrt(s + 2.0), root)
+        root = np.sqrt(s) * np.sqrt(s + 2.0)
         alpha = mu / root
         beta = 1.0 / root
     return BogoliubovCoefficients(

@@ -96,9 +96,8 @@ def derive(params: SystemParams) -> DerivedQuantities:
 
     c = sqrt(n*U0/m) is formed from the separate roots where n*U0 or
     n*U0/m is not a normal float, so c is inf or 0 only where its value is.
-    m_r = 1/(1/m + 1/M) is 0 where 1/m or 1/M overflows (a mass below about
-    5.6e-309); there it is formed as small/(1 + small/big) from the smaller
-    and larger mass instead, which stays in range.
+    m_r = mM/(m + M) is formed as small/(1 + small/big) from the smaller and
+    larger mass, which stays in range for every pair of positive masses.
     """
     m, M, n, U0 = params.m, params.M, params.n, params.U0
     ratio = n * U0 / m
@@ -106,10 +105,8 @@ def derive(params: SystemParams) -> DerivedQuantities:
         c = math.sqrt(ratio)
     else:
         c = math.sqrt(n) * math.sqrt(U0) / math.sqrt(m)
-    m_r = 1.0 / (1.0 / m + 1.0 / M)
-    if m_r == 0.0:
-        small, big = sorted((m, M))
-        m_r = small / (1.0 + small / big)
+    small, big = sorted((m, M))
+    m_r = small / (1.0 + small / big)
     return DerivedQuantities(c=c, q_c=M * c, m_r=m_r)
 
 

@@ -77,7 +77,7 @@ _W_GAUSS = np.concatenate((_WG[:-1], _WG[::-1]))           # matches _NODES[1::2
 
 _EPS = float(np.finfo(float).eps)
 _INITIAL_PANELS = 8
-_EDGE_INDEX = np.arange(_INITIAL_PANELS + 1.0)
+_EDGE_FRACTIONS = np.arange(_INITIAL_PANELS + 1.0) / _INITIAL_PANELS  # exact: k/8
 # intervals per array pass: node arrays of 120 kB; one pass over all 2000
 # intervals of a sweep, with its temporaries, raised its peak RSS by 10 MB
 _BLOCK = 128
@@ -153,14 +153,14 @@ def _eval_panels(f, lo, hi):
 
 
 def _initial_edges(a: float, b: np.ndarray) -> np.ndarray:
-    """Row i is np.linspace(a, b[i], _INITIAL_PANELS + 1), bit for bit."""
-    delta = b - a
-    step = delta / _INITIAL_PANELS
-    edges = _EDGE_INDEX * step[:, None] + a
-    if not step.all():
-        # linspace scales k/8 by the width instead where the step underflows to 0
-        tiny = step == 0.0
-        edges[tiny] = _EDGE_INDEX / _INITIAL_PANELS * delta[tiny, None] + a
+    """Row i holds the _INITIAL_PANELS + 1 edges (k/8)*(b[i] - a) + a, its last one b[i].
+
+    Each edge is one rounding of k*(b[i] - a)/8 before a is added. Where
+    the width exceeds 8 times the smallest normal float (about 1.8e-307),
+    (b[i] - a)/8 is exact, so these are the bits of np.linspace's
+    k*((b[i] - a)/8); a narrower width keeps bits that a rounded step loses.
+    """
+    edges = _EDGE_FRACTIONS * (b - a)[:, None] + a
     edges[:, -1] = b
     return edges
 

@@ -34,7 +34,6 @@ __all__ = [
     "transition_rate",
     "transition_rate_quadrature",
     "transition_rate_asymptotic",
-    "energy_dissipation_rate",
     "box_rate",
     "survival_probability",
     "survival_lower_bound",
@@ -164,25 +163,23 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
         gamma_E = pref * p_max**4/4
 
     gamma_E is an identity, not an approximation: the eps(p) weight integrates
-    in closed form. sinh(u) - u takes its odd Taylor tail below u = 1
-    (bogoliubov._sinh_tail, shared with selfenergy.I0) and p_max its
-    factored gap, so both rates are exact to rounding up to
-    threshold, and exactly zero at or below it. transition_rate_quadrature
-    shares pref and p_max and must reproduce both to its tolerance. q_i is a
-    float or a 1-D array; each entry is bit-identical to the float call.
+    in closed form. With u = 2t, sinh(u) - u takes its odd Taylor tail below
+    u = 1 (bogoliubov._sinh_tail, shared with selfenergy.I0); at and above
+    it the radial factor is the one form m*(p_max*hypot(k, p_max) - k**2*u/2),
+    which stays in range wherever gamma_T is. p_max takes its factored gap,
+    so both rates are exact to rounding up to threshold, and exactly zero at
+    or below it. transition_rate_quadrature shares pref and p_max and must
+    reproduce both to its tolerance. q_i is a float or a 1-D array; each
+    entry is bit-identical to the float call.
     """
     q, pack = _momenta(q_i)
     p_max = _p_max(q, params)
     k = 2.0 * params.m * derive(params).c
     with np.errstate(over="ignore", invalid="ignore"):
-        s = p_max / k
-        u = 2.0 * np.arcsinh(s)
-        shape = np.where(u < 1.0, _sinh_tail(u, u * u), 2.0 * s * np.hypot(1.0, s) - u)  # sinh(u) - u
-        radial = 0.5 * params.m * k * k * shape
-        # past s ~ 9.5e153 sinh(u) overflows although radial need not: there it is
-        # m*(p_max*hypot(k, p_max) - k*k*u/2), with k**2*s*hypot(1, s) multiplied out
-        far = np.isinf(shape)
-        radial[far] = params.m * (p_max[far] * np.hypot(k, p_max[far]) - k * k * u[far] / 2.0)
+        u = 2.0 * np.arcsinh(p_max / k)
+        # m*k**2/2 * (sinh(u) - u) with sinh(u) = 2s*hypot(1, s), s = p_max/k, multiplied out
+        radial = np.where(u < 1.0, 0.5 * params.m * k * k * _sinh_tail(u, u * u),
+                          params.m * (p_max * np.hypot(k, p_max) - k * k * u / 2.0))
         pref = _density_prefactor(q, params)
         window = p_max > 0.0
         gamma_T = np.where(window, pref * radial, 0.0)
@@ -190,10 +187,6 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
     return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [
         (p_max, "largest emitted momentum at q_i = {!r} leaves the float range"),
         (np.maximum(gamma_T, gamma_E), "closed-form rates at q_i = {!r} leave the float range")])
-
-
-# one closed-form route yields both rates; the energy-rate name is kept public
-energy_dissipation_rate = transition_rate
 
 
 def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_REL_TOL) -> RateResult:
@@ -229,7 +222,8 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
     pref = np.where(window, _density_prefactor(q, params), 0.0)
     est = np.maximum(err_t / np.maximum(np.abs(val_t), _TINY),
                      err_e / np.maximum(np.abs(val_e), _TINY))
-    with np.errstate(over="ignore"):
+    # an infinite prefactor times an integral that underflowed to 0 is nan; the range checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
         gamma_T, gamma_E = pref * val_t, pref * val_e
     return _rate_result(q, pack, params, "quadrature", gamma_T, gamma_E, est,
                         [(pref, _PREFACTOR_RANGE)])

@@ -193,7 +193,7 @@ _SITES = [
     _row("derived-g", lambda v: SystemParams(M=v, a=1e10), 1e-300, ParameterDomainError,
          "g = 2*pi*a/m_r with a = 10000000000.0 and m_r = 1e-300 leaves the float range"),
     _row("derived-a", lambda v: SystemParams(m=v, M=v, g=1e300), 1e300, ParameterDomainError,
-         "a = g*m_r/(2*pi) with g = 1e+300 and m_r = 4.9999999999999995e+299 leaves the float range"),
+         "a = g*m_r/(2*pi) with g = 1e+300 and m_r = 5e+299 leaves the float range"),
     # a derived scale that leaves the float range; c and q_c were stored as inf or 0.0
     _row("derived-c-inf", lambda v: SystemParams(n=1e308, U0=1e308, m=v, g=1.0), 1e-300,
          ParameterDomainError,

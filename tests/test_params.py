@@ -138,6 +138,12 @@ def test_reduced_mass_of_a_subnormal_mass_stays_in_range(m, M):
     assert SystemParams(m=m, M=M, a=1e-320).g == 2.0 * math.pi * 1e-320 / m_r
 
 
+@pytest.mark.parametrize("mass, half", [(1e300, 5e299), (1e-310, 5e-311)])
+def test_reduced_mass_of_equal_masses_is_exactly_half_at_the_ends_of_the_range(mass, half):
+    # at 1e300 the sum 1/m + 1/M rounds, and at 1e-310 each reciprocal overflows
+    assert derive(SystemParams(m=mass, M=mass, g=1.0)).m_r == half
+
+
 def test_born_scattering_length():
     assert born_scattering_length(1.0, 1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-15)
     assert born_scattering_length(2.0, 3.0) == pytest.approx(6.0 / (4.0 * math.pi), rel=1e-15)

@@ -15,7 +15,6 @@ from becimpurity import (
     box_rate,
     emission_spectral_density,
     emission_window,
-    energy_dissipation_rate,
     max_emission_momentum,
     survival_lower_bound,
     survival_probability,
@@ -40,17 +39,10 @@ def test_transition_rate_reference_point():
 
 
 def test_dissipation_rate_reference_point():
-    r = energy_dissipation_rate(2.0, UNIT)
+    r = transition_rate(2.0, UNIT)
     # M n g^2 p_max^4 / (16 pi m q_i) with p_max = 3/2
     assert r.gamma_E == pytest.approx((1.5**4) / (32.0 * math.pi), rel=1e-14)
     assert r.gamma_E == pytest.approx(0.05035761871267001, rel=1e-12)
-
-
-def test_both_closed_ops_agree_on_both_rates():
-    a = transition_rate(3.0, UNIT)
-    b = energy_dissipation_rate(3.0, UNIT)
-    assert a.gamma_T == b.gamma_T
-    assert a.gamma_E == b.gamma_E
 
 
 def test_subcritical_rates_exactly_zero():
@@ -334,6 +326,34 @@ def test_rates_stay_finite_up_to_1e76(route):
     assert r.gamma_E == pytest.approx(transition_rate(1e76, UNIT).gamma_E, rel=1e-12)
 
 
+def _closed_gamma_T_in_mpmath(q_i, params, p_max):
+    """pref * m*k**2/2 * (sinh(u) - u) at the given p_max, k = 2mc and u = 2*asinh(p_max/k)."""
+    m, n, g = mpmath.mpf(params.m), mpmath.mpf(params.n), mpmath.mpf(params.g)
+    k = 2 * m * mpmath.sqrt(n * mpmath.mpf(params.U0) / m)
+    u = 2 * mpmath.asinh(p_max / k)
+    pref = n * mpmath.mpf(params.M) * g**2 / (4 * mpmath.pi * m * q_i)
+    return pref * m * k**2 / 2 * (mpmath.sinh(u) - u), u
+
+
+def _assert_closed_gamma_T_above_the_tail(params, q_i):
+    """At u >= 1 the closed gamma_T is pref * m*(p_max*hypot(k, p_max) - k*k*u/2).
+
+    It must hold to 4 ulps of the 40-digit closed form, agree with the
+    quadrature route, and keep its bits as an array entry.
+    """
+    p_max = max_emission_momentum(q_i, params)
+    closed, quad = transition_rate(q_i, params), transition_rate_quadrature(q_i, params)
+    with mpmath.workdps(40):
+        want, u = _closed_gamma_T_in_mpmath(q_i, params, p_max)
+        assert u >= 1
+        assert abs(closed.gamma_T - want) <= 4 * math.ulp(closed.gamma_T)
+    assert closed.gamma_T == pytest.approx(quad.gamma_T, rel=1e-10)
+    assert closed.gamma_E == pytest.approx(quad.gamma_E, rel=1e-12)
+    batch = transition_rate(np.array([0.0, q_i]), params).gamma_T
+    assert batch.tolist() == [0.0, closed.gamma_T]
+    return p_max
+
+
 # c = 1e155 in the tiny rows, so gamma_T is subnormal; in the mixed rows
 # k = 2mc = 1.59e-100 is not a power of two and gamma_T is normal
 @pytest.mark.parametrize("params, q_i", [
@@ -345,23 +365,60 @@ def test_rates_stay_finite_up_to_1e76(route):
 ], ids=["tiny-0.25", "tiny-1", "tiny-3", "mixed-1e60", "mixed-1e70"])
 def test_closed_transition_rate_is_in_range_where_sinh_u_overflows(params, q_i):
     # s = p_max/2mc passes 1e154, so sinh(u) = 2s*hypot(1, s) overflows,
-    # while gamma_T itself is in range: its second form must hold to a few
-    # ulps of the 40-digit closed form, and agree with the quadrature route
-    p_max = max_emission_momentum(q_i, params)
-    closed, quad = transition_rate(q_i, params), transition_rate_quadrature(q_i, params)
+    # while gamma_T itself is in range
+    p_max = _assert_closed_gamma_T_above_the_tail(params, q_i)
+    assert p_max / (2.0 * params.m * derive(params).c) > 1e154
+
+
+# the scale m*k**2/2 underflows to 0 in the rows at 1e-300 and at 1e-310,
+# q_i = 0.1, and is subnormal at 1e-155, while gamma_T is in range
+@pytest.mark.parametrize("params, q_i", [
+    (SystemParams(m=1e-300, M=1e-300, g=1.0), 0.25),
+    (SystemParams(m=1e-300, M=1e-300, g=1.0), 1.0),
+    (SystemParams(m=1e-300, M=1e-300, g=1.0), 3.0),
+    (SystemParams(m=1e-310, M=1e-310, g=1.0), 0.1),
+    (SystemParams(m=1e-155, M=1e-155, g=1.0), 2.0),
+], ids=["zero-0.25", "zero-1", "zero-3", "tiny-0.1", "subnormal-2"])
+def test_closed_transition_rate_is_in_range_where_its_scale_underflows(params, q_i):
+    _assert_closed_gamma_T_above_the_tail(params, q_i)
+
+
+# k = 2mc is not a power of two in any row, so the form above the tail rounds
+# k*k where 0.5*m*k*k*(sinh(u) - u) rounded otherwise
+@pytest.mark.parametrize("params", [
+    SystemParams(m=1.3, M=2.0, n=0.7, U0=1.1, g=0.9),
+    SystemParams(m=0.7, M=0.45, n=1.9, U0=0.3, g=0.4),
+    SystemParams(m=3.1, M=7.3, n=0.23, U0=2.9, g=1.7),
+], ids=["m1.3", "m0.7", "m3.1"])
+def test_closed_transition_rate_in_the_cancellation_band_matches_mpmath(params):
+    # just above u = 1, sinh(u) - u cancels: the closed gamma_T holds to
+    # 3e-15 of the 40-digit closed form at the same p_max there
+    q = derive(params).q_c * np.linspace(1.0, 3.0, 4001)[1:]
+    k = 2.0 * params.m * derive(params).c
+    p_max = max_emission_momentum(q, params)
+    u = 2.0 * np.arcsinh(p_max / k)
+    band = (u >= 1.0) & (u <= 1.6)
+    assert band.sum() >= 100
+    gamma_T = transition_rate(q[band], params).gamma_T
     with mpmath.workdps(40):
-        m, n, g = mpmath.mpf(params.m), mpmath.mpf(params.n), mpmath.mpf(params.g)
-        k = 2 * m * mpmath.sqrt(n * mpmath.mpf(params.U0) / m)
-        u = 2 * mpmath.asinh(p_max / k)
-        assert p_max / k > 1e154
-        pref = n * mpmath.mpf(params.M) * g**2 / (4 * mpmath.pi * m * q_i)
-        want = pref * m * k**2 / 2 * (mpmath.sinh(u) - u)
-        assert abs(closed.gamma_T - want) <= 4 * math.ulp(closed.gamma_T)
-    assert closed.gamma_T == pytest.approx(quad.gamma_T, rel=1e-10)
-    assert closed.gamma_E == pytest.approx(quad.gamma_E, rel=1e-12)
-    # in an array, the second form replaces only the entries that need it
-    batch = transition_rate(np.array([0.0, q_i]), params).gamma_T
-    assert batch.tolist() == [0.0, closed.gamma_T]
+        for q_i, p, got in zip(q[band].tolist(), p_max[band].tolist(), gamma_T.tolist()):
+            want, u_j = _closed_gamma_T_in_mpmath(q_i, params, p)
+            assert 1 <= u_j <= 1.6
+            assert abs(got - want) <= 3e-15 * want, q_i
+
+
+def test_quadrature_rates_raise_no_warning_where_an_infinite_prefactor_meets_a_zero_integral():
+    # both integrals underflow to 0 while the prefactor overflows: the
+    # product is nan, which must surface as a NumericalError or as exact
+    # zeros (the true rates underflow), never as a numpy RuntimeWarning
+    params = SystemParams(m=1e-300, M=1e-300, g=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = transition_rate_quadrature(1.001 * derive(params).q_c, params)
+        except NumericalError:
+            return
+    assert r.gamma_T == 0.0 and r.gamma_E == 0.0
 
 
 # 1e78: p_max**4 (closed) and the gamma_E integral (quadrature) overflow;
