@@ -34,6 +34,7 @@ _KERNEL_SERIES_CUT = 1e-4
 # for finite omega and t the kernel is finite unless the phase omega*t
 # overflows, which makes sin(omega*t/2) nan
 _PHASE_RANGE = "phase omega*t at t = {!r} leaves the float range"
+_P_MAX_RANGE = "largest emitted momentum at q_i = {!r} leaves the float range"
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,7 @@ def max_emission_momentum(q_i, params: SystemParams):
     """
     q, pack = _momenta(q_i)
     p_max = _p_max(q, params)
-    return pack(_in_float_range(
-        q, (p_max, "largest emitted momentum at q_i = {!r} leaves the float range")))
+    return pack(_in_float_range(q, (p_max, _P_MAX_RANGE)))
 
 
 def _entries(values, name: str, plural: str):

@@ -30,11 +30,9 @@ its bound alone would; a bisected pair is evaluated the same way, as a
 block of one. The weighted sums are taken as ``np.dot`` on a 3-D
 operand, which numpy evaluates as one 1-D dot per panel, bit-identical to
 summing each panel alone; a 2-D ``np.dot`` or ``@`` goes to a BLAS
-matrix-vector product and moves the last bit on most panels. The
-heuristic's 1.5 power is the one step left per panel: Python's float ``**``
-is the C library's ``pow``, while ``np.power`` may dispatch to a SIMD loop
-(AVX-512 on x86-64) that does not round like it. So a batched call returns,
-for every interval, the bits a scalar call on that interval returns.
+matrix-vector product and moves the last bit on most panels. A batched
+call keeps a scalar call's bits because every per-panel step is a
+correctly rounded array operation or the 3-D ``np.dot``.
 """
 
 from __future__ import annotations
@@ -85,12 +83,13 @@ _MAX_SUBDIVISIONS = 200  # bisections per interval after the initial partition
 _DEFAULT_REL_TOL = 1e-10  # default rel_tol of integrate, the quadrature rates and the CLI
 
 
-def _check_rel_tol(rel_tol: float):
-    """Raise unless rel_tol is a finite real > 0; a bool is not a tolerance."""
+def _check_rel_tol(rel_tol: float) -> float:
+    """rel_tol as a float; raise unless it is a finite real > 0, and a bool is not a tolerance."""
     if isinstance(rel_tol, bool) or not (
         isinstance(rel_tol, numbers.Real) and math.isfinite(rel_tol) and rel_tol > 0
     ):
         raise ConfigurationError(f"tol must be positive, got {rel_tol!r}")
+    return float(rel_tol)
 
 
 def _real_bounds(a, b):
@@ -141,10 +140,9 @@ def _eval_panels(f, lo, hi):
         mean = k15 / span
         resasc = half * np.dot(np.abs(y - mean[:, None])[None], _W_KRONROD)[0]
         err = np.abs(k15 - g7)
-        # the one per-panel step: float ** is libm pow; see the module docstring
-        scale = np.array([r ** 1.5 for r in (200.0 * err / resasc).tolist()])
-        # np.where with the comparison of min(1.0, s) and max(err, floor), nan included
-        scaled = resasc * np.where(scale < 1.0, scale, 1.0)
+        # r**1.5 as r*sqrt(r): two correctly rounded steps; fmin takes 1.0 over a nan r
+        ratio = 200.0 * err / resasc
+        scaled = resasc * np.fmin(ratio * np.sqrt(ratio), 1.0)
         err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
         # never report an estimate below the roundoff floor of the panel
         floor = 50.0 * _EPS * resabs
@@ -173,9 +171,8 @@ def _settle(vals, errs, bad, rel_tol):
     the + 0.0 turns an all -0.0 row into the 0.0 that _refine's 0.0 + ...
     gives. A row is settled where _refine would return these totals before
     any bisection: no bad node, both finite, and total_err <=
-    rel_tol*|total|, tested in Python floats as _refine tests it, so a
-    numpy rel_tol compares alike. pending lists the other rows in index
-    order.
+    rel_tol*|total|, tested in Python floats as _refine tests it. pending
+    lists the other rows in index order.
     """
     # silent where nan and inf meet, as _refine's float sums are
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,7 +242,7 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     the intervals that meet their target on those panels; _refine bisects
     the rest in index order.
     """
-    _check_rel_tol(rel_tol)
+    rel_tol = _check_rel_tol(rel_tol)
     a, upper = _real_bounds(a, b)
     if upper.ndim > 1:
         raise DomainError(f"upper bounds must be a float or a 1-D array, got shape {upper.shape}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .bogoliubov import _as_momentum, _energy_scales, _sinh_tail, _structure_factor
 from .errors import ConfigurationError, DomainError, _in_float_range, _require
-from .kinematics import _entries, _momenta, _p_max, max_emission_momentum
+from .kinematics import _P_MAX_RANGE, _entries, _momenta, _p_max, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -185,7 +185,7 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
         gamma_T = np.where(window, pref * radial, 0.0)
         gamma_E = np.where(window, pref * (p_max**4 / 4.0), 0.0)
     return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [
-        (p_max, "largest emitted momentum at q_i = {!r} leaves the float range"),
+        (p_max, _P_MAX_RANGE),
         (np.maximum(gamma_T, gamma_E), "closed-form rates at q_i = {!r} leave the float range")])
 
 

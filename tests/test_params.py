@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from becimpurity import (
@@ -121,14 +122,17 @@ def test_params_frozen():
         p.m = 2.0
 
 
-@pytest.mark.parametrize("m, M", [(1.0, 1.0), (1.0, 3e-308), (3e-308, 2.0), (1e-300, 1e-300), (1e300, 5.0)])
-def test_reduced_mass_keeps_its_bits_where_the_reciprocal_form_is_in_range(m, M):
-    assert derive(SystemParams(m=m, M=M, g=1.0)).m_r.hex() == (1.0 / (1.0 / m + 1.0 / M)).hex()
+# rows at the ends of the float range, and seeded log-uniform pairs in [1e-3, 1e3]
+_RANDOM_MASSES = np.random.default_rng(20261019).uniform(-3.0, 3.0, size=(20, 2))
+_MASS_PAIRS = [(1.0, 1.0), (1.0, 3e-308), (3e-308, 2.0), (1e-300, 1e-300), (1e300, 5.0),
+               (1.0, 1e-310), (1e-310, 1.0), (2e-310, 1e-310), (1e-315, 1e-320)] + [
+    (float(f"{10.0 ** x:.4g}"), float(f"{10.0 ** y:.4g}")) for x, y in _RANDOM_MASSES.tolist()]
 
 
-@pytest.mark.parametrize("m, M", [(1.0, 1e-310), (1e-310, 1.0), (2e-310, 1e-310), (1e-315, 1e-320)])
-def test_reduced_mass_of_a_subnormal_mass_stays_in_range(m, M):
-    # 1/m or 1/M overflowed, so m_r was 0.0: a = 0.0 from g, or a ZeroDivisionError from a
+@pytest.mark.parametrize("m, M", _MASS_PAIRS)
+def test_reduced_mass_is_within_two_roundings_of_the_exact_quotient(m, M):
+    # with subnormal masses, 1/m or 1/M overflowed, so m_r was 0.0: a = 0.0
+    # from g, or a ZeroDivisionError from a
     params = SystemParams(m=m, M=M, g=1.0)
     exact = float(Fraction(m) * Fraction(M) / (Fraction(m) + Fraction(M)))
     m_r = derive(params).m_r

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def _reference_panel(y, a, b):
     if resasc != 0.0 and err != 0.0:
         ratio = 200.0 * err / resasc
         branches.add("clamp" if ratio >= 1.0 else "power")
-        err = resasc * min(1.0, ratio ** 1.5)
+        err = resasc * min(1.0, ratio * math.sqrt(ratio))
     floor = 50.0 * _EPS * resabs
     if floor > err:
         branches.add("floor")
@@ -397,6 +398,22 @@ def test_a_real_bound_of_any_type_matches_its_float_bound_bitwise():
     assert [v.hex() for v in integrate(np.cos, 0.0, Fraction(1, 2))] == [v.hex() for v in exact]
     with pytest.raises(DomainError, match="must be real numbers"):
         integrate(np.cos, 0.0, 10**400)  # beyond the float range: not a real number here
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e-50])
+def test_a_float32_tolerance_gives_the_bits_of_its_float(scale):
+    # under NEP 50 a float32 rel_tol makes rel_tol*|total| float32: at 1e40
+    # it overflows, and at both scales float32 targets accept 7.8e-4 relative
+    def f(x):
+        return scale * (np.sin(50.0 * x) ** 2 + 1.0)
+
+    rel_tol = np.float32(1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(f, 0.0, 1.0, rel_tol)
+        want = integrate(f, 0.0, 1.0, float(rel_tol))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert want[1] <= 1e-10 * want[0]
 
 
 def test_empty_bounds_integrate_nothing():
