@@ -6,9 +6,11 @@ These triple sums are the only hot loops in the package. The summand depends
 on (nx, ny) only through nx**2 + ny**2, so each nz slab holds one entry per
 distinct value of nx**2 + ny**2, weighted by the number of (nx, ny) sites that
 share it: about 2,500 entries instead of 37,249 sites per slab at L = 200.
-The histogram of nx**2 + ny**2 is built once per kernel call, sorted, and the
-slabs are built one at a time, so no array spans more than one
-(2*n_max + 1)**2 plane. Slabs -nz and +nz share one build, since only omega
+The histogram of nx**2 + ny**2 is built once per kernel call and sorted, and
+every factor but omega is formed once per shell n**2 = nx**2 + ny**2 + nz**2
+inside the sphere, in tables no longer than one (2*n_max + 1)**2 plane. The
+slabs gather their entries from those tables one at a time, so no array spans
+more than one plane. Slabs -nz and +nz share one build, since only omega
 tells them apart, and the mask |p| <= p_cut is a prefix slice of the sorted
 histogram. Only omega depends on the impurity momentum, and _omegas is the
 one place that forms it: one walk over the slab pairs, per block of _Q_BLOCK
@@ -21,6 +23,8 @@ one-momentum call. All kernels are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -54,30 +58,41 @@ def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
 
     Slab nz serves slab -nz too: everything but omega depends on nz through
     nz**2 only. One entry per distinct nx**2 + ny**2 over the square
-    [-n_max, n_max]**2; count is the number of (nx, ny) sites that share it.
-    The entries are sorted and p2 rounds monotonically, so the mask
-    0 < p2 <= p_cut2 is a slice of them, and count, w, eps and base are over
-    that slice only; as p2 grows with nz, each slab's slice ends where the
-    previous one's did or sooner, and p2 is formed on that prefix only.
+    [-n_max, n_max]**2; count is the number of (nx, ny) sites that share it,
+    as a float64 (exact). p2 = n**2*dk*dk rounds monotonically in the integer
+    n**2, so the shells 0 < p2 <= p_cut2 are n**2 = 1, ..., top - 1; w, eps
+    and base are formed once per shell, and each slab takes those of its
+    entries, a prefix of the sorted histogram, at n**2 = nx**2 + ny**2 + nz**2.
+    float(n**2) is that exact sum, so every entry keeps its own formula's bits.
     base = eps + p**2/2M is omega without its momentum term, which _omegas adds.
     """
     idx = np.arange(-n_max, n_max + 1)
     sq = idx * idx
     counts = np.bincount(np.add.outer(sq, sq).ravel())
     perp = np.flatnonzero(counts)
-    counts = counts[perp]
-    perp2 = perp.astype(np.float64)
-    end = perp2.size
-    for nz in range(n_max + 1):
-        p2 = (perp2[:end] + float(nz * nz)) * dk * dk
-        lo = p2.searchsorted(0.0, "right")
-        end = p2.searchsorted(p_cut2, "right")
+    counts = counts[perp].astype(np.float64)
+    # one past the last shell in the sphere, by the float test of each p2
+    top = bisect_right(range(int(perp[-1]) + n_max * n_max + 1), p_cut2,
+                       key=lambda n2: n2 * dk * dk)
+    p2 = np.arange(1, top, dtype=np.float64)  # row n**2 - 1 holds shell n**2
+    p2 *= dk
+    p2 *= dk
+    eps = p2 + 4.0 * m * nU0  # sqrt(p2 * (p2 + 4*m*nU0)) / 2m, in place
+    eps *= p2
+    np.sqrt(eps, out=eps)
+    eps /= 2.0 * m
+    w = np.multiply(2.0 * m, eps)  # g2n * p2 / (2m * eps)
+    np.divide(g2n * p2, w, out=w)
+    base = np.divide(p2, 2.0 * M_imp, out=p2)
+    base += eps
+    perp_rows = perp - 1
+    nz2 = sq[n_max:]
+    for nz, end in enumerate(perp.searchsorted(top - nz2).tolist()):
+        lo = 1 if nz == 0 else 0  # skip the origin
         if lo >= end:
             continue
-        p2m = p2[lo:end]
-        eps = np.sqrt(p2m * (p2m + 4.0 * m * nU0)) / (2.0 * m)
-        w = g2n * p2m / (2.0 * m * eps)
-        yield counts[lo:end], w, eps, eps + p2m / (2.0 * M_imp), nz
+        shell = perp_rows[lo:end] + nz2[nz]
+        yield counts[lo:end], w.take(shell), eps.take(shell), base.take(shell), nz
 
 
 def _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q):

@@ -212,8 +212,11 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
     window = p_max > 0.0
     val_t, err_t, val_e, err_e = np.zeros((4, q.size))
     if window.any():
+        # a 0-d exponent, not a float: a ufunc converts a Python float on every call
+        cube = np.array(3.0)
+
         def radial_energy(p):
-            return np.power(p, 3.0)  # p**3/eps * eps
+            return np.power(p, cube)  # p**3/eps * eps
 
         # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
         with np.errstate(over="ignore"):

@@ -18,6 +18,9 @@ from becimpurity import _kernels
 # n_max kept small so the pure-python reference loop stays fast
 _ARGS = (15, 2.0 * math.pi / 30.0, 9.0, 1.0, 1.0, 1.0, 1.0, 2.0)
 _SUB_ARGS = (15, 2.0 * math.pi / 30.0, 9.0, 1.0, 1.0, 1.0, 1.0, 0.5)
+# m = 0.9, M = 1.7, nU0 = 1.3: q_c = 2.04, and no factor of omega is a power of two,
+# so a reordering of q_i * dk * nz / M_imp moves the last bits
+_ODD = (0.9, 1.7, 1.3, 0.7)
 
 
 def _reference_sum(summand, n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
@@ -79,6 +82,46 @@ def _slab_counts(n_max, dk, p_cut2):
     slabs = [(2 if nz else 1, c)
              for c, *_, nz in _kernels._slabs(n_max, dk, p_cut2, 1.0, 1.0, 1.0, 1.0)]
     return sum(k * int(c.sum()) for k, c in slabs), sum(k * c.size for k, c in slabs)
+
+
+def _slabs_formed_per_slab(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
+    """_slabs with every factor formed on each slab's own p2: the reference for the shell tables."""
+    idx = np.arange(-n_max, n_max + 1)
+    sq = idx * idx
+    counts = np.bincount(np.add.outer(sq, sq).ravel())
+    perp = np.flatnonzero(counts)
+    counts = counts[perp]
+    perp2 = perp.astype(np.float64)
+    end = perp2.size
+    for nz in range(n_max + 1):
+        p2 = (perp2[:end] + float(nz * nz)) * dk * dk
+        lo = p2.searchsorted(0.0, "right")
+        end = p2.searchsorted(p_cut2, "right")
+        if lo >= end:
+            continue
+        p2m = p2[lo:end]
+        eps = np.sqrt(p2m * (p2m + 4.0 * m * nU0)) / (2.0 * m)
+        w = g2n * p2m / (2.0 * m * eps)
+        yield counts[lo:end], w, eps, eps + p2m / (2.0 * M_imp), nz
+
+
+@pytest.mark.parametrize("geometry", [
+    _ARGS[:3],
+    (3, 1.0, 100.0),                     # sphere beyond the cube: the square clips it
+    (6, 1.0, 25.0),                      # on the shell n**2 = 25
+    (8, 0.5, 4.0),                       # on the shell n**2 = 16, exact in binary
+    (10, 1.0, 0.5),                      # p_cut2 below dk**2: no slab
+    (115, 2.0 * math.pi / 240.0, 9.0),   # L = 240, p_cut = 3, as in the box workload
+])
+@pytest.mark.parametrize("physics", [_ARGS[3:7], _ODD])
+def test_shell_tables_keep_every_slab_bit_for_bit(geometry, physics):
+    got = list(_kernels._slabs(*geometry, *physics))
+    want = list(_slabs_formed_per_slab(*geometry, *physics))
+    assert [s[-1] for s in got] == [s[-1] for s in want]
+    for (count, *factors, _), (count_ref, *factors_ref, _) in zip(got, want):
+        assert np.array_equal(count, count_ref)
+        for a, b in zip(factors, factors_ref):  # w, eps, base
+            assert a.tobytes() == b.tobytes()
 
 
 def _brute_mode_count(n_max, dk, p_cut2):
@@ -165,9 +208,6 @@ def test_box_rate_point_budget_guard():
         box_rate(2.0, params, big)
 
 
-# m = 0.9, M = 1.7, nU0 = 1.3: q_c = 2.04, and no factor of omega is a power of two,
-# so a reordering of q_i * dk * nz / M_imp moves the last bits
-_ODD = (0.9, 1.7, 1.3, 0.7)
 # q_i spans q_c: subcritical residue and resonant slabs in one array, over several q-blocks
 _GRID = np.linspace(0.0, 2.75, 3 * _kernels._Q_BLOCK + 3)
 
@@ -261,3 +301,19 @@ def test_box_rate_keeps_its_bits_at_workload_scale():
         "0x1.4c2d90c8a5db6p-6", "0x1.e80f178fe1125p-5", "0x1.0b685815a64afp-3"]
     assert [v.hex() for v in r.est_error.tolist()] == [
         "0x1.80dcf150e6be2p-6", "0x1.ac2074ad906ecp-8", "0x1.117cb056b7294p-7"]
+
+
+def test_box_rate_keeps_its_bits_at_the_largest_workload_box():
+    # L = 240, p_cut = 3 (n_max = 115) and eta = 3/L, the largest box of the workload:
+    # about 6.3M modes in 115 slabs, 277,917 entries gathered from 13,131 shells
+    r = box_rate(np.array([1.5, 1.9, 2.25, 2.6]), SystemParams(g=1.0),
+                 BoxOracleConfig(L=240.0, eta=3.0 / 240.0, p_cut=3.0))
+    assert [v.hex() for v in r.gamma_T.tolist()] == [
+        "0x1.519212ab421fbp-7", "0x1.0930a11fa33b3p-5",
+        "0x1.d5407fb0002b1p-5", "0x1.5b29d75cb36ffp-4"]
+    assert [v.hex() for v in r.gamma_E.tolist()] == [
+        "0x1.0658643f1ff37p-7", "0x1.3de70b2588d28p-5",
+        "0x1.851646cede5dbp-4", "0x1.7882096701036p-3"]
+    assert [v.hex() for v in r.est_error.tolist()] == [
+        "0x1.ad31827c57371p-5", "0x1.04a0a5fcfd9f2p-8",
+        "0x1.6f340c7cada37p-10", "0x1.6fdd49965a76fp-9"]
