@@ -15,10 +15,12 @@ tells them apart, and the mask |p| <= p_cut is a prefix slice of the sorted
 histogram. Only omega depends on the impurity momentum, and _omegas is the
 one place that forms it: one walk over the slab pairs, per block of _Q_BLOCK
 momenta, with the rows of -nz and +nz stacked. The three sums are reductions
-over that walk, lorentzian_sums over an array of momenta and the other two
-over the one-entry block [q_i]. Each reduction stores one 1-D sum per slab
-in a (2*n_max + 1, ...) table and adds its rows in nz order, -n_max first, so
-each momentum's sums keep the bits of a slab-by-slab loop over its own
+over that walk, lorentzian_sums over a 1-D array of momenta and the other two
+over the one-entry block [q_i]. The kernels take what the box routes in rates
+pass them, validated there, and return 1-D arrays over the momenta or times
+(inverse_square_sum a float). Each reduction stores one 1-D sum per slab in a
+(2*n_max + 1, ...) table and adds its rows in nz order, -n_max first, so each
+momentum's sums keep the bits of a slab-by-slab loop over its own
 one-momentum call. All kernels are deterministic for fixed inputs.
 """
 
@@ -29,14 +31,13 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import _in_float_range
-from .kinematics import _PHASE_RANGE, _entries, _finite_time_kernel
+from .kinematics import _PHASE_RANGE, _finite_time_kernel
 
 __all__ = [
     "ACTIVE_BACKEND",
     "lorentzian_sums",
     "finite_time_sum",
     "inverse_square_sum",
-    "lattice_points",
 ]
 
 # the only backend; kept as a name because perfbench/run.py records it
@@ -45,12 +46,6 @@ ACTIVE_BACKEND = "numpy"
 # momenta per block of an _omegas slab pair: bounds the temporaries of a sum
 # at _Q_BLOCK times two slabs, whatever the number of momenta
 _Q_BLOCK = 8
-
-
-def lattice_points(n_max: int) -> int:
-    """Number of lattice sites visited for a given shell half-width."""
-    side = 2 * n_max + 1
-    return side * side * side
 
 
 def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
@@ -74,17 +69,10 @@ def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
     # one past the last shell in the sphere, by the float test of each p2
     top = bisect_right(range(int(perp[-1]) + n_max * n_max + 1), p_cut2,
                        key=lambda n2: n2 * dk * dk)
-    p2 = np.arange(1, top, dtype=np.float64)  # row n**2 - 1 holds shell n**2
-    p2 *= dk
-    p2 *= dk
-    eps = p2 + 4.0 * m * nU0  # sqrt(p2 * (p2 + 4*m*nU0)) / 2m, in place
-    eps *= p2
-    np.sqrt(eps, out=eps)
-    eps /= 2.0 * m
-    w = np.multiply(2.0 * m, eps)  # g2n * p2 / (2m * eps)
-    np.divide(g2n * p2, w, out=w)
-    base = np.divide(p2, 2.0 * M_imp, out=p2)
-    base += eps
+    p2 = np.arange(1, top, dtype=np.float64) * dk * dk  # row n**2 - 1 holds shell n**2
+    eps = np.sqrt(p2 * (p2 + 4.0 * m * nU0)) / (2.0 * m)
+    w = g2n * p2 / (2.0 * m * eps)
+    base = eps + p2 / (2.0 * M_imp)
     perp_rows = perp - 1
     nz2 = sq[n_max:]
     for nz, end in enumerate(perp.searchsorted(top - nz2).tolist()):
@@ -127,19 +115,17 @@ def _in_nz_order(table):
     return np.add.accumulate(table)[-1]
 
 
-def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
+def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q, eta):
     """Broadened golden-rule sums: (sum w/(om^2+eta^2), sum w*eps/(om^2+eta^2)).
 
-    q_i is a float or a 1-D array, and the two sums are floats or arrays to
-    match. One pass over the slabs serves every momentum; each momentum's
-    sums are accumulated slab by slab with the arithmetic of its own call.
+    q is a 1-D float array of momenta, and the two sums are 1-D arrays over
+    it. One pass over the slabs serves every momentum; each momentum's sums
+    are accumulated slab by slab with the arithmetic of its own call.
     """
-    q = np.asarray(q_i, dtype=float)
     table_t = np.zeros((2 * n_max + 1, q.size))
     table_e = np.zeros((2 * n_max + 1, q.size))
     eta2 = eta * eta
-    for rows, cols, count, w, eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
-                                                 q.reshape(-1)):
+    for rows, cols, count, w, eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q):
         lor = np.multiply(om, om, out=om)  # count * (w / (om*om + eta2)), in place
         lor += eta2
         np.divide(w, lor, out=lor)
@@ -147,21 +133,19 @@ def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, eta):
         table_t[rows, cols] = lor.sum(axis=-1)
         lor *= eps
         table_e[rows, cols] = lor.sum(axis=-1)
-    return _in_nz_order(table_t).reshape(q.shape)[()], _in_nz_order(table_e).reshape(q.shape)[()]
+    return _in_nz_order(table_t), _in_nz_order(table_e)
 
 
-def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
+def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t):
     """Transition weight sum: sum over modes of w * finite-time kernel.
 
-    t_time is a float or a 1-D array of times, each held to the scalar
-    nonnegative "time" rule, and the sums are a float or an array to match.
-    One pass over the slabs serves every time: the kernel is formed as a
-    (slabs, times, entries) block per slab pair, and each time's sum keeps
-    the bits of its own one-time call. Raises NumericalError at the first
-    time whose sum leaves the float range, as it does where omega*t
-    overflows.
+    t is a 1-D array of nonnegative finite times, and the sums are a 1-D
+    array over it. One pass over the slabs serves every time: the kernel is
+    formed as a (slabs, times, entries) block per slab pair, and each time's
+    sum keeps the bits of its own one-time call. Raises NumericalError at
+    the first time whose sum leaves the float range, as it does where
+    omega*t overflows.
     """
-    t, pack = _entries(t_time, "time", "times")
     times = t[:, None]
     table = np.zeros((2 * n_max + 1, t.size))
     # past the float range the sums are inf or nan, and _in_float_range raises
@@ -169,7 +153,7 @@ def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t_time):
         for rows, _cols, count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
                                                        np.array([q_i])):
             table[rows] = (count * (w * _finite_time_kernel(om, times))).sum(axis=-1)
-    return pack(_in_float_range(t, (_in_nz_order(table), _PHASE_RANGE)))
+    return _in_float_range(t, (_in_nz_order(table), _PHASE_RANGE))
 
 
 def inverse_square_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):

@@ -67,6 +67,7 @@ class BoxOracleConfig:
 
     p_cut must exceed the emission window of the momentum under study
     (checked per call); max_points guards against accidentally huge lattices.
+    The box routes divide by the volume L**3, so it must be a positive float.
     """
 
     L: float = 60.0
@@ -78,6 +79,12 @@ class BoxOracleConfig:
         for name in ("L", "eta", "p_cut"):
             value = _require(getattr(self, name), name, error=ConfigurationError)
             object.__setattr__(self, name, value)
+        try:
+            volume = self.L**3
+        except OverflowError:
+            volume = math.inf
+        if not 0.0 < volume < math.inf:
+            raise ConfigurationError(f"box volume L**3 with L = {self.L!r} leaves the float range")
         points = self.max_points
         if isinstance(points, bool) or not (isinstance(points, numbers.Integral) and points >= 1):
             raise ConfigurationError(f"max_points must be a positive integer, got {points!r}")
@@ -272,7 +279,7 @@ def _lattice_args(q_i, params: SystemParams, cfg: BoxOracleConfig):
         )
     dk = 2.0 * math.pi / cfg.L
     n_max = math.ceil(cfg.p_cut / dk)
-    n_points = _kernels.lattice_points(n_max)
+    n_points = (2 * n_max + 1) ** 3
     if n_points > cfg.max_points:
         raise ConfigurationError(
             f"lattice would hold {n_points} points, above the budget {cfg.max_points}; "
@@ -328,11 +335,11 @@ def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig,
     """Probability that the impurity has not yet emitted after time t.
 
     First-order expression 1 - sum_p w(p)/L**3 * kernel(omega(p), t) on the
-    box lattice, with the exact finite-time kernel (no broadening). Clamped
-    to [0, 1]; a clamp means first-order perturbation theory has broken down
-    at this coupling and time, and a warning is emitted for each clamped
-    time. t is a float or a 1-D array of times (a list or tuple too), each
-    held to the scalar nonnegative rule, and the result is a float or an
+    box lattice, with the exact finite-time kernel (no broadening). Every
+    term is nonnegative, so the value is at most 1; it is clamped at 0, where
+    first-order perturbation theory has broken down, with a warning for each
+    clamped time. t is a float or a 1-D array of times (a list or tuple too),
+    each held to the scalar nonnegative rule, and the result is a float or an
     array to match, each entry bit-identical to its float call. One lattice
     pass serves every time.
     """
@@ -347,8 +354,7 @@ def survival_probability(q_i: float, params: SystemParams, cfg: BoxOracleConfig,
             "clamping survival to 0, result not perturbatively reliable",
             stacklevel=2,
         )
-    # min(raw, 1.0) keeps raw unless 1.0 < raw
-    return pack(np.where(clamped, 0.0, np.where(1.0 < raw, 1.0, raw)))
+    return pack(np.where(clamped, 0.0, raw))
 
 
 def survival_lower_bound(q_i: float, params: SystemParams, cfg: BoxOracleConfig) -> float:

@@ -392,6 +392,36 @@ def test_box_max_points_must_be_a_whole_number(points, tmp_path, capsys):
     assert "configuration error: box.max_points must be a whole number" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--L", "1e-110", "--grid", "2:2:1"), "box volume L**3 with L = 1e-110 leaves the float range"),
+    (("--L", "1e120", "--pcut", "1e-118", "--grid", "0.5:0.5:1"),
+     "box volume L**3 with L = 1e+120 leaves the float range"),
+], ids=["zero", "inf"])
+def test_box_volume_outside_the_float_range_is_a_configuration_error(argv, message, capsys):
+    assert run(capsys, "box-oracle", *argv) == (2, "", f"configuration error: {message}\n")
+
+
+# one row per rejection branch of the config file's settings
+@pytest.mark.parametrize("command, doc, message", [
+    ("rates", {"params": {"m": "1"}}, "params.m must be a number, got '1'"),
+    ("rates", {"params": 3}, "params must be an object"),
+    ("box-oracle", {"box": []}, "box must be an object"),
+    ("rates", {"grid": 3}, "grid must be a 'start:stop:count' string"),
+    ("check", {"tolerances": []}, "tolerances must be an object of check-name: value"),
+    ("rates", {"format": "xml"}, "format must be 'csv' or 'json', got 'xml'"),
+    ("rates", {"output": 3}, "output must be a path string"),
+    ("check", {"tolerances": {"landau_exact_zero": "x"}},
+     "tolerance for 'landau_exact_zero' must be a number, got 'x'"),
+    ("check", {"tolerances": {"landau_exact_zero": True}},
+     "tolerance for 'landau_exact_zero' must be a number, got True"),
+], ids=["params-field", "params", "box", "grid", "tolerances", "format", "output",
+        "tolerance-str", "tolerance-bool"])
+def test_config_values_of_the_wrong_type_are_rejected(command, doc, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(capsys, command, "--config", str(cfg)) == (2, "", f"configuration error: {message}\n")
+
+
 def test_box_max_points_accepts_an_integral_float(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"box": {"max_points": 1e6}, "format": "json"}))

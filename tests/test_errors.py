@@ -216,6 +216,24 @@ _SITES = [
          DomainError, f"integration bounds must be real numbers, got a={10**400!r}, b=inf"),
     _row("bool-BoxOracleConfig-max_points", lambda v: BoxOracleConfig(max_points=v), True,
          ConfigurationError, "max_points must be a positive integer, got True"),
+    _row("nan-integrate_semi_infinite-a", lambda v: integrate_semi_infinite(abs, v), float("nan"),
+         DomainError, "lower bound must be finite"),
+    _row("inf-integrate_semi_infinite-a", lambda v: integrate_semi_infinite(abs, v), float("inf"),
+         DomainError, "lower bound must be finite"),
+    # a box volume L**3 that the box routes divide by; it was 0 (a ZeroDivisionError
+    # or nan) or a raw OverflowError, and the config now refuses it when it is built
+    _row("survival_lower_bound-volume-zero",
+         lambda v: survival_lower_bound(0.5, UNIT, BoxOracleConfig(L=v)), 1e-110,
+         ConfigurationError, "box volume L**3 with L = 1e-110 leaves the float range"),
+    _row("survival_probability-volume-zero",
+         lambda v: survival_probability(0.5, UNIT, BoxOracleConfig(L=v), 1.0), 1e-110,
+         ConfigurationError, "box volume L**3 with L = 1e-110 leaves the float range"),
+    _row("survival_lower_bound-volume-inf",
+         lambda v: survival_lower_bound(0.5, UNIT, BoxOracleConfig(L=v, p_cut=1e-118)), 1e120,
+         ConfigurationError, "box volume L**3 with L = 1e+120 leaves the float range"),
+    _row("survival_probability-volume-inf",
+         lambda v: survival_probability(0.5, UNIT, BoxOracleConfig(L=v, p_cut=1e-118), 1.0), 1e120,
+         ConfigurationError, "box volume L**3 with L = 1e+120 leaves the float range"),
 ]
 
 

@@ -50,6 +50,17 @@ def _finite_time_term(t):
     return term
 
 
+def _lorentzian_at(args, eta):
+    """lorentzian_sums at the one momentum that ends args, as two floats."""
+    s_t, s_e = _kernels.lorentzian_sums(*args[:-1], np.array(args[-1:]), eta)
+    return s_t.item(), s_e.item()
+
+
+def _finite_time_at(args, t):
+    """finite_time_sum at the one time t, as a float."""
+    return _kernels.finite_time_sum(*args, np.array([t])).item()
+
+
 def _matches(got, summand, args):
     # abs=0: the finite-time sums at small t are far below pytest's default abs
     return got == pytest.approx(_reference_sum(summand, *args), rel=1e-12, abs=0.0)
@@ -57,7 +68,7 @@ def _matches(got, summand, args):
 
 def test_lorentzian_sums_match_reference():
     eta2 = 0.05 * 0.05
-    s_t, s_e = _kernels.lorentzian_sums(*_ARGS, 0.05)
+    s_t, s_e = _lorentzian_at(_ARGS, 0.05)
     assert _matches(s_t, lambda w, e, om: w / (om * om + eta2), _ARGS)
     assert _matches(s_e, lambda w, e, om: w / (om * om + eta2) * e, _ARGS)
 
@@ -66,7 +77,7 @@ def test_finite_time_sum_matches_reference():
     # every mode takes the series branch at t = 1e-7 and the oscillatory one
     # at t = 5; t = 2e-5 splits the modes between the two
     for t in (1e-7, 2e-5, 5.0):
-        assert _matches(_kernels.finite_time_sum(*_ARGS, t), _finite_time_term(t), _ARGS)
+        assert _matches(_finite_time_at(_ARGS, t), _finite_time_term(t), _ARGS)
 
 
 def test_inverse_square_sum_matches_reference():
@@ -166,7 +177,7 @@ def test_lorentzian_sums_match_full_lattice_fsum():
     eta2 = 0.02 * 0.02
     w, eps, om = _full_lattice_modes(*args)
     lor = w / (om * om + eta2)
-    s_t, s_e = _kernels.lorentzian_sums(*args, 0.02)
+    s_t, s_e = _lorentzian_at(args, 0.02)
     assert s_t == pytest.approx(math.fsum(lor.tolist()), rel=1e-13, abs=0.0)
     assert s_e == pytest.approx(math.fsum((lor * eps).tolist()), rel=1e-13, abs=0.0)
 
@@ -175,11 +186,6 @@ def test_slabs_hold_distinct_perpendicular_norms_not_sites():
     # L = 200, p_cut = 3: n_max = 96, about 3.6M modes
     modes, entries = _slab_counts(96, 2.0 * math.pi / 200.0, 9.0)
     assert entries < modes / 5
-
-
-def test_lattice_point_count():
-    assert _kernels.lattice_points(2) == 125
-    assert _kernels.lattice_points(0) == 1
 
 
 def test_active_backend_is_valid():
@@ -208,6 +214,14 @@ def test_box_rate_point_budget_guard():
         box_rate(2.0, params, big)
 
 
+def test_lattice_budget_counts_every_site_of_the_cube():
+    # dk = 1 and p_cut = 2: n_max = 2, so the cube [-2, 2]**3 holds 125 sites
+    cube = dict(L=2.0 * math.pi, eta=0.05, p_cut=2.0)
+    with pytest.raises(ConfigurationError, match="^lattice would hold 125 points, above the budget 124;"):
+        box_rate(0.0, SystemParams(g=1.0), BoxOracleConfig(**cube, max_points=124))
+    assert box_rate(0.0, SystemParams(g=1.0), BoxOracleConfig(**cube, max_points=125)).method == "box"
+
+
 # q_i spans q_c: subcritical residue and resonant slabs in one array, over several q-blocks
 _GRID = np.linspace(0.0, 2.75, 3 * _kernels._Q_BLOCK + 3)
 
@@ -219,15 +233,13 @@ def test_lorentzian_sums_over_momenta_match_each_momentum_bit_for_bit(L):
     s_t, s_e = _kernels.lorentzian_sums(*args, _GRID, 3.0 / L)
     assert s_t.shape == s_e.shape == _GRID.shape
     for q_i, t, e in zip(_GRID.tolist(), s_t.tolist(), s_e.tolist()):
-        one_t, one_e = _kernels.lorentzian_sums(*args, q_i, 3.0 / L)
+        one_t, one_e = _lorentzian_at((*args, q_i), 3.0 / L)
         assert (t.hex(), e.hex()) == (one_t.hex(), one_e.hex())
 
 
 def test_lorentzian_sums_keep_the_shape_of_the_momenta():
     s_t, s_e = _kernels.lorentzian_sums(*_ARGS[:-1], np.array([2.0]), 0.05)
     assert s_t.shape == s_e.shape == (1,)
-    s_t, s_e = _kernels.lorentzian_sums(*_ARGS, 0.05)
-    assert isinstance(s_t, float) and isinstance(s_e, float)
     s_t, s_e = _kernels.lorentzian_sums(*_ARGS[:-1], np.array([]), 0.05)
     assert s_t.shape == s_e.shape == (0,)
 
@@ -248,7 +260,7 @@ _DK60 = 2.0 * math.pi / 60.0
 ])
 def test_finite_time_sum_keeps_its_bits(g, q_i, t, expected):
     args = (29, _DK60, 9.0, 1.0, 1.0, 1.0, g * g, q_i)
-    assert _kernels.finite_time_sum(*args, t).hex() == expected
+    assert _finite_time_at(args, t).hex() == expected
 
 
 def test_inverse_square_sum_keeps_its_bits():
@@ -264,11 +276,11 @@ def test_inverse_square_sum_keeps_its_bits():
 ])
 def test_lattice_sums_keep_their_bits_where_omega_rounds(q_i, s_t, s_e, finite_time):
     args = (15, 2.0 * math.pi / 30.0, 9.0, *_ODD)
-    sums = _kernels.lorentzian_sums(*args, q_i, 0.1)
+    sums = _lorentzian_at((*args, q_i), 0.1)
     assert (sums[0].hex(), sums[1].hex()) == (s_t, s_e)
     many = _kernels.lorentzian_sums(*args, np.array([q_i, 1.0]), 0.1)
     assert (many[0][0].hex(), many[1][0].hex()) == (s_t, s_e)
-    assert _kernels.finite_time_sum(*args, q_i, 3.7).hex() == finite_time
+    assert _finite_time_at((*args, q_i), 3.7).hex() == finite_time
 
 
 @pytest.mark.parametrize("L", [30.0, 60.0])
@@ -280,19 +292,18 @@ def test_finite_time_sum_over_times_matches_each_time_bit_for_bit(L):
     sums = _kernels.finite_time_sum(*args, times)
     assert sums.shape == times.shape
     for t, s in zip(times.tolist(), sums.tolist()):
-        assert s.hex() == _kernels.finite_time_sum(*args, t).hex()
+        assert s.hex() == _finite_time_at(args, t).hex()
 
 
 def test_finite_time_sum_keeps_the_shape_of_the_times():
-    assert isinstance(_kernels.finite_time_sum(*_ARGS, 1.0), float)
     assert _kernels.finite_time_sum(*_ARGS, np.array([1.0])).shape == (1,)
-    assert _kernels.finite_time_sum(*_ARGS, [1.0, 2.0]).shape == (2,)
+    assert _kernels.finite_time_sum(*_ARGS, np.array([1.0, 2.0])).shape == (2,)
     assert _kernels.finite_time_sum(*_ARGS, np.array([])).shape == (0,)
 
 
 def test_box_rate_keeps_its_bits_at_workload_scale():
-    # L = 160, p_cut = 3 (n_max = 77) and eta = 3/L, as in the box workload: about
-    # 1.6M modes in 78 slabs, the middle one and 77 pairs of -nz and +nz
+    # L = 160, p_cut = 3 (n_max = 77) and eta = 3/L, as in the box workload: 1,867,480
+    # modes in 87,537 entries of 77 slabs, the middle one and 76 pairs of -nz and +nz
     r = box_rate(np.array([1.7, 2.05, 2.4]), SystemParams(g=1.0),
                  BoxOracleConfig(L=160.0, eta=3.0 / 160.0, p_cut=3.0))
     assert [v.hex() for v in r.gamma_T.tolist()] == [

@@ -302,6 +302,15 @@ def test_survival_lower_bound_reference_value():
     assert floor == pytest.approx(1.0 - 0.08244658592974145, rel=1e-12)
 
 
+@pytest.mark.parametrize("L, p_cut", [(1e-100, 3.0), (1e100, 1e-99)])
+def test_box_volume_inside_the_float_range_is_accepted(L, p_cut):
+    # L**3 = 1e-300 and 1e300, the routes' divisor; the cap keeps n_max at 1 and 2
+    cfg = BoxOracleConfig(L=L, p_cut=p_cut)
+    assert cfg.L == L
+    assert survival_probability(0.5, UNIT, cfg, 0.0) == 1.0
+    assert 0.0 < survival_lower_bound(0.5, UNIT, cfg) <= 1.0
+
+
 def test_survival_respects_lower_bound():
     floor = survival_lower_bound(0.5, UNIT, BOX)
     for t in (0.5, 3.0, 30.0, 300.0):
