@@ -16,12 +16,16 @@ histogram. Only omega depends on the impurity momentum, and _omegas is the
 one place that forms it: one walk over the slab pairs, per block of _Q_BLOCK
 momenta, with the rows of -nz and +nz stacked. The three sums are reductions
 over that walk, lorentzian_sums over a 1-D array of momenta and the other two
-over the one-entry block [q_i]. The kernels take what the box routes in rates
-pass them, validated there, and return 1-D arrays over the momenta or times
-(inverse_square_sum a float). Each reduction stores one 1-D sum per slab in a
-(2*n_max + 1, ...) table and adds its rows in nz order, -n_max first, so each
-momentum's sums keep the bits of a slab-by-slab loop over its own
-one-momentum call. All kernels are deterministic for fixed inputs.
+over the one-entry block [q_i]. Only the energy sum of lorentzian_sums reads
+eps, so the walk gathers eps per slab only when asked: box_rate's pass at eta
+asks for it and forms both sums, while its pass at 2*eta, whose energy sum no
+rate reads, and the other two kernels form only their own sum. The kernels
+take what the box routes in rates pass them, validated there, and return 1-D
+arrays over the momenta or times (inverse_square_sum a float). Each reduction
+stores one 1-D sum per slab in a (2*n_max + 1, ...) table and adds its rows in
+nz order, -n_max first, so each momentum's sums keep the bits of a
+slab-by-slab loop over its own one-momentum call. All kernels are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ ACTIVE_BACKEND = "numpy"
 _Q_BLOCK = 8
 
 
-def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
+def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n, with_eps=True):
     """Yield (count, w, eps, base, nz) for nz = 0, 1, ..., n_max, each slab holding a mode.
 
     Slab nz serves slab -nz too: everything but omega depends on nz through
@@ -60,6 +64,7 @@ def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
     entries, a prefix of the sorted histogram, at n**2 = nx**2 + ny**2 + nz**2.
     float(n**2) is that exact sum, so every entry keeps its own formula's bits.
     base = eps + p**2/2M is omega without its momentum term, which _omegas adds.
+    eps is gathered only if with_eps, and is None otherwise.
     """
     idx = np.arange(-n_max, n_max + 1)
     sq = idx * idx
@@ -80,25 +85,27 @@ def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
         if lo >= end:
             continue
         shell = perp_rows[lo:end] + nz2[nz]
-        yield counts[lo:end], w.take(shell), eps.take(shell), base.take(shell), nz
+        yield (counts[lo:end], w.take(shell), eps.take(shell) if with_eps else None,
+               base.take(shell), nz)
 
 
-def _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q):
+def _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q, with_eps):
     """Yield (rows, cols, count, w, eps, om) per slab pair -nz, +nz and per block of q.
 
     q is a 1-D float array, cut into blocks of _Q_BLOCK momenta. rows selects
     the slabs in a (2*n_max + 1, ...) table indexed by nz + n_max (rows
     n_max - nz and n_max + nz, or n_max alone at nz = 0), and cols the
-    block's momenta. count, w and eps are 1-D over the slab's entries, and
-    om = base - q*dk*nz/M_imp is a fresh (rows, momenta, entries) array, from
-    a q*dk*nz/M_imp table built once per block: nz*(q*dk) is (q*dk)*nz
-    exactly, so each momentum keeps the bits of its own one-momentum block.
+    block's momenta. count, w and eps are 1-D over the slab's entries (eps
+    None unless with_eps), and om = base - q*dk*nz/M_imp is a fresh (rows,
+    momenta, entries) array, from a q*dk*nz/M_imp table built once per block:
+    nz*(q*dk) is (q*dk)*nz exactly, so each momentum keeps the bits of its own
+    one-momentum block.
     """
     nz_all = np.arange(-n_max, n_max + 1, dtype=np.float64)
     blocks = [(slice(lo, lo + _Q_BLOCK),
                np.multiply.outer(nz_all, q[lo:lo + _Q_BLOCK] * dk)[..., None] / M_imp)
               for lo in range(0, q.size, _Q_BLOCK)]
-    for count, w, eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n):
+    for count, w, eps, base, nz in _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n, with_eps):
         rows = slice(n_max - nz, n_max + nz + 1, 2 * nz or 1)
         for cols, shift in blocks:
             yield rows, cols, count, w, eps, base - shift[rows]
@@ -115,25 +122,29 @@ def _in_nz_order(table):
     return np.add.accumulate(table)[-1]
 
 
-def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q, eta):
+def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q, eta, *, _energy=True):
     """Broadened golden-rule sums: (sum w/(om^2+eta^2), sum w*eps/(om^2+eta^2)).
 
-    q is a 1-D float array of momenta, and the two sums are 1-D arrays over
-    it. One pass over the slabs serves every momentum; each momentum's sums
-    are accumulated slab by slab with the arithmetic of its own call.
+    q is a 1-D float array of momenta, and the sums are 1-D arrays over it.
+    One pass over the slabs serves every momentum; each momentum's sums
+    are accumulated slab by slab with the arithmetic of its own call. With
+    _energy=False the pass gathers no eps and forms no energy sum, and the
+    result is the one-tuple (transition sum,), bit-identical to the first
+    sum of the full pass.
     """
-    table_t = np.zeros((2 * n_max + 1, q.size))
-    table_e = np.zeros((2 * n_max + 1, q.size))
+    tables = np.zeros((2 if _energy else 1, 2 * n_max + 1, q.size))
     eta2 = eta * eta
-    for rows, cols, count, w, eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q):
+    for rows, cols, count, w, eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q,
+                                                 with_eps=_energy):
         lor = np.multiply(om, om, out=om)  # count * (w / (om*om + eta2)), in place
         lor += eta2
         np.divide(w, lor, out=lor)
         lor *= count
-        table_t[rows, cols] = lor.sum(axis=-1)
-        lor *= eps
-        table_e[rows, cols] = lor.sum(axis=-1)
-    return _in_nz_order(table_t), _in_nz_order(table_e)
+        tables[0, rows, cols] = lor.sum(axis=-1)
+        if _energy:
+            lor *= eps
+            tables[1, rows, cols] = lor.sum(axis=-1)
+    return tuple(_in_nz_order(table) for table in tables)
 
 
 def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t):
@@ -151,7 +162,7 @@ def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t):
     # past the float range the sums are inf or nan, and _in_float_range raises
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, _cols, count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
-                                                       np.array([q_i])):
+                                                       np.array([q_i]), with_eps=False):
             table[rows] = (count * (w * _finite_time_kernel(om, times))).sum(axis=-1)
     return _in_float_range(t, (_in_nz_order(table), _PHASE_RANGE))
 
@@ -160,6 +171,6 @@ def inverse_square_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i):
     """Kernel-bound sum: sum over modes of 4*w/omega^2 (subcritical only)."""
     table = np.zeros((2 * n_max + 1, 1))
     for rows, _cols, count, w, _eps, om in _omegas(n_max, dk, p_cut2, m, M_imp, nU0, g2n,
-                                                   np.array([q_i])):
+                                                   np.array([q_i]), with_eps=False):
         table[rows] = (count * (4.0 * w / (om * om))).sum(axis=-1)
     return float(_in_nz_order(table)[0])

@@ -303,7 +303,8 @@ def box_rate(q_i, params: SystemParams, cfg: BoxOracleConfig) -> RateResult:
     p = (2*pi/L)*(integer triple), |p| <= p_cut, origin excluded: the energy
     delta realized as a Lorentzian of width eta. Converges to the continuum
     rates for L -> inf followed by eta -> 0. est_error is estimated from a
-    second pass with doubled eta (the leading error is eta-linear).
+    second pass with doubled eta (the leading error is eta-linear); that
+    pass forms only the transition sum, since est_error reads gamma_T alone.
 
     q_i is a float or a 1-D array; each entry is bit-identical to the float
     call. The lattice is summed in one pass per eta over all momenta, so two
@@ -321,7 +322,7 @@ def box_rate(q_i, params: SystemParams, cfg: BoxOracleConfig) -> RateResult:
     args = _lattice_args(q, params, cfg)
     vol = cfg.L**3
     s_t, s_e = _kernels.lorentzian_sums(*args, q, cfg.eta)
-    s_t2, _ = _kernels.lorentzian_sums(*args, q, 2.0 * cfg.eta)
+    (s_t2,) = _kernels.lorentzian_sums(*args, q, 2.0 * cfg.eta, _energy=False)
     # past the float range these are inf or nan, and _rate_result raises
     with np.errstate(over="ignore", invalid="ignore"):
         gamma_T = 2.0 * cfg.eta / vol * s_t

@@ -277,12 +277,17 @@ def effective_mass_finite_difference(params: SystemParams) -> MassResult:
     The curvature of the fluctuation part at q_i = 0, taken with step
     0.01*q_c, gives 1/M_ef - 1/M; the constant of the cutoff _FD_CUTOFF cancels
     in the stencil, leaving an O(1/cutoff) residue in the curvature itself
-    (about 5e-4 relative).
+    (about 5e-4 relative). The stencil takes three shifts, not five: E(q) is
+    even bit for bit, as the vanishing_linear_term check measures, so E(h)
+    and E(2h) are the E(-h) and E(-2h) already formed.
     """
     h = 0.01 * derive(params).q_c
+    shifts = {}  # by |q|, formed at the q first asked for: -2h, -h, 0
 
     def shift(q):
-        return energy_shift_quadrature(q, params, _FD_CUTOFF)
+        if abs(q) not in shifts:
+            shifts[abs(q)] = energy_shift_quadrature(q, params, _FD_CUTOFF)
+        return shifts[abs(q)]
 
     d2 = second_derivative(shift, 0.0, h)
     return _mass_from_sigma(-params.M * d2, params, "finite_difference")

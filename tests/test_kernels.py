@@ -237,6 +237,19 @@ def test_lorentzian_sums_over_momenta_match_each_momentum_bit_for_bit(L):
         assert (t.hex(), e.hex()) == (one_t.hex(), one_e.hex())
 
 
+@pytest.mark.parametrize("args, q, eta", [
+    # L = 240, p_cut = 3, eta = 3/L and g = 1: the largest box of the workload
+    ((115, 2.0 * math.pi / 240.0, 9.0, 1.0, 1.0, 1.0, 1.0), [1.5, 1.9, 2.25, 2.6], 3.0 / 240.0),
+    ((15, 2.0 * math.pi / 30.0, 9.0, *_ODD), _GRID, 0.1),
+])
+def test_transition_pass_keeps_the_bits_of_the_full_pass(args, q, eta):
+    q = np.asarray(q)
+    for scale in (1.0, 2.0):  # box_rate's two passes
+        s_t, _ = _kernels.lorentzian_sums(*args, q, scale * eta)
+        (alone,) = _kernels.lorentzian_sums(*args, q, scale * eta, _energy=False)
+        assert alone.tobytes() == s_t.tobytes()
+
+
 def test_lorentzian_sums_keep_the_shape_of_the_momenta():
     s_t, s_e = _kernels.lorentzian_sums(*_ARGS[:-1], np.array([2.0]), 0.05)
     assert s_t.shape == s_e.shape == (1,)

@@ -174,11 +174,18 @@ def test_box_rate_over_momenta_matches_each_momentum_bit_for_bit(L):
 
 @pytest.mark.parametrize("count", [1, 3, 20])
 def test_box_rate_makes_two_lattice_passes_whatever_the_grid(count, monkeypatch):
-    calls = []
+    calls, energy = [], []
     sums = _kernels.lorentzian_sums
-    monkeypatch.setattr(_kernels, "lorentzian_sums", lambda *a: calls.append(a[-1]) or sums(*a))
+
+    def counted(*a, **k):
+        calls.append(a[-1])
+        energy.append(k.get("_energy", True))
+        return sums(*a, **k)
+
+    monkeypatch.setattr(_kernels, "lorentzian_sums", counted)
     box_rate(np.linspace(0.5, 2.5, count), UNIT, BoxOracleConfig(L=20.0, eta=0.3))
     assert calls == [0.3, 0.6]
+    assert energy == [True, False]  # the 2*eta pass, read for est_error only, forms no energy sum
 
 
 def test_box_rate_of_no_momenta_visits_no_lattice(monkeypatch):

@@ -19,6 +19,8 @@ from becimpurity import (
     energy_shift_quadrature,
     energy_spectrum,
     mean_field_shift,
+    second_derivative,
+    selfenergy,
 )
 
 WEAK = SystemParams(a=0.01)
@@ -183,6 +185,41 @@ def test_stencil_mass_matches_the_closed_correction_over_mass_ratios(M):
     params = SystemParams(a=0.01, M=M)
     fd, closed = effective_mass_finite_difference(params), effective_mass_closed(params)
     assert fd.correction == pytest.approx(closed.correction, rel=1e-3)
+
+
+# light to heavy impurities at two couplings
+_STENCIL_ROWS = [(a, M) for a in (0.01, 0.02) for M in (1e-3, 0.3, 1.0, 3.0, 1e3)]
+
+
+@pytest.mark.parametrize("a, M", _STENCIL_ROWS)
+def test_energy_shift_is_even_bit_for_bit_at_the_stencil_points(a, M):
+    # the premise that lets the stencil take E(h) and E(2h) from E(-h) and E(-2h)
+    params = SystemParams(a=a, M=M)
+    h = 0.01 * derive(params).q_c
+    for q in (h, 2.0 * h):
+        assert (energy_shift_quadrature(q, params, 4000.0).hex()
+                == energy_shift_quadrature(-q, params, 4000.0).hex())
+
+
+@pytest.mark.parametrize("a, M", _STENCIL_ROWS)
+def test_stencil_mass_takes_three_shifts_and_keeps_its_bits(a, M, monkeypatch):
+    params = SystemParams(a=a, M=M)
+    h = 0.01 * derive(params).q_c
+    # the five-shift stencil, each shift its own integral; its bits depend on
+    # numpy's loops for log1p and powers, so it is formed here, not pinned in hex
+    cutoff = selfenergy._FD_CUTOFF
+    sigma = -M * second_derivative(lambda q: energy_shift_quadrature(q, params, cutoff), 0.0, h)
+    points = []
+    shift = selfenergy.energy_shift_quadrature
+
+    def counted(q_i, *args):
+        points.append(q_i)
+        return shift(q_i, *args)
+
+    monkeypatch.setattr(selfenergy, "energy_shift_quadrature", counted)
+    r = effective_mass_finite_difference(params)
+    assert points == [-2.0 * h, -h, 0.0]
+    assert (r.M_ef.hex(), r.correction.hex()) == ((M / (1.0 - sigma)).hex(), (-sigma).hex())
 
 
 @pytest.mark.parametrize("M", [1e155, 1e160, 1e300])
