@@ -65,6 +65,11 @@ def _excitation_energy(params: SystemParams):
     return eps
 
 
+def _recoil_energy(p, eps_p, params: SystemParams):
+    """eps(p) + p**2/2M, given eps_p = eps(p): the frequency mismatch omega at q_i = 0."""
+    return eps_p + p * p / (2.0 * params.M)
+
+
 def _structure_factor(two_mc):
     """S(p) = p/hypot(p, 2mc) = p**2/(2m*eps(p)), the condensate's static structure factor.
 

@@ -1,9 +1,10 @@
 """Exception taxonomy shared by the whole package, and the rules every module applies.
 
-Three rules are stated here and nowhere else:
+Four rules are stated here and nowhere else:
 
 - _require: a parameter is a finite real scalar, positive, nonnegative or
   of either sign;
+- _require_1d: an input of one value or many is a float or a 1-D array;
 - _real_array: an input is a real scalar or an array of bools, ints or
   floats, as a float array, or None for the caller to refuse;
 - _in_float_range: a computed result is finite, else NumericalError at the
@@ -80,6 +81,12 @@ def _require(value, name: str, *, kind: str = "positive", error=DomainError) -> 
         return x
     sign = "" if kind == "signed" else f"{kind} and "
     raise error(f"{name} must be {sign}finite, got {value!r}")
+
+
+def _require_1d(values, plural: str) -> None:
+    """Refuse an array of 2 or more dimensions where a float or a 1-D array of plural is taken."""
+    if isinstance(values, np.ndarray) and values.ndim > 1:
+        raise DomainError(f"{plural} must be a float or a 1-D array, got shape {values.shape}")
 
 
 def _real_array(value):

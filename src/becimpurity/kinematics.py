@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _as_momentum, dispersion
-from .errors import DomainError, _in_float_range, _real_array, _require
+from .bogoliubov import _as_momentum, _recoil_energy, dispersion
+from .errors import DomainError, _in_float_range, _real_array, _require, _require_1d
 from .params import SystemParams, derive
 
 __all__ = [
@@ -57,9 +57,8 @@ def omega(p, x, q_i: float, params: SystemParams):
     xarr = _real_array(x)
     if xarr is None or not np.all(np.abs(xarr) <= 1):  # also rejects nan
         raise DomainError("direction cosine must lie in [-1, 1]")
-    M = params.M
     with np.errstate(over="ignore", invalid="ignore"):
-        out = dispersion(parr, params) + parr * parr / (2.0 * M) - q_i * parr * xarr / M
+        out = _recoil_energy(parr, dispersion(parr, params), params) - q_i * parr * xarr / params.M
     return _in_float_range(parr, (out, "frequency mismatch at p = {!r} leaves the float range"))
 
 
@@ -72,7 +71,7 @@ def resonance_cos(p: float, q_i: float, params: SystemParams):
     """
     p = _require(p, "momentum")
     q_i = _require(q_i, "initial momentum")
-    x0 = params.M * (dispersion(p, params) + p * p / (2.0 * params.M)) / (q_i * p)
+    x0 = params.M * _recoil_energy(p, dispersion(p, params), params) / (q_i * p)
     # tolerate roundoff at the window edge where x0 = 1 exactly
     if x0 <= 1.0 + 1e-12:
         return min(x0, 1.0)
@@ -114,23 +113,44 @@ def max_emission_momentum(q_i, params: SystemParams):
     return pack(_in_float_range(q, (p_max, _P_MAX_RANGE)))
 
 
-def _entries(values, name: str, plural: str):
-    """values as a float array, each entry held to errors._require (nonnegative), and their pack.
+def _listed(values, plural: str, entry, accepts):
+    """values as a float array of entry(v), a float or a raise, over its entries, and their pack.
 
-    The pack turns an array over the entries into a float (or bool) for one
-    real scalar and leaves it an array for a 1-D array, list or tuple. name
-    words the per-entry message, plural the message for a wrong shape.
+    values is a float or a 1-D array, list or tuple (errors._require_1d, as plural); a float
+    array where accepts(values) holds throughout is taken whole. The pack gives a float (or
+    bool) for a scalar and an array otherwise.
     """
-    if isinstance(values, np.ndarray) and values.ndim > 1:
-        raise DomainError(f"{plural} must be a float or a 1-D array, got shape {values.shape}")
+    _require_1d(values, plural)
     if not (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1):
-        return np.array([_require(values, name, kind="nonnegative")]), np.ndarray.item
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f" and (
-        (values >= 0) & (values < np.inf)
-    ).all():
-        return values.astype(float), np.asarray  # every entry passes the scalar rule
+        return np.array([entry(values)]), np.ndarray.item
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f" and accepts(values).all():
+        return values.astype(float), np.asarray
     entries = values.tolist() if isinstance(values, np.ndarray) else values
-    return np.array([_require(v, name, kind="nonnegative") for v in entries]), np.asarray
+    return np.array([entry(v) for v in entries]), np.asarray
+
+
+def _entries(values, name: str, plural: str):
+    """values as _listed gives them, each entry held to errors._require (nonnegative) as name."""
+    return _listed(values, plural, lambda v: _require(v, name, kind="nonnegative"),
+                   lambda x: (x >= 0) & (x < np.inf))
+
+
+def _subcritical(values, params: SystemParams, what: str):
+    """Momenta as _listed gives them, each a real scalar with |q_i| < q_c: the one subcritical rule.
+
+    The first other entry (nan, or one errors._real_array does not take as 0-d) raises
+    DomainError "<what> is defined for |q_i| < q_c = <q_c>, got <entry!r>", a real one as a float.
+    """
+    q_c = derive(params).q_c
+
+    def entry(v):
+        x = _real_array(v)
+        v = float(x) if x is not None and x.ndim == 0 else v
+        if isinstance(v, float) and abs(v) < q_c:
+            return v
+        raise DomainError(f"{what} is defined for |q_i| < q_c = {q_c}, got {v!r}")
+
+    return _listed(values, "initial momenta", entry, lambda x: np.abs(x) < q_c)
 
 
 def _momenta(q_i):

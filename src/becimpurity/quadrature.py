@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError, _real_array, _require
+from .errors import ConfigurationError, DomainError, NumericalError, _real_array, _require, _require_1d
 
 __all__ = [
     "integrate",
@@ -244,8 +244,7 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     """
     rel_tol = _check_rel_tol(rel_tol)
     a, upper = _real_bounds(a, b)
-    if upper.ndim > 1:
-        raise DomainError(f"upper bounds must be a float or a 1-D array, got shape {upper.shape}")
+    _require_1d(upper, "upper bounds")
     bounds = upper.reshape(-1)
     b_list = bounds.tolist()
     if not (math.isfinite(a) and all(map(math.isfinite, b_list))):
@@ -281,7 +280,8 @@ def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = _DEFAULT_REL
         raise DomainError("lower bound must be finite")
 
     def transformed(t):
-        one_minus = 1.0 - t
+        # a node rounded to t = 1 maps to nan, not to a division by 0: integrate raises there
+        one_minus = np.where(t < 1.0, 1.0 - t, np.nan)
         p = a + t / one_minus
         return f(p) / one_minus**2
 

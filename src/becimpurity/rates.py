@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .bogoliubov import _as_momentum, _energy_scales, _sinh_tail, _structure_factor
 from .errors import ConfigurationError, DomainError, _in_float_range, _require
-from .kinematics import _P_MAX_RANGE, _entries, _momenta, _p_max, max_emission_momentum
+from .kinematics import _P_MAX_RANGE, _entries, _momenta, _p_max, _subcritical, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -367,6 +367,5 @@ def survival_lower_bound(q_i: float, params: SystemParams, cfg: BoxOracleConfig)
     for strong coupling, in which case it is true but uninformative.
     """
     q_i = _require(q_i, "initial momentum", kind="nonnegative")
-    if q_i >= derive(params).q_c:
-        raise DomainError("survival bound is defined for subcritical momenta only")
+    _subcritical(q_i, params, "survival bound")
     return 1.0 - _kernels.inverse_square_sum(*_lattice_args(q_i, params, cfg), q_i) / cfg.L**3

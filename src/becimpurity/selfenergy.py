@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _excitation_energy, _mass_tail, _sinh_tail
-from .errors import DomainError, PerturbativeBreakdownError, _in_float_range, _real_array, _require
+from .bogoliubov import _excitation_energy, _mass_tail, _recoil_energy, _sinh_tail
+from .errors import PerturbativeBreakdownError, _in_float_range, _require
+from .kinematics import _subcritical
 from .params import SystemParams, derive
 from .quadrature import integrate, integrate_semi_infinite, second_derivative
 
@@ -148,11 +149,6 @@ def energy_shift_closed(params: SystemParams) -> float:
     return mean_field_shift(params) * (1.0 + correction)
 
 
-def _recoil_energy(p, eps_p, params: SystemParams):
-    """eps(p) + p**2/2M, given eps_p = eps(p)."""
-    return eps_p + p * p / (2.0 * params.M)
-
-
 def _shift_integrand(p, q_i: float, params: SystemParams, eps):
     """Angular-resolved second-order integrand, vectorized over p.
 
@@ -177,14 +173,9 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
     1/cutoff. Raises NumericalError where the shift leaves the float range,
     as it does for an impurity lighter than about 1e-156 m at a = 0.01.
     """
-    q = _real_array(q_i)
-    if q is not None and q.ndim == 0:
-        q_i = float(q)
+    # q_i as the one entry of a list: an array q_i is an offending entry
+    q_i = _subcritical([q_i], params, "energy shift")[0].item()
     d = derive(params)
-    if not (isinstance(q_i, float) and math.isfinite(q_i) and abs(q_i) < d.q_c):
-        raise DomainError(
-            f"energy shift is defined for |q_i| < q_c = {d.q_c}, got {q_i!r}"
-        )
     cutoff = _require(cutoff, "cutoff")
     m, m_r = params.m, d.m_r
     # a numpy divisor gives inf (or nan, where a**2 underflows too), not
@@ -297,26 +288,14 @@ def energy_spectrum(q_list, params: SystemParams) -> list[SpectrumPoint]:
     """Quadratic subcritical spectrum E(q_i) = E(0) + q_i**2/(2*M_ef).
 
     Built from the closed forms; even in q_i. q_list is a float or a 1-D
-    array, list or tuple. Rejects any momentum at or beyond the critical
-    one, listing the offenders.
+    array, list or tuple, held to kinematics._subcritical.
     """
-    d = derive(params)
-    arr = _real_array(q_list)
-    # an object array holds ragged input too, as a list of its entries
-    q_arr = np.asarray(q_list, dtype=object) if arr is None else arr
-    if q_arr.ndim > 1:
-        raise DomainError(f"initial momenta must be a float or a 1-D array, got shape {q_arr.shape}")
-    q_arr = np.atleast_1d(q_arr).tolist()
-    offenders = [q for q in q_arr if arr is None or not (math.isfinite(q) and abs(q) < d.q_c)]
-    if offenders:
-        raise DomainError(
-            f"spectrum is defined for |q_i| < q_c = {d.q_c}; offending values: {offenders}"
-        )
+    momenta, _ = _subcritical(q_list, params, "spectrum")
     e0 = energy_shift_closed(params)
     mf = mean_field_shift(params)
     mass = effective_mass_closed(params)
     return [
         SpectrumPoint(q_i=q, energy=e0 + q * q / (2.0 * mass.M_ef),
                       components={"mean_field": mf, "fluctuation": e0 - mf})
-        for q in q_arr
+        for q in momenta.tolist()
     ]

@@ -112,14 +112,15 @@ _SITES = [
          lambda v: energy_shift_quadrature(v, DILUTE, 200.0), "0.5", DomainError,
          f"energy shift is defined for |q_i| < q_c = {_QC}, got '0.5'"),
     _row("str-energy_spectrum-q_i", lambda v: energy_spectrum(v, DILUTE), ["0.5"], DomainError,
-         f"spectrum is defined for |q_i| < q_c = {_QC}; offending values: ['0.5']"),
+         f"spectrum is defined for |q_i| < q_c = {_QC}, got '0.5'"),
     _row("str-dispersion-p", lambda v: dispersion(v, UNIT), "2", DomainError,
          "momentum magnitude must be nonnegative and finite"),
     # input types that leaked a raw TypeError or passed where no other input does
     _row("energy_spectrum-2d", lambda v: energy_spectrum(v, DILUTE), np.zeros((2, 2)),
          DomainError, "initial momenta must be a float or a 1-D array, got shape (2, 2)"),
+    # a list's entries are read one by one, as the rates read them: a nested one is an offender
     _row("energy_spectrum-nested", lambda v: energy_spectrum(v, DILUTE), [[0.1]],
-         DomainError, "initial momenta must be a float or a 1-D array, got shape (1, 1)"),
+         DomainError, f"spectrum is defined for |q_i| < q_c = {_QC}, got [0.1]"),
     _row("str-integrate-b", lambda v: integrate(abs, 0.0, v), "1", DomainError,
          "integration bounds must be real numbers, got a=0.0, b='1'"),
     _row("str-integrate-a", lambda v: integrate(abs, v, 1.0), "0", DomainError,
@@ -153,8 +154,7 @@ _SITES = [
     _row("ragged-dispersion-p", lambda v: dispersion(v, UNIT), [[0.1], 0.2], DomainError,
          "momentum magnitude must be nonnegative and finite"),
     _row("ragged-energy_spectrum-q_i", lambda v: energy_spectrum(v, DILUTE), [[0.1], 0.2],
-         DomainError,
-         f"spectrum is defined for |q_i| < q_c = {_QC}; offending values: [[0.1], 0.2]"),
+         DomainError, f"spectrum is defined for |q_i| < q_c = {_QC}, got [0.1]"),
     _row("ragged-integrate-b", lambda v: integrate(abs, 0.0, v), [[0.1], 0.2], DomainError,
          "integration bounds must be real numbers, got a=0.0, b=[[0.1], 0.2]"),
     _row("ragged-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), [[0.1], 0.2],
@@ -234,6 +234,28 @@ _SITES = [
     _row("survival_probability-volume-inf",
          lambda v: survival_probability(0.5, UNIT, BoxOracleConfig(L=v, p_cut=1e-118), 1.0), 1e120,
          ConfigurationError, "box volume L**3 with L = 1e+120 leaves the float range"),
+    # one shape rule: an array of 2 dimensions where a float or a 1-D array is taken
+    *(_row(f"{label}-2d", call, np.zeros((2, 2)), DomainError,
+           f"{plural} must be a float or a 1-D array, got shape (2, 2)")
+      for label, call, plural in [
+          ("transition_rate", lambda v: transition_rate(v, UNIT), "initial momenta"),
+          ("survival_probability", lambda v: survival_probability(0.5, UNIT, EMPTY_BOX, v), "times"),
+          ("integrate", lambda v: integrate(abs, -1.0, v), "upper bounds"),
+      ]),
+    # one subcritical rule, naming the first offender; a numeric string is refused
+    # by it too (the str- rows above)
+    *(_row(f"{label}-{tag}", call, value, DomainError,
+           f"{what} is defined for |q_i| < q_c = {_QC}, got {value!r}")
+      for tag, value in [("q_c", _QC), ("minus-q_c", -_QC), ("nan", float("nan"))]
+      for label, call, what in [
+          ("energy_shift_quadrature", lambda v: energy_shift_quadrature(v, DILUTE, 200.0),
+           "energy shift"),
+          ("energy_spectrum", lambda v: energy_spectrum(v, DILUTE), "spectrum"),
+      ]),
+    _row("str-energy_spectrum-scalar", lambda v: energy_spectrum(v, DILUTE), "0.5", DomainError,
+         f"spectrum is defined for |q_i| < q_c = {_QC}, got '0.5'"),
+    _row("survival_lower_bound-q_c", lambda v: survival_lower_bound(v, DILUTE, BOX), _QC,
+         DomainError, f"survival bound is defined for |q_i| < q_c = {_QC}, got {_QC!r}"),
 ]
 
 
@@ -316,6 +338,17 @@ def test_out_of_range_report_returns_the_last_stage():
     out = _in_float_range(np.array(2.0), (np.array(0.5), _STAGES[0]))
     assert type(out) is float and out == 0.5
     assert type(_in_float_range(2.0, (np.float64(0.25), _STAGES[0]))) is float
+
+
+@pytest.mark.parametrize("wording, holder", [
+    ("must be a float or a 1-D array", "errors.py"),
+    ("is defined for |q_i| < q_c", "kinematics.py"),
+    # the recoil energy eps + p**2/2M; the lattice kernels keep their own on purpose
+    ("p * p / (2.0 * params.M)", "bogoliubov.py"),
+])
+def test_each_subcritical_rule_is_worded_in_one_module(wording, holder):
+    package = pathlib.Path(becimpurity.__file__).parent
+    assert sorted(p.name for p in package.glob("*.py") if wording in p.read_text()) == [holder]
 
 
 def test_each_shared_rule_is_stated_in_errors_only():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -254,6 +255,20 @@ def test_light_impurity_energy_shift_reports_leaving_the_float_range(M):
         energy_shift_quadrature(0.0, SystemParams(a=0.01, M=M), 200.0)
 
 
+@pytest.mark.parametrize("b", [0, 10, 20, 30, 40, 100])
+def test_quadrature_mass_in_smaller_momentum_units_warns_nothing(b):
+    # one system with its momenta in a unit 2**b times smaller: n * 2**(3b), U0 and a / 2**b;
+    # from b = 40 a node of the rational tail map rounded to t = 1 and its division by
+    # zero leaked "divide by zero encountered in divide" before the NumericalError
+    params = SystemParams(m=1.0, M=1.7, n=0.9 * 2.0 ** (3 * b), U0=1.3 * 2.0**-b, a=0.02 * 2.0**-b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            effective_mass_quadrature(params)
+        except NumericalError:
+            pass
+
+
 def test_mass_result_is_frozen():
     r = effective_mass_closed(WEAK)
     with pytest.raises(AttributeError):
@@ -283,7 +298,7 @@ def test_energy_spectrum_points_do_not_share_their_components():
 
 
 def test_energy_spectrum_rejects_supercritical_with_offenders():
+    # the first offender in loop order is named
     with pytest.raises(DomainError) as exc:
         energy_spectrum([0.5, 1.0, 1.5], WEAK)
-    msg = str(exc.value)
-    assert "1.5" in msg and "0.5" not in msg
+    assert str(exc.value) == f"spectrum is defined for |q_i| < q_c = {derive(WEAK).q_c}, got 1.0"
