@@ -3,8 +3,8 @@ zero-temperature condensate.
 
 Layers, bottom up: params (unit conventions and derived scales), bogoliubov
 (excitation spectrum and transform), kinematics (emission thresholds and the
-finite-time kernel), rates (golden-rule transition and dissipation rates plus
-a finite-box oracle), selfenergy (renormalized energy shift and effective
+momentum rules), rates (golden-rule transition and dissipation rates plus a
+finite-box oracle), selfenergy (renormalized energy shift and effective
 mass), quadrature (the adaptive integrator everything leans on), and checks
 (the named verification suite the CLI exposes as `becimpurity check`).
 

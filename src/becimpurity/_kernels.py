@@ -35,7 +35,6 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import _in_float_range
-from .kinematics import _PHASE_RANGE, _finite_time_kernel
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -50,6 +49,12 @@ ACTIVE_BACKEND = "numpy"
 # momenta per block of an _omegas slab pair: bounds the temporaries of a sum
 # at _Q_BLOCK times two slabs, whatever the number of momenta
 _Q_BLOCK = 8
+
+# below this |omega*t| the finite-time kernel switches to its series form
+_KERNEL_SERIES_CUT = 1e-4
+# for finite omega and t the kernel is finite unless the phase omega*t
+# overflows, which makes sin(omega*t/2) nan
+_PHASE_RANGE = "phase omega*t at t = {!r} leaves the float range"
 
 
 def _slabs(n_max, dk, p_cut2, m, M_imp, nU0, g2n, with_eps=True):
@@ -145,6 +150,24 @@ def lorentzian_sums(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q, eta, *, _energy=Tr
             lor *= eps
             tables[1, rows, cols] = lor.sum(axis=-1)
     return tuple(_in_nz_order(table) for table in tables)
+
+
+def _finite_time_kernel(w, t):
+    """Squared finite-time amplitude 4*sin(omega*t/2)**2 / omega**2 on float arrays w, t.
+
+    t broadcasts against w. The value lies in [0, min(t**2, 4/omega**2)]; below
+    |omega*t| = _KERNEL_SERIES_CUT it is the series t**2 * (1 - (omega*t)**2/12),
+    t**2 at omega = 0. Where w*t overflows it is nan, with numpy's RuntimeWarnings;
+    the caller silences them and passes it to errors._in_float_range with _PHASE_RANGE.
+    """
+    z = w * t
+    small = np.abs(z) < _KERNEL_SERIES_CUT
+    w_safe = np.where(small, 1.0, w)
+    return np.where(
+        small,
+        t * t * (1.0 - z * z / 12.0),
+        4.0 * np.sin(0.5 * z) ** 2 / (w_safe * w_safe),
+    )
 
 
 def finite_time_sum(n_max, dk, p_cut2, m, M_imp, nU0, g2n, q_i, t):

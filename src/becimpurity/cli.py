@@ -245,7 +245,7 @@ def cmd_rates(cfg: dict, grid):
 
 def cmd_spectrum(cfg: dict, grid):
     params = cfg["params"]
-    points = energy_spectrum(grid, params) if grid.size else []
+    points = energy_spectrum(grid, params)
     mass = effective_mass_closed(params)
     rows = [
         [pt.q_i, pt.energy, pt.components["mean_field"], pt.components["fluctuation"]]

@@ -23,17 +23,10 @@ from .params import SystemParams, derive
 __all__ = [
     "EmissionWindow",
     "omega",
-    "resonance_cos",
     "max_emission_momentum",
     "emission_window",
-    "finite_time_kernel",
 ]
 
-# below this |omega*t| the oscillatory kernel switches to its series form
-_KERNEL_SERIES_CUT = 1e-4
-# for finite omega and t the kernel is finite unless the phase omega*t
-# overflows, which makes sin(omega*t/2) nan
-_PHASE_RANGE = "phase omega*t at t = {!r} leaves the float range"
 _P_MAX_RANGE = "largest emitted momentum at q_i = {!r} leaves the float range"
 
 
@@ -60,22 +53,6 @@ def omega(p, x, q_i: float, params: SystemParams):
     with np.errstate(over="ignore", invalid="ignore"):
         out = _recoil_energy(parr, dispersion(parr, params), params) - q_i * parr * xarr / params.M
     return _in_float_range(parr, (out, "frequency mismatch at p = {!r} leaves the float range"))
-
-
-def resonance_cos(p: float, q_i: float, params: SystemParams):
-    """Direction cosine solving omega = 0 at momentum p, or None.
-
-    Returns x0 = M*(eps(p) + p**2/2M)/(q_i*p) when x0 <= 1; otherwise None,
-    meaning momentum p cannot be emitted in any direction. x0 is always
-    positive: emission happens into the forward cone only.
-    """
-    p = _require(p, "momentum")
-    q_i = _require(q_i, "initial momentum")
-    x0 = params.M * _recoil_energy(p, dispersion(p, params), params) / (q_i * p)
-    # tolerate roundoff at the window edge where x0 = 1 exactly
-    if x0 <= 1.0 + 1e-12:
-        return min(x0, 1.0)
-    return None
 
 
 def _p_max(q, params: SystemParams):
@@ -167,41 +144,4 @@ def emission_window(q_i, params: SystemParams) -> EmissionWindow:
         p_max=pack(max_emission_momentum(q, params)),
         cos_theta_max=pack(q_c / np.maximum(q, q_c)),  # 1 unless dissipative
         dissipative=pack(q > q_c),
-    )
-
-
-def finite_time_kernel(omega_val, t: float):
-    """Squared finite-time amplitude 4*sin(omega*t/2)**2 / omega**2.
-
-    Continuous at omega = 0 with value t**2; for |omega*t| below 1e-4 the
-    series t**2 * (1 - (omega*t)**2/12) is used, accurate to ~1e-17 there.
-    Bounded by min(t**2, 4/omega**2) everywhere. Vectorized over omega_val;
-    raises DomainError where omega_val is not finite, and NumericalError
-    where omega*t leaves the float range.
-    """
-    t = _require(t, "time", kind="nonnegative")
-    w = _real_array(omega_val)
-    if w is None:  # ragged, a string, None or any other non-real input
-        raise DomainError(f"frequency mismatch must be finite, got {omega_val!r}")
-    bad = w[~np.isfinite(w)]
-    if bad.size:
-        raise DomainError(f"frequency mismatch must be finite, got {bad[0].item()!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _finite_time_kernel(w, t)
-    return _in_float_range(t, (out, _PHASE_RANGE))
-
-
-def _finite_time_kernel(w, t):
-    """finite_time_kernel on a float array w, for a float t or an array t broadcast against w.
-
-    Where w*t overflows the value is nan, with numpy's RuntimeWarnings; the
-    callers silence them and pass the result to errors._in_float_range with _PHASE_RANGE.
-    """
-    z = w * t
-    small = np.abs(z) < _KERNEL_SERIES_CUT
-    w_safe = np.where(small, 1.0, w)
-    return np.where(
-        small,
-        t * t * (1.0 - z * z / 12.0),
-        4.0 * np.sin(0.5 * z) ** 2 / (w_safe * w_safe),
     )

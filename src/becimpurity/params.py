@@ -19,7 +19,6 @@ __all__ = [
     "SystemParams",
     "DerivedQuantities",
     "derive",
-    "born_scattering_length",
     "renormalized_coupling",
 ]
 
@@ -108,13 +107,6 @@ def derive(params: SystemParams) -> DerivedQuantities:
     small, big = sorted((m, M))
     m_r = small / (1.0 + small / big)
     return DerivedQuantities(c=c, q_c=M * c, m_r=m_r)
-
-
-def born_scattering_length(U0: float, m: float) -> float:
-    """Boson-boson scattering length to first Born order, m*U0/(4*pi)."""
-    U0 = _require(U0, "U0", kind="signed", error=ParameterDomainError)
-    m = _require(m, "m", kind="signed", error=ParameterDomainError)
-    return m * U0 / (4.0 * math.pi)
 
 
 def renormalized_coupling(a: float, m_r: float, cutoff: float) -> float:

@@ -134,19 +134,23 @@ def _scaled_I1(u: float, s: float, y: float) -> float:
 
 
 def mean_field_shift(params: SystemParams) -> float:
-    """First-order energy shift 2*pi*n*a/m_r."""
-    return 2.0 * math.pi * params.n * params.a / derive(params).m_r
+    """First-order energy shift 2*pi*n*a/m_r; NumericalError where it leaves the float range."""
+    shift = 2.0 * math.pi * params.n * params.a / derive(params).m_r
+    return _in_float_range(params.a, (shift, "mean-field shift at a = {!r} leaves the float range"))
 
 
 def energy_shift_closed(params: SystemParams) -> float:
     """Renormalized impurity energy at rest, second order in a.
 
     E(0) = (2*pi*n*a/m_r) * (1 + (4*a*m*c/pi) * I0(m/M)); the fluctuation
-    part is positive for repulsive a.
+    part is positive for repulsive a. Raises NumericalError where E(0), or
+    the mean-field shift before it, leaves the float range.
     """
     d = derive(params)
     correction = 4.0 * params.a * params.m * d.c / math.pi * I0(params.m / params.M)
-    return mean_field_shift(params) * (1.0 + correction)
+    energy = mean_field_shift(params) * (1.0 + correction)
+    return _in_float_range(
+        params.a, (energy, "closed-form energy shift at a = {!r} leaves the float range"))
 
 
 def _shift_integrand(p, q_i: float, params: SystemParams, eps):

@@ -476,6 +476,17 @@ def test_readme_command_examples_run(argv, capsys):
     assert run(capsys, *argv[1:])[0] == expected
 
 
+def test_readme_library_examples_run():
+    # in order and in one namespace, as a reader runs them: a later block reads params
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+
+
 @pytest.mark.parametrize("name, keys, example", _readme_config_rows(),
                          ids=[row[0] for row in _readme_config_rows()])
 def test_readme_config_table_matches_the_command(name, keys, example, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The shared rules: the positivity rule, the real-input test and the out-of-range report."""
 
+import ast
 import pathlib
 
 import numpy as np
@@ -21,27 +22,27 @@ from becimpurity import (
     effective_mass_closed,
     effective_mass_quadrature,
     emission_window,
+    energy_shift_closed,
     energy_shift_quadrature,
     energy_spectrum,
-    finite_time_kernel,
     integrate,
     max_emission_momentum,
+    mean_field_shift,
     omega,
-    resonance_cos,
     survival_lower_bound,
     survival_probability,
     transition_rate,
     transition_rate_quadrature,
 )
 from becimpurity.errors import _in_float_range, _real_array, _require
-from becimpurity.params import born_scattering_length, renormalized_coupling
+from becimpurity.params import renormalized_coupling
 from becimpurity.quadrature import integrate_semi_infinite, second_derivative
 
 UNIT = SystemParams(g=1.0)
 DILUTE = SystemParams(a=0.01)
 _QC = derive(DILUTE).q_c
 BOX = BoxOracleConfig(L=60.0, eta=0.05, p_cut=3.0)
-# p_cut < 2*pi/L: no lattice mode, so finite_time_kernel never sees t
+# p_cut < 2*pi/L: no lattice mode, so the finite-time kernel never sees t
 EMPTY_BOX = BoxOracleConfig(L=1.0, eta=0.05, p_cut=3.0)
 
 
@@ -91,21 +92,15 @@ _SITES = [
     _row("box_rate-q_i", lambda v: box_rate(v, UNIT, BOX), -1.0, DomainError, _QI + "-1.0"),
     _row("survival_lower_bound-q_i", lambda v: survival_lower_bound(v, UNIT, BOX), -1.0,
          DomainError, _QI + "-1.0"),
-    _row("resonance_cos-p", lambda v: resonance_cos(v, 2.0, UNIT), 0.0,
-         DomainError, "momentum must be positive and finite, got 0.0"),
-    _row("resonance_cos-q_i", lambda v: resonance_cos(1.0, v, UNIT), 0.0,
-         DomainError, "initial momentum must be positive and finite, got 0.0"),
-    _row("finite_time_kernel-t", lambda v: finite_time_kernel(1.0, v), float("nan"),
-         DomainError, "time must be nonnegative and finite, got nan"),
     # non-numeric input raises the package error, where numpy raised TypeError
     _row("str-q_i", lambda v: transition_rate(v, UNIT), "2", DomainError, _QI + "'2'"),
     _row("None-ratio", I0, None, DomainError, "mass ratio must be positive and finite, got None"),
-    _row("str-t", lambda v: finite_time_kernel(1.0, v), "1", DomainError,
+    _row("str-t", lambda v: survival_probability(0.5, UNIT, EMPTY_BOX, v), "1", DomainError,
          "time must be nonnegative and finite, got '1'"),
     # a 0-d array is not a scalar; the initial-momentum check used to take it
     _row("0d-q_i", lambda v: transition_rate(v, UNIT), np.array(2.0), DomainError,
          _QI + "array(2.)"),
-    _row("0d-t", lambda v: finite_time_kernel(1.0, v), np.array(1.0), DomainError,
+    _row("0d-t", lambda v: survival_probability(0.5, UNIT, EMPTY_BOX, v), np.array(1.0), DomainError,
          "time must be nonnegative and finite, got array(1.)"),
     # numeric strings are refused where momenta are not held to the scalar rule
     _row("str-energy_shift_quadrature-q_i",
@@ -135,18 +130,10 @@ _SITES = [
     _row("str-transition_rate_quadrature-tol",
          lambda v: transition_rate_quadrature(2.0, UNIT, tol=v), "1e-9",
          ConfigurationError, "tol must be positive, got '1e-9'"),
-    _row("finite_time_kernel-omega-inf", lambda v: finite_time_kernel(v, 1.0), float("inf"),
-         DomainError, "frequency mismatch must be finite, got inf"),
-    _row("finite_time_kernel-omega-nan", lambda v: finite_time_kernel(v, 1.0), float("nan"),
-         DomainError, "frequency mismatch must be finite, got nan"),
-    _row("finite_time_kernel-omegas", lambda v: finite_time_kernel(np.array([1.0, v]), 1.0),
-         -float("inf"), DomainError, "frequency mismatch must be finite, got -inf"),
     # faults that ended in nan with numpy's RuntimeWarnings or in a raw numpy error
     _row("survival_probability-phase",
          lambda v: survival_probability(0.5, UNIT, BoxOracleConfig(L=20.0), v), 1e308,
          NumericalError, "phase omega*t at t = 1e+308 leaves the float range"),
-    _row("finite_time_kernel-phase", lambda v: finite_time_kernel(1e300, v), 1e300,
-         NumericalError, "phase omega*t at t = 1e+300 leaves the float range"),
     _row("str-integrate_semi_infinite-a", lambda v: integrate_semi_infinite(abs, v), "0",
          DomainError, "integration bounds must be real numbers, got a='0', b=inf"),
     _row("None-integrate_semi_infinite-a", lambda v: integrate_semi_infinite(abs, v), None,
@@ -157,14 +144,21 @@ _SITES = [
          DomainError, f"spectrum is defined for |q_i| < q_c = {_QC}, got [0.1]"),
     _row("ragged-integrate-b", lambda v: integrate(abs, 0.0, v), [[0.1], 0.2], DomainError,
          "integration bounds must be real numbers, got a=0.0, b=[[0.1], 0.2]"),
-    _row("ragged-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), [[0.1], 0.2],
-         DomainError, "frequency mismatch must be finite, got [[0.1], 0.2]"),
-    _row("str-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), "2",
-         DomainError, "frequency mismatch must be finite, got '2'"),
-    _row("None-finite_time_kernel-omega", lambda v: finite_time_kernel(v, 1.0), None,
-         DomainError, "frequency mismatch must be finite, got None"),
     _row("effective_mass_closed-a", lambda v: effective_mass_closed(SystemParams(a=v)), 1e160,
          NumericalError, "closed-form mass correction at m/M = 1.0: its factors leave the float range"),
+    # closed energies that came back as inf
+    _row("energy_shift_closed-a", lambda v: energy_shift_closed(SystemParams(a=v)), 1e200,
+         NumericalError, "closed-form energy shift at a = 1e+200 leaves the float range"),
+    _row("energy_shift_closed-minus-a", lambda v: energy_shift_closed(SystemParams(a=v)), -1e200,
+         NumericalError, "closed-form energy shift at a = -1e+200 leaves the float range"),
+    _row("mean_field_shift-n", lambda v: mean_field_shift(SystemParams(a=1e10, n=v, U0=1e-300)),
+         1e300, NumericalError, "mean-field shift at a = 10000000000.0 leaves the float range"),
+    _row("energy_shift_closed-n",
+         lambda v: energy_shift_closed(SystemParams(a=1e10, n=v, U0=1e-300)), 1e300,
+         NumericalError, "mean-field shift at a = 10000000000.0 leaves the float range"),
+    # the spectrum reads the closed energy before the closed mass, whose factors leave too
+    _row("energy_spectrum-a", lambda v: energy_spectrum(0.0, SystemParams(a=v)), 1e200,
+         NumericalError, "closed-form energy shift at a = 1e+200 leaves the float range"),
     # inputs that errors._real_array refuses, where a raw numpy or Python error escaped
     _row("huge-int-dispersion-p", lambda v: dispersion(v, UNIT), 10**400, DomainError,
          "momentum magnitude must be nonnegative and finite"),
@@ -181,10 +175,6 @@ _SITES = [
          f"a must be finite, got {10**400!r}"),
     _row("SystemParams-g-inf", lambda v: SystemParams(g=v), float("inf"), ParameterDomainError,
          "g must be finite, got inf"),
-    _row("str-born_scattering_length-U0", lambda v: born_scattering_length(v, 1.0), "1",
-         ParameterDomainError, "U0 must be finite, got '1'"),
-    _row("born_scattering_length-m", lambda v: born_scattering_length(1.0, v), float("nan"),
-         ParameterDomainError, "m must be finite, got nan"),
     _row("str-renormalized_coupling-a", lambda v: renormalized_coupling(v, 1.0, 1.0), "x",
          ParameterDomainError, "a must be finite, got 'x'"),
     _row("str-second_derivative-x0", lambda v: second_derivative(abs, v, 0.1), "0",
@@ -349,6 +339,17 @@ def test_out_of_range_report_returns_the_last_stage():
 def test_each_subcritical_rule_is_worded_in_one_module(wording, holder):
     package = pathlib.Path(becimpurity.__file__).parent
     assert sorted(p.name for p in package.glob("*.py") if wording in p.read_text()) == [holder]
+
+
+def test_the_finite_time_kernel_stays_in_the_lattice_module():
+    # the phase message is worded beside the one kernel that raises it, and the
+    # lattice kernels take nothing from the window and momentum rules
+    package = pathlib.Path(becimpurity.__file__).parent
+    wording = "phase omega*t at t = "
+    assert sorted(p.name for p in package.glob("*.py") if wording in p.read_text()) == ["_kernels.py"]
+    tree = ast.parse((package / "_kernels.py").read_text())
+    own = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert own == {"errors"}
 
 
 def test_each_shared_rule_is_stated_in_errors_only():

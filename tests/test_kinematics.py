@@ -9,11 +9,10 @@ from becimpurity import (
     SystemParams,
     dispersion,
     emission_window,
-    finite_time_kernel,
     max_emission_momentum,
     omega,
-    resonance_cos,
 )
+from becimpurity._kernels import _finite_time_kernel
 
 UNIT = SystemParams(g=1.0)
 
@@ -53,31 +52,6 @@ def test_omega_beyond_the_float_range_raises_numerical(p, x):
     # back as -inf with a RuntimeWarning
     with pytest.raises(NumericalError, match=r"frequency mismatch at p = 1e\+150 leaves the float range"):
         omega(p, x, 1e300, UNIT)
-
-
-def test_resonance_cos_reference_value():
-    assert resonance_cos(1.0, 2.0, UNIT) == pytest.approx(0.8090169943749475, rel=1e-14)
-
-
-def test_resonance_cos_zeroes_omega():
-    x0 = resonance_cos(1.0, 2.0, UNIT)
-    assert abs(omega(1.0, x0, 2.0, UNIT)) < 1e-14
-
-
-def test_resonance_cos_at_window_edge_is_one():
-    # p equal to the maximal emission momentum resonates exactly forward
-    assert resonance_cos(1.5, 2.0, UNIT) == 1.0
-
-
-def test_resonance_cos_outside_window_is_none():
-    assert resonance_cos(1.6, 2.0, UNIT) is None
-
-
-def test_resonance_cos_requires_positive_arguments():
-    with pytest.raises(DomainError):
-        resonance_cos(0.0, 2.0, UNIT)
-    with pytest.raises(DomainError):
-        resonance_cos(1.0, 0.0, UNIT)
 
 
 def test_max_emission_momentum_equal_masses_is_rational():
@@ -126,39 +100,44 @@ def test_emission_window_subcritical():
     assert win.cos_theta_max == 1.0
 
 
+# the finite-time kernel of the lattice sums, on float arrays as _kernels.finite_time_sum passes them
+def _kernel(w, t):
+    return _finite_time_kernel(np.asarray(w, dtype=float), np.asarray(t, dtype=float))
+
+
 def test_finite_time_kernel_reference_value():
-    assert finite_time_kernel(1.0, 1.0) == pytest.approx(0.9193953882637206, rel=1e-14)
+    assert _kernel([1.0], [1.0])[0] == pytest.approx(0.9193953882637206, rel=1e-14)
 
 
 def test_finite_time_kernel_resonant_mode_grows_as_t_squared():
-    assert finite_time_kernel(0.0, 3.0) == 9.0
+    assert _kernel([0.0], [3.0])[0] == 9.0
 
 
 def test_finite_time_kernel_series_seam_continuity():
-    below = finite_time_kernel(9.999e-5, 1.0)
-    above = finite_time_kernel(1.0001e-4, 1.0)
+    # either side of the series cut |omega*t| = 1e-4
+    below, above = _kernel([9.999e-5, 1.0001e-4], [1.0])
     assert below == pytest.approx(above, rel=1e-10)
 
 
 def test_finite_time_kernel_bounds():
     # 0 <= K <= min(t^2, 4/omega^2)
     t = 2.5
-    for w in np.geomspace(1e-6, 1e3, 40):
-        k = finite_time_kernel(w, t)
-        assert 0.0 <= k <= min(t * t, 4.0 / (w * w)) * (1.0 + 1e-12)
+    w = np.geomspace(1e-6, 1e3, 40)
+    k = _kernel(w, [t])
+    assert np.all(0.0 <= k)
+    assert np.all(k <= np.minimum(t * t, 4.0 / (w * w)) * (1.0 + 1e-12))
 
 
 def test_finite_time_kernel_vectorized():
-    w = np.array([0.0, 1.0, 10.0])
-    k = finite_time_kernel(w, 1.0)
+    k = _kernel([0.0, 1.0, 10.0], [1.0])
     assert k.shape == (3,)
     assert k[0] == 1.0
     assert k[1] == pytest.approx(0.9193953882637206, rel=1e-14)
-
-
-def test_finite_time_kernel_negative_time_rejected():
-    with pytest.raises(DomainError):
-        finite_time_kernel(1.0, -0.1)
+    # times broadcast against the mismatches, as the lattice sums form them
+    grid = _kernel([[0.0, 1.0, 10.0]], [[1.0], [2.0]])
+    assert grid.shape == (2, 3)
+    assert grid[0].tolist() == k.tolist()
+    assert grid[1, 0] == 4.0
 
 
 def test_negative_initial_momentum_rejected():

@@ -10,7 +10,6 @@ from becimpurity import (
     DomainError,
     ParameterDomainError,
     SystemParams,
-    born_scattering_length,
     derive,
     effective_mass_closed,
     emission_window,
@@ -146,11 +145,6 @@ def test_reduced_mass_is_within_two_roundings_of_the_exact_quotient(m, M):
 def test_reduced_mass_of_equal_masses_is_exactly_half_at_the_ends_of_the_range(mass, half):
     # at 1e300 the sum 1/m + 1/M rounds, and at 1e-310 each reciprocal overflows
     assert derive(SystemParams(m=mass, M=mass, g=1.0)).m_r == half
-
-
-def test_born_scattering_length():
-    assert born_scattering_length(1.0, 1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-15)
-    assert born_scattering_length(2.0, 3.0) == pytest.approx(6.0 / (4.0 * math.pi), rel=1e-15)
 
 
 def test_renormalized_coupling_affine_in_cutoff():
