@@ -91,6 +91,19 @@ def _rel(x: float, ref: float) -> float:
     return abs(x - ref) / abs(ref)
 
 
+def _slope(x, y) -> float:
+    """Least-squares slope sum((x - mean x)*(y - mean y)) / sum((x - mean x)**2).
+
+    The means and sums are math.fsum over Python floats, so a straight-line
+    fit starts no LAPACK or BLAS call and takes the same bits whatever
+    kernels numpy picks.
+    """
+    x, y = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    return math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / math.fsum(d * d for d in dx)
+
+
 # ---------------------------------------------------------------------------
 # rates
 
@@ -138,13 +151,13 @@ def _threshold_fit() -> tuple:
     q_c = derive(params).q_c
     deltas = np.geomspace(1e-3, 1e-2, 10) * q_c
     gammas = transition_rate(q_c + deltas, params).gamma_T
-    slope = np.polyfit(np.log(deltas), np.log(gammas), 1)[0]
+    slope = _slope(np.log(deltas), np.log(gammas))
     # geometric mean of pointwise prefactors; a free-intercept fit is biased
     # by the lever arm between exponent and intercept
     pref = math.exp(float(np.mean(np.log(gammas) - 3.0 * np.log(deltas))))
     # the asymptote at unit excess is its prefactor
     pref_exact = transition_rate_asymptotic(q_c + 1.0, params, "threshold")
-    return float(slope), _rel(pref, pref_exact)
+    return slope, _rel(pref, pref_exact)
 
 
 @_check(0.05)
@@ -296,7 +309,7 @@ def cutoff_scaling_slope() -> tuple:
     """Rest-energy cutoff error falls off like the inverse cutoff."""
     devs = _cutoff_reldevs()
     cuts = np.array([100.0, 200.0, 400.0, 800.0])
-    slope = np.polyfit(np.log(cuts), np.log([devs[c] for c in cuts]), 1)[0]
+    slope = _slope(np.log(cuts), np.log([devs[c] for c in cuts]))
     return abs(slope + 1.0), f"log-log slope of the cutoff error over [100, 800] is {slope:.6f}"
 
 

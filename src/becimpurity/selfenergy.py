@@ -182,10 +182,11 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
     d = derive(params)
     cutoff = _require(cutoff, "cutoff")
     m, m_r = params.m, d.m_r
-    # a numpy divisor gives inf (or nan, where a**2 underflows too), not
+    # a numpy square gives inf, not OverflowError, where a**2 overflows; a
+    # numpy divisor gives inf (or nan, where a**2 underflows too), not
     # ZeroDivisionError, where m*m_r*m_r underflows to 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pref = float(params.n * params.a**2 / np.float64(m * m_r * m_r))
+        pref = float(params.n * np.float64(params.a) ** 2 / np.float64(m * m_r * m_r))
     divergence_rate = 4.0 * m * m_r  # large-p limit of the integrand
     eps = _excitation_energy(params)
     # for a light impurity eps*w0 overflows to inf and the integrand to 0;
@@ -260,9 +261,10 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
     with np.errstate(over="ignore", invalid="ignore"):
         K, _ = integrate_semi_infinite(curvature_integrand, 0.0, tol)
     m, m_r, M = params.m, d.m_r, params.M
-    # a numpy divisor gives inf or nan, not ZeroDivisionError, where it underflows to 0
+    # a numpy square gives inf, not OverflowError, where a**2 overflows; a numpy
+    # divisor gives inf or nan, not ZeroDivisionError, where it underflows to 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sigma = (2.0 / 3.0) * params.n * params.a**2 / np.float64(m * m_r * m_r * M) * K
+        sigma = (2.0 / 3.0) * params.n * np.float64(params.a) ** 2 / np.float64(m * m_r * m_r * M) * K
     return _mass_from_sigma(sigma, params, "quadrature")
 
 

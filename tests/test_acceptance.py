@@ -7,9 +7,10 @@ Three limits the model genuinely does not reach are marked xfail(strict);
 they document real behavior and must keep failing.
 """
 
+import numpy as np
 import pytest
 
-from becimpurity import ConfigurationError, checks
+from becimpurity import ConfigurationError, SystemParams, checks, derive, transition_rate
 from becimpurity.checks import DEFAULT_TOLERANCES, EXPECTED_FAILURES, run_all, run_check
 
 
@@ -154,3 +155,37 @@ def test_run_all_rejects_bad_overrides_before_running_anything(overrides, monkey
         run_all(overrides)
     assert calls == []
     assert [r.detail for r in run_all()] == ["recorded"] * len(DEFAULT_TOLERANCES)
+
+
+def _fit_inputs():
+    """(x, y) of threshold_exponent's and cutoff_scaling_slope's fits, and a seeded table."""
+    params = SystemParams(g=1.0)
+    q_c = derive(params).q_c
+    deltas = np.geomspace(1e-3, 1e-2, 10) * q_c
+    gammas = transition_rate(q_c + deltas, params).gamma_T
+    devs = checks._cutoff_reldevs()
+    cuts = np.array([100.0, 200.0, 400.0, 800.0])
+    x = np.random.default_rng(7).uniform(-3.0, 3.0, 50)
+    y = 0.7 * x + np.random.default_rng(8).normal(size=50)
+    return [(np.log(deltas), np.log(gammas)),
+            (np.log(cuts), np.log([devs[c] for c in cuts])),
+            (x, y)]
+
+
+def test_the_slope_checks_fit_the_inputs_given_here():
+    threshold, cutoff, _ = _fit_inputs()
+    assert run_check("threshold_exponent").measured == abs(checks._slope(*threshold) - 3.0)
+    assert run_check("cutoff_scaling_slope").measured == abs(checks._slope(*cutoff) + 1.0)
+
+
+@pytest.mark.parametrize("index", range(3), ids=["threshold", "cutoff", "seeded"])
+def test_closed_form_slope_matches_polyfit(index):
+    x, y = _fit_inputs()[index]
+    slope = checks._slope(x, y)
+    assert type(slope) is float
+    assert slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-14, abs=0.0)
+
+
+def test_closed_form_slope_is_exact_on_a_representable_line():
+    x = list(range(-4, 9))
+    assert checks._slope(x, [3 * v + 1 for v in x]) == 3.0

@@ -20,6 +20,7 @@ from becimpurity import (
     derive,
     dispersion,
     effective_mass_closed,
+    effective_mass_finite_difference,
     effective_mass_quadrature,
     emission_window,
     energy_shift_closed,
@@ -159,6 +160,15 @@ _SITES = [
     # the spectrum reads the closed energy before the closed mass, whose factors leave too
     _row("energy_spectrum-a", lambda v: energy_spectrum(0.0, SystemParams(a=v)), 1e200,
          NumericalError, "closed-form energy shift at a = 1e+200 leaves the float range"),
+    # routes that squared a Python float a, where a raw OverflowError escaped
+    _row("energy_shift_quadrature-a",
+         lambda v: energy_shift_quadrature(0.0, SystemParams(a=v), 10.0), 1e200,
+         NumericalError, "energy shift at q_i = 0.0 leaves the float range"),
+    _row("effective_mass_quadrature-a", lambda v: effective_mass_quadrature(SystemParams(a=v)),
+         1e200, NumericalError, "quadrature mass correction at m/M = 1.0 leaves the float range"),
+    _row("effective_mass_finite_difference-a",
+         lambda v: effective_mass_finite_difference(SystemParams(a=v)), 1e200,
+         NumericalError, "energy shift at q_i = -0.02 leaves the float range"),
     # inputs that errors._real_array refuses, where a raw numpy or Python error escaped
     _row("huge-int-dispersion-p", lambda v: dispersion(v, UNIT), 10**400, DomainError,
          "momentum magnitude must be nonnegative and finite"),

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 
 import becimpurity
@@ -27,7 +30,6 @@ def test_package_exports_exactly_what_the_modules_export():
 def test_runtime_imports_neither_test_dependency():
     # mpmath and hypothesis are test extras; the package and its rate routes use numpy only
     import os
-    import pathlib
     import subprocess
     import sys
 
@@ -59,3 +61,38 @@ def test_energy_scales_are_0d_arrays_and_scalar_calls_return_floats():
         selfenergy.effective_mass_finite_difference(weak).M_ef,
     ):
         assert type(value) is float, type(value)
+
+
+_LAPACK_NAMES = {"polyfit", "lstsq", "linalg"}
+
+
+def _lapack_uses(source):
+    """Names of the polyfit, lstsq and linalg uses and of the @ products in source."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _LAPACK_NAMES:
+            uses.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in _LAPACK_NAMES:
+            uses.append(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            uses += [name for name in names if _LAPACK_NAMES & set(name.split("."))]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append("@")
+    return uses
+
+
+def test_no_module_fits_or_multiplies_through_lapack_or_blas():
+    # the check suite's straight-line fits are closed form (checks._slope), so a run
+    # never starts LAPACK; a polyfit, lstsq, numpy.linalg or @ in any module is refused
+    package = pathlib.Path(becimpurity.__file__).parent
+    found = {p.name: _lapack_uses(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # each form is seen
+    assert _lapack_uses("slope = np.polyfit(x, y, 1)[0]") == ["polyfit"]
+    assert _lapack_uses("np.linalg.lstsq(a, b)") == ["lstsq", "linalg"]
+    assert _lapack_uses("from numpy.linalg import solve") == ["numpy.linalg"]
+    assert _lapack_uses("import numpy.linalg as la") == ["numpy.linalg"]
+    assert _lapack_uses("from numpy import polyfit as fit") == ["polyfit"]
+    assert _lapack_uses("c = a @ b\nc @= b") == ["@", "@"]
+    assert _lapack_uses("@functools.cache\ndef f(): pass") == []
