@@ -5,8 +5,11 @@ help text, default sweep grid and the settings it reads. That row alone
 decides which flags the parser registers and which keys a JSON config file
 may set (flag > file > default); any other flag is a usage error and any
 other config key a configuration error. Table commands return
-(header, rows, extra), rendered once as CSV or JSON; the check subcommand runs
-the built-in verification suite. Output is deterministic: floats are
+(header, rows, extra): rows is a list, or for rates an iterable formed from
+its result arrays a chunk at a time. CSV is formatted and written _CHUNK rows
+at a time, so its memory does not grow with the grid beyond those arrays;
+JSON is one document. The check subcommand runs the built-in verification
+suite. Output is deterministic: floats are
 serialized with 17 significant digits, lines end with a bare newline, and
 rerunning a command with the same config reproduces the output byte for byte.
 """
@@ -17,8 +20,10 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,6 +46,7 @@ from .selfenergy import (
 )
 
 _FMT = "%.17g"
+_CHUNK = 256  # CSV rows formatted and written at a time
 
 # the flags each setting adds to a command's parser, in registration order
 _FLAGS = {
@@ -174,13 +180,21 @@ def _csv_rows(rows) -> list:
     return [row_format % row for row in cells]
 
 
-def _render(cfg: dict, command: str, grid, header, rows, extra: dict) -> str:
-    """CSV with extra as '# k = v' comments, or JSON with extra among the results."""
+def _render(cfg: dict, command: str, grid, header, rows, extra: dict):
+    """Text chunks: CSV with extra as '# k = v' comments, _CHUNK rows at a time,
+    or one JSON document with extra among the results.
+
+    Each CSV chunk formats its rows by _csv_rows, whose bytes do not depend on
+    which rows share a chunk, so the output is that of one whole-table pass.
+    """
     if cfg["format"] == "csv":
         lines = [f"# {k} = {_FMT % v}" for k, v in extra.items()]
         lines.append(",".join(header))
-        lines.extend(_csv_rows(rows))
-        return "\n".join(lines) + "\n"
+        yield "\n".join(lines) + "\n"
+        rows = iter(rows)
+        while block := list(islice(rows, _CHUNK)):
+            yield "\n".join(_csv_rows(block)) + "\n"
+        return
     inputs = {"command": command, "params": asdict(cfg["params"]), "grid": grid}
     if "box" in cfg:
         inputs["box"] = asdict(cfg["box"])
@@ -192,17 +206,31 @@ def _render(cfg: dict, command: str, grid, header, rows, extra: dict) -> str:
         "results": {"rows": [dict(zip(header, row)) for row in rows], **extra},
         "meta": meta,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    yield json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(path, text: str):
+def _emit(path, chunks):
+    """Write text chunks to stdout, or to the file at path.
+
+    A reader that closes stdout early ends the writing quietly: fd 1 then
+    points at os.devnull, so neither a later write nor the flush at
+    interpreter exit raises, and the command keeps its own exit status.
+    """
     if path is None:
-        sys.stdout.write(text)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         # newline="" so the '\n' endings survive untranslated on any platform
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         _fail_config(f"cannot write output {path}: {exc}")
 
@@ -233,14 +261,17 @@ def cmd_rates(cfg: dict, grid):
     closed = transition_rate(grid, params)
     win = emission_window(grid, params)
     quad = transition_rate_quadrature(grid, params, tol=cfg["tol"])
-    columns = zip(grid.tolist(), win.p_max.tolist(), win.cos_theta_max.tolist(),
-                  closed.gamma_T.tolist(), quad.gamma_T.tolist(), closed.gamma_E.tolist(),
-                  win.dissipative.tolist(), closed.smallness.tolist())
-    rows = [
-        [q_i, p_max, math.degrees(math.acos(cos_max)), g_closed, g_quad, g_E, dissipative, small]
-        for q_i, p_max, cos_max, g_closed, g_quad, g_E, dissipative, small in columns
-    ]
-    return header, rows, {}
+    arrays = (grid, win.p_max, win.cos_theta_max, closed.gamma_T, quad.gamma_T, closed.gamma_E,
+              win.dissipative, closed.smallness)
+
+    def rows():  # Python floats for one chunk of rows at a time, not for the whole grid
+        for start in range(0, grid.size, _CHUNK):
+            columns = zip(*(a[start:start + _CHUNK].tolist() for a in arrays))
+            for q_i, p_max, cos_max, g_closed, g_quad, g_E, dissipative, small in columns:
+                yield [q_i, p_max, math.degrees(math.acos(cos_max)), g_closed, g_quad, g_E,
+                       dissipative, small]
+
+    return header, rows(), {}
 
 
 def cmd_spectrum(cfg: dict, grid):
@@ -300,14 +331,14 @@ def cmd_box_oracle(cfg: dict, grid):
 def cmd_check(cfg: dict) -> int:
     overrides = cfg["tolerances"] or None
     results = run_all(overrides)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(
-            f"{status} {r.name}: measured {r.measured:.6g} vs tolerance "
-            f"{r.tolerance:.6g}; {r.detail}\n"
-        )
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured {r.measured:.6g} vs tolerance "
+        f"{r.tolerance:.6g}; {r.detail}\n"
+        for r in results
+    ]
     failed = [r for r in results if not r.passed]
-    sys.stdout.write(f"{len(results) - len(failed)} passed, {len(failed)} failed\n")
+    lines.append(f"{len(results) - len(failed)} passed, {len(failed)} failed\n")
+    _emit(None, lines)
     if cfg["output"] is not None:
         doc = {
             "inputs": {"tolerances": overrides or {}},
@@ -317,7 +348,7 @@ def cmd_check(cfg: dict) -> int:
                 "tolerances": {r.name: r.tolerance for r in results},
             },
         }
-        _emit(cfg["output"], json.dumps(doc, indent=2) + "\n")
+        _emit(cfg["output"], [json.dumps(doc, indent=2) + "\n"])
     return 1 if failed else 0
 
 
@@ -359,14 +390,20 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser, with the subparsers of the commands in names only."""
     parser = argparse.ArgumentParser(
         prog="becimpurity",
         description="Impurity-in-condensate rates, spectra, and self-checks.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    # a parser short of some commands names them all in its usage lines, as the
+    # full parser does; the full parser keeps argparse's default, which also
+    # names the missing command "command" in its error
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help=(
@@ -390,7 +427,10 @@ def main(argv=None) -> int:
     process exits, so a long-lived caller should use the library functions.
     """
     gc.freeze()
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a run that names its command first reads that command's parser alone
+    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    args = _build_parser(names).parse_args(argv)
     # argparse leaves ~350 objects in reference cycles, and the freeze restarts the
     # allocation count that triggers a collection, so a short command could run
     # none and hold them through its run (0.1 MB more peak RSS on a box-oracle op);

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 
 import becimpurity
 from becimpurity import DEFAULT_TOLERANCES
-from becimpurity.cli import _COMMANDS, main
+from becimpurity import cli
+from becimpurity.cli import _CHUNK, _COMMANDS, _cell, _csv_rows, _emit, _render, main
 
 
 def run(capsys, *argv):
@@ -172,13 +175,16 @@ def test_dispersion_beyond_the_float_range_is_a_numerical_failure(capsys):
     assert err == "numerical failure: excitation energy at p = 1e+155 leaves the float range\n"
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this source tree's becimpurity."""
+    src = pathlib.Path(becimpurity.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
 def _python(*args):
     """Run a fresh interpreter that imports this source tree's becimpurity."""
-    src = pathlib.Path(becimpurity.__file__).resolve().parent.parent
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
+                          env=_child_env())
 
 
 def test_dispersion_overflow_leaks_no_warning():
@@ -499,8 +505,6 @@ def test_readme_config_table_matches_the_command(name, keys, example, tmp_path, 
 
 
 def test_csv_rows_keep_the_bytes_of_cell_by_cell_formatting():
-    from becimpurity.cli import _cell, _csv_rows
-
     rows = [
         [0.0, None, True, "closed", 1e-310, np.float64(2.5), 3],
         [-0.0, 0.1, False, "quadrature", float("inf"), 1.0, 4],
@@ -510,6 +514,63 @@ def test_csv_rows_keep_the_bytes_of_cell_by_cell_formatting():
     floats = [[x, -x, x * 1e300] for x in np.linspace(-3.0, 3.0, 101).tolist()]
     assert _csv_rows(floats) == [",".join(map(_cell, row)) for row in floats]
     assert _csv_rows([]) == []
+
+
+def _one_shot_csv(header, rows, extra):
+    """The CSV of a table in one pass, cell by cell."""
+    lines = [f"# {k} = {_cell(v)}" for k, v in extra.items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+# the dispersion table has None cells in its first chunk only; the rates grid
+# crosses q_c = 1 inside the first chunk and has more than one chunk
+@pytest.mark.parametrize("argv", [
+    ("dispersion", "--grid", "0:3:600"),
+    ("rates", "--grid", "0.5:3:700"),
+    ("rates", "--grid", "0:1:0"),
+    ("spectrum", "--grid", "0:0.9:300"),
+    ("rates", "--grid", "0.5:3:700", "--format", "json"),
+], ids=" ".join)
+def test_chunked_output_equals_a_one_shot_rendering(argv, tmp_path, capsys):
+    from becimpurity import SystemParams
+
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    target = tmp_path / "table.out"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+    params = SystemParams(g=1.0)
+    start, stop, count = argv[2].split(":")
+    grid = np.linspace(float(start), float(stop), int(count))
+    header, rows, extra = _COMMANDS[argv[0]].run({"params": params, "tol": 1e-10}, grid)
+    rows = list(rows)
+    if "json" in argv:
+        doc = {
+            "inputs": {"command": argv[0], "params": dataclasses.asdict(params), "grid": argv[2]},
+            "results": {"rows": [dict(zip(header, row)) for row in rows], **extra},
+            "meta": {"version": becimpurity.__version__, "tolerances": {"tol": 1e-10}},
+        }
+        assert out == json.dumps(doc, indent=2) + "\n"
+    else:
+        assert out == _one_shot_csv(header, rows, extra)
+    assert len(rows) == 0 or len(rows) > _CHUNK
+
+
+def test_writing_a_table_holds_no_whole_copy_of_its_text(tmp_path):
+    rows = [[x, x / 3, -x * 1e-7] for x in np.linspace(0.0, 1.0, 50_000).tolist()]
+    target = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        _emit(str(target), _render({"format": "csv"}, "fig1", "0:1:50000", ["x", "I0", "I1"],
+                                   rows, {}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = target.read_text(encoding="utf-8")
+    assert text == _one_shot_csv(["x", "I0", "I1"], rows, {})
+    assert peak < len(text) / 10, (peak, len(text))
 
 
 def test_main_freezes_the_import_time_heap_on_every_exit(tmp_path):
@@ -556,3 +617,47 @@ def test_a_fresh_process_prints_what_main_prints_in_process(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+
+# a reader that closes the pipe after one line, or before the first: the
+# command stops writing, says nothing on stderr and keeps its exit status
+@pytest.mark.parametrize("argv, lines, code", [
+    (("rates", "--grid", "1.5:8:3000"), 1, 0),
+    (("check",), 0, 1),
+], ids=["rates", "check"])
+def test_a_closed_pipe_ends_the_output_quietly(argv, lines, code):
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a shell pipeline
+    with subprocess.Popen([sys.executable, "-m", "becimpurity", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            for _ in range(lines):
+                proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once the command has exited
+    assert (proc.returncode, err) == (code, b"")
+
+
+# argv that name their command first, then argv that the full parser reads
+_PARSER_ARGV = [(argv, [argv[0]]) for argv in (
+    ["rates", "--bogus"], ["rates", "x"], ["rates", "--help"], ["check", "--grid"],
+    ["rates", "--version"], ["box-oracle", "-h"], ["dispersion", "--tol", "1e-3"],
+)] + [(argv, list(_COMMANDS)) for argv in (
+    [], ["--help"], ["-h", "rates"], ["frobnicate"], ["--version"],
+)]
+
+
+@pytest.mark.parametrize("argv, registered", _PARSER_ARGV,
+                         ids=[" ".join(argv) or "no-args" for argv, _ in _PARSER_ARGV])
+def test_main_builds_the_parser_of_its_command_alone(argv, registered, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    want = (full.value.code, *capsys.readouterr())
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names: built.append(list(names)) or build(names))
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert (got.value.code, *capsys.readouterr()) == want
+    assert built == [registered]
