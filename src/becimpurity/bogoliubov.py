@@ -82,24 +82,68 @@ def _structure_factor(two_mc):
     return lambda p: p / np.hypot(p, two_mc)
 
 
+def _pow(v: float, n: int) -> float:
+    """v**n by C pow, as float ** takes it, and inf where math.pow raises OverflowError.
+
+    np.float64 ** is the same pow but gives inf there, with the warning the
+    caller's np.errstate allows.
+    """
+    try:
+        return math.pow(v, n)
+    except OverflowError:
+        return float(np.float64(v) ** n)
+
+
+def _log1p(v: float) -> float:
+    """log1p(v) by libm, and numpy's -inf at -1 or nan below it, where math.log1p raises."""
+    try:
+        return math.log1p(v)
+    except ValueError:
+        return float(np.log1p(v))
+
+
+def _libm(fn, nin: int = 1, nout: int = 1):
+    """fn applied entry by entry, in the shape of its broadcast inputs: a float for floats.
+
+    The one route of a transcendental function or a power to an output.
+    numpy picks its ufunc loops by CPU at import, and its AVX-512 loops
+    round arcsinh, log1p, log and power differently from its baseline ones.
+    fn takes one entry's Python floats and calls the platform libm instead:
+    math.asinh, math.log (of positive inputs), _log1p and _pow, whose bits
+    are those of numpy's baseline loops. It returns a float, or a tuple of
+    nout floats, so all the libm calls of an entry go in one pass; the map
+    returns float64 arrays. The basic operations, sqrt and hypot around it
+    stay numpy's: their bits do not depend on the CPU.
+    """
+    ufunc = np.frompyfunc(fn, nin, nout)
+
+    def floats(out):
+        return out.astype(np.float64) if isinstance(out, np.ndarray) else out
+
+    if nout == 1:
+        return lambda *args: floats(ufunc(*args))
+    return lambda *args: tuple(map(floats, ufunc(*args)))
+
+
 def _odd_taylor_tail(weight, first: int, last: int):
     """tail(u, z), the sum over odd j from first to last of weight(j) * u**j / j!.
 
     Every cancelling closed form of the package is such a sum in a
     rapidity u: for the rates p = 2mc*sinh(u/2) and eps = m*c**2*sinh(u),
     for I0 and I1 the mass ratio is cosh(u/2) or cos(u/2). tail evaluates
-    it as u**first times a Horner polynomial in z, highest power first:
-    z = u*u gives the hyperbolic function, z = -u*u its trigonometric twin.
-    The coefficients are weight(j)/j! from exact factorials.
+    it as u**first, by _libm, times a Horner polynomial in z, highest power
+    first: z = u*u gives the hyperbolic function, z = -u*u its trigonometric
+    twin. The coefficients are weight(j)/j! from exact factorials.
     """
     coeffs = [weight(j) / math.factorial(j) for j in range(last, first - 1, -2)]
     head, rest = coeffs[0], coeffs[1:]
+    leading = _libm(lambda v: _pow(v, first))
 
     def tail(u, z):
         y = head
         for c in rest:
             y = y * z + c
-        return u**first * y
+        return leading(u) * y
 
     return tail
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bogoliubov import _libm
 from .errors import ConfigurationError
 from .params import SystemParams, derive
 from .rates import (
@@ -91,6 +92,10 @@ def _rel(x: float, ref: float) -> float:
     return abs(x - ref) / abs(ref)
 
 
+# the logs of the slope fits' inputs, all positive, by libm (see bogoliubov._libm)
+_log = _libm(math.log)
+
+
 def _slope(x, y) -> float:
     """Least-squares slope sum((x - mean x)*(y - mean y)) / sum((x - mean x)**2).
 
@@ -151,10 +156,11 @@ def _threshold_fit() -> tuple:
     q_c = derive(params).q_c
     deltas = np.geomspace(1e-3, 1e-2, 10) * q_c
     gammas = transition_rate(q_c + deltas, params).gamma_T
-    slope = _slope(np.log(deltas), np.log(gammas))
+    log_d, log_g = _log(deltas), _log(gammas)
+    slope = _slope(log_d, log_g)
     # geometric mean of pointwise prefactors; a free-intercept fit is biased
     # by the lever arm between exponent and intercept
-    pref = math.exp(float(np.mean(np.log(gammas) - 3.0 * np.log(deltas))))
+    pref = math.exp(float(np.mean(log_g - 3.0 * log_d)))
     # the asymptote at unit excess is its prefactor
     pref_exact = transition_rate_asymptotic(q_c + 1.0, params, "threshold")
     return slope, _rel(pref, pref_exact)
@@ -309,7 +315,7 @@ def cutoff_scaling_slope() -> tuple:
     """Rest-energy cutoff error falls off like the inverse cutoff."""
     devs = _cutoff_reldevs()
     cuts = np.array([100.0, 200.0, 400.0, 800.0])
-    slope = _slope(np.log(cuts), np.log([devs[c] for c in cuts]))
+    slope = _slope(_log(cuts), _log([devs[c] for c in cuts]))
     return abs(slope + 1.0), f"log-log slope of the cutoff error over [100, 800] is {slope:.6f}"
 
 

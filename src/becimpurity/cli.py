@@ -6,12 +6,12 @@ decides which flags the parser registers and which keys a JSON config file
 may set (flag > file > default); any other flag is a usage error and any
 other config key a configuration error. Table commands return
 (header, rows, extra): rows is a list, or for rates an iterable formed from
-its result arrays a chunk at a time. CSV is formatted and written _CHUNK rows
-at a time, so its memory does not grow with the grid beyond those arrays;
-JSON is one document. The check subcommand runs the built-in verification
-suite. Output is deterministic: floats are
-serialized with 17 significant digits, lines end with a bare newline, and
-rerunning a command with the same config reproduces the output byte for byte.
+its result arrays a chunk at a time. CSV and JSON are formatted and written
+_CHUNK rows at a time, so their memory does not grow with the grid beyond
+those arrays. The check subcommand runs the built-in verification suite.
+Output is deterministic: floats are serialized with 17 significant digits,
+lines end with a bare newline, and rerunning a command with the same config
+reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from .selfenergy import (
 )
 
 _FMT = "%.17g"
-_CHUNK = 256  # CSV rows formatted and written at a time
+_CHUNK = 256  # table rows formatted and written at a time
+_JSON_ROWS = '\n  "results": {\n    "rows": '  # where a JSON table's rows go
 
 # the flags each setting adds to a command's parser, in registration order
 _FLAGS = {
@@ -181,11 +182,14 @@ def _csv_rows(rows) -> list:
 
 
 def _render(cfg: dict, command: str, grid, header, rows, extra: dict):
-    """Text chunks: CSV with extra as '# k = v' comments, _CHUNK rows at a time,
-    or one JSON document with extra among the results.
+    """Text chunks, _CHUNK rows at a time: CSV with extra as '# k = v'
+    comments, or one JSON document with extra among the results.
 
     Each CSV chunk formats its rows by _csv_rows, whose bytes do not depend on
     which rows share a chunk, so the output is that of one whole-table pass.
+    A JSON table is json.dumps(doc, indent=2) + "\n" byte for byte: the
+    document around the rows, then each row dumped on its own and indented
+    to its depth.
     """
     if cfg["format"] == "csv":
         lines = [f"# {k} = {_FMT % v}" for k, v in extra.items()]
@@ -201,30 +205,41 @@ def _render(cfg: dict, command: str, grid, header, rows, extra: dict):
     meta = {"version": __version__}
     if "tol" in cfg:  # only commands that read a quadrature tolerance echo it
         meta["tolerances"] = {"tol": cfg["tol"]}
-    doc = {
-        "inputs": inputs,
-        "results": {"rows": [dict(zip(header, row)) for row in rows], **extra},
-        "meta": meta,
-    }
-    yield json.dumps(doc, indent=2) + "\n"
+    # the document with no rows, cut where they go: a raw newline and two spaces
+    # open only a top-level key, so the marker is found nowhere else
+    text = json.dumps({"inputs": inputs, "results": {"rows": [], **extra}, "meta": meta}, indent=2)
+    head, _, tail = text.partition(_JSON_ROWS + "[]")
+    yield head + _JSON_ROWS + "["
+    rows, sep = iter(rows), ""
+    while block := list(islice(rows, _CHUNK)):
+        # each row an object at depth 3, so indented by six spaces
+        yield sep + ",".join("\n      " + json.dumps(dict(zip(header, row)), indent=2)
+                             .replace("\n", "\n      ") for row in block)
+        sep = ","
+    yield ("\n    ]" if sep else "]") + tail + "\n"
 
 
-def _emit(path, chunks):
-    """Write text chunks to stdout, or to the file at path.
+def _to_stdout(chunks):
+    """Write text chunks to stdout and flush it.
 
     A reader that closes stdout early ends the writing quietly: fd 1 then
     points at os.devnull, so neither a later write nor the flush at
     interpreter exit raises, and the command keeps its own exit status.
     """
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(path, chunks):
+    """Write text chunks to stdout (by _to_stdout), or to the file at path."""
     if path is None:
-        try:
-            for chunk in chunks:
-                sys.stdout.write(chunk)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _to_stdout(chunks)
         return
     try:
         # newline="" so the '\n' endings survive untranslated on any platform
@@ -430,7 +445,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a run that names its command first reads that command's parser alone
     names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else tuple(_COMMANDS)
-    args = _build_parser(names).parse_args(argv)
+    try:
+        args = _build_parser(names).parse_args(argv)
+    except SystemExit:  # --help, --version or a usage error: what argparse printed, flushed
+        _to_stdout(())
+        raise
     # argparse leaves ~350 objects in reference cycles, and the freeze restarts the
     # allocation count that triggers a collection, so a short command could run
     # none and hold them through its run (0.1 MB more peak RSS on a box-oracle op);

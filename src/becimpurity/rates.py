@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bogoliubov import _as_momentum, _energy_scales, _sinh_tail, _structure_factor
+from .bogoliubov import _as_momentum, _energy_scales, _libm, _pow, _sinh_tail, _structure_factor
 from .errors import ConfigurationError, DomainError, _in_float_range, _require
 from .kinematics import _P_MAX_RANGE, _entries, _momenta, _p_max, _subcritical, max_emission_momentum
 from .params import SystemParams, derive
@@ -183,14 +183,15 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
     p_max = _p_max(q, params)
     k = 2.0 * params.m * derive(params).c
     with np.errstate(over="ignore", invalid="ignore"):
-        u = 2.0 * np.arcsinh(p_max / k)
+        # u and p_max**4 from libm, in one pass over the entries
+        u, p_max4 = _libm(lambda p: (2.0 * math.asinh(p / k), _pow(p, 4)), nout=2)(p_max)
         # m*k**2/2 * (sinh(u) - u) with sinh(u) = 2s*hypot(1, s), s = p_max/k, multiplied out
         radial = np.where(u < 1.0, 0.5 * params.m * k * k * _sinh_tail(u, u * u),
                           params.m * (p_max * np.hypot(k, p_max) - k * k * u / 2.0))
         pref = _density_prefactor(q, params)
         window = p_max > 0.0
         gamma_T = np.where(window, pref * radial, 0.0)
-        gamma_E = np.where(window, pref * (p_max**4 / 4.0), 0.0)
+        gamma_E = np.where(window, pref * (p_max4 / 4.0), 0.0)
     return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [
         (p_max, _P_MAX_RANGE),
         (np.maximum(gamma_T, gamma_E), "closed-form rates at q_i = {!r} leave the float range")])

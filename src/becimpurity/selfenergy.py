@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _excitation_energy, _mass_tail, _recoil_energy, _sinh_tail
+from .bogoliubov import (
+    _excitation_energy,
+    _libm,
+    _log1p,
+    _mass_tail,
+    _pow,
+    _recoil_energy,
+    _sinh_tail,
+)
 from .errors import PerturbativeBreakdownError, _in_float_range, _require
 from .kinematics import _subcritical
 from .params import SystemParams, derive
@@ -164,9 +172,16 @@ def _shift_integrand(p, q_i: float, params: SystemParams, eps):
     eps_p = eps(p)
     w0 = _recoil_energy(p, eps_p, params)
     if q_i == 0.0:
-        return p**4 / (eps_p * w0)
+        return _quartic(p) / (eps_p * w0)
     u = p * q_i / (params.M * w0)
-    return (p**3 / eps_p) * (params.M / (2.0 * q_i)) * (np.log1p(u) - np.log1p(-u))
+    cube, logs = _cube_and_logs(p, u)
+    return (cube / eps_p) * (params.M / (2.0 * q_i)) * logs
+
+
+# the libm calls of the integrands here, entry by entry (see bogoliubov._libm)
+_quartic = _libm(lambda p: _pow(p, 4))
+_cube_and_logs = _libm(lambda p, u: (_pow(p, 3), _log1p(u) - _log1p(-u)), nin=2, nout=2)
+_sixth_and_cube = _libm(lambda p, w: (_pow(p, 6), _pow(w, 3)), nin=2, nout=2)
 
 
 def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> float:
@@ -254,7 +269,8 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
 
     def curvature_integrand(p):
         eps_p = eps(p)
-        return p**6 / (eps_p * _recoil_energy(p, eps_p, params) ** 3)
+        sixth, recoil_cube = _sixth_and_cube(p, _recoil_energy(p, eps_p, params))
+        return sixth / (eps_p * recoil_cube)
 
     # for a light impurity the recoil cube overflows to inf and the integrand
     # to 0; past the float range integrate raises at the first non-finite node

@@ -201,10 +201,10 @@ def test_transform_stays_exact_where_s_times_s_plus_2_overflows(p):
 
 
 def test_sinh_tail_is_the_horner_series_the_rates_always_used():
-    # bit for bit the u**3 * polyval form of sinh(u) - u below u = 1
+    # bit for bit the u**3 * polyval form of sinh(u) - u below u = 1, u**3 by libm pow
     u = np.linspace(1e-3, 1.0, 257)
     coeffs = [1.0 / math.factorial(j) for j in range(19, 2, -2)]
-    want = u**3 * np.polyval(coeffs, u * u)
+    want = np.array([math.pow(v, 3) for v in u.tolist()]) * np.polyval(coeffs, u * u)
     assert [v.hex() for v in _sinh_tail(u, u * u).tolist()] == [v.hex() for v in want.tolist()]
 
 

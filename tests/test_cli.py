@@ -573,6 +573,59 @@ def test_writing_a_table_holds_no_whole_copy_of_its_text(tmp_path):
     assert peak < len(text) / 10, (peak, len(text))
 
 
+def _one_json_document(argv):
+    """json.dumps of a JSON table's whole document, as one call forms it."""
+    cfg = cli._resolve(cli._build_parser().parse_args(argv), _COMMANDS[argv[0]].keys)
+    grid = cfg["grid"]
+    header, rows, extra = _COMMANDS[argv[0]].run(cfg, cli._parse_grid(grid))
+    inputs = {"command": argv[0], "params": dataclasses.asdict(cfg["params"]), "grid": grid}
+    if "box" in cfg:
+        inputs["box"] = dataclasses.asdict(cfg["box"])
+    meta = {"version": becimpurity.__version__}
+    if "tol" in cfg:
+        meta["tolerances"] = {"tol": cfg["tol"]}
+    rows = [dict(zip(header, row)) for row in rows]
+    doc = {"inputs": inputs, "results": {"rows": rows, **extra}, "meta": meta}
+    return json.dumps(doc, indent=2) + "\n", len(rows)
+
+
+# rates across a chunk boundary and on the empty grid, box-oracle with a NaN
+# rel_dev (a subcritical point), spectrum with extra after its rows, and
+# dispersion with null cells
+@pytest.mark.parametrize("argv", [
+    ("rates", "--grid", "0.5:3:700"),
+    ("rates", "--grid", "0:1:0"),
+    ("box-oracle", "--grid", "0.5:2:3", "--L", "20", "--eta", "0.15"),
+    ("spectrum", "--grid", "0:0.9:300"),
+    ("dispersion", "--grid", "0:3:5"),
+], ids=" ".join)
+def test_a_streamed_json_table_is_one_json_document(argv, tmp_path, capsys):
+    argv = [*argv, "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    target = tmp_path / "table.json"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+    want, count = _one_json_document(argv)
+    assert out == want
+    assert argv[2] != "0.5:3:700" or count > _CHUNK
+
+
+def test_writing_a_json_table_holds_no_whole_copy_of_its_text(tmp_path):
+    rows = [[x, x / 3, -x * 1e-7] for x in np.linspace(0.0, 1.0, 50_000).tolist()]
+    cfg = {"format": "json", "params": becimpurity.SystemParams(g=1.0)}
+    target = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        _emit(str(target), _render(cfg, "fig1", "0:1:50000", ["x", "I0", "I1"], rows, {}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = target.read_text(encoding="utf-8")
+    assert json.loads(text)["results"]["rows"][-1] == {"x": 1.0, "I0": 1 / 3, "I1": -1e-7}
+    assert peak < len(text) / 10, (peak, len(text))
+
+
 def test_main_freezes_the_import_time_heap_on_every_exit(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grids": "0:1:3"}))
@@ -620,11 +673,14 @@ def test_a_fresh_process_prints_what_main_prints_in_process(argv, capsys):
 
 
 # a reader that closes the pipe after one line, or before the first: the
-# command stops writing, says nothing on stderr and keeps its exit status
+# command stops writing, says nothing on stderr and keeps its exit status;
+# --help and --version print from inside the parser, and exit 0
 @pytest.mark.parametrize("argv, lines, code", [
     (("rates", "--grid", "1.5:8:3000"), 1, 0),
     (("check",), 0, 1),
-], ids=["rates", "check"])
+    (("rates", "--help"), 0, 0),
+    (("--version",), 0, 0),
+], ids=["rates", "check", "rates-help", "version"])
 def test_a_closed_pipe_ends_the_output_quietly(argv, lines, code):
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a shell pipeline
@@ -638,6 +694,68 @@ def test_a_closed_pipe_ends_the_output_quietly(argv, lines, code):
         finally:
             proc.kill()  # a no-op once the command has exited
     assert (proc.returncode, err) == (code, b"")
+
+
+# the commands whose outputs the dispatch test compares; check with its report
+_DISPATCH_ARGV = [
+    ["rates", "--grid", "1.1:3:2000"],
+    ["rates", "--grid", "0.2:40:500"],
+    ["rates", "--grid", "1.0001:30:300"],
+    ["box-oracle", "--L", "240", "--eta", "0.0125", "--grid", "0.5:2.6:6"],
+    ["effective-mass"],
+    ["spectrum"],
+    ["fig1"],
+    ["dispersion"],
+    ["check", "--output"],
+]
+# NPY_DISABLE_CPU_FEATURES values: numpy's own loops, then without its AVX-512
+# loops, then without its AVX2 loops as well
+_DISPATCH_SETTINGS = ["", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"]
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath.__cpu_features__
+
+
+def test_outputs_do_not_depend_on_numpys_cpu_dispatch(tmp_path):
+    script = textwrap.dedent("""
+        import contextlib, hashlib, io, json, sys
+        from becimpurity.cli import main
+        digests = []
+        for argv in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            text = out.getvalue()
+            if argv[-1].endswith(".json"):
+                with open(argv[-1], encoding="utf-8") as fh:
+                    text += fh.read()
+            digests.append([code, hashlib.sha256(text.encode()).hexdigest()])
+        print(json.dumps(digests))
+    """)
+    argvs = [argv + [str(tmp_path / "report.json")] if argv[-1] == "--output" else argv
+             for argv in _DISPATCH_ARGV]
+    known = _cpu_features()
+    runs = {}
+    for setting in _DISPATCH_SETTINGS:
+        if not set(setting.split()) <= set(known):
+            continue  # names this numpy does not report, such as 1.24's
+        env = _child_env()
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if setting:
+            env["NPY_DISABLE_CPU_FEATURES"] = setting
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+                               json.dumps(argvs)], capture_output=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs[setting] = json.loads(proc.stdout)
+    assert [code for code, _ in runs[""]] == [0] * 8 + [1]
+    for setting, digests in runs.items():
+        moved = [" ".join(argv) for argv, a, b in zip(_DISPATCH_ARGV, runs[""], digests) if a != b]
+        assert moved == [], setting
 
 
 # argv that name their command first, then argv that the full parser reads

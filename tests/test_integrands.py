@@ -17,16 +17,17 @@ from becimpurity import (
     transition_rate_quadrature,
 )
 from becimpurity import quadrature, rates, selfenergy
+from becimpurity.quadrature import _NODES
 
 
 def _captured_integrands(monkeypatch):
-    """Wrap integrate at each module binding a route calls it through; list each integrand."""
+    """Wrap integrate at each module binding a route calls it through; list each (f, a, b)."""
     seen = []
     for module in (rates, selfenergy, quadrature):
 
-        def capture(f, *args, _original=module.integrate, **kwargs):
-            seen.append(f)
-            return _original(f, *args, **kwargs)
+        def capture(f, a, b, *args, _original=module.integrate, **kwargs):
+            seen.append((f, a, b))
+            return _original(f, a, b, *args, **kwargs)
 
         monkeypatch.setattr(module, "integrate", capture)
     return seen
@@ -49,7 +50,14 @@ def test_every_package_integrand_maps_a_block_as_it_maps_its_rows(monkeypatch, s
     assert len(seen) == 5
     u = np.random.default_rng(7).uniform(size=(257, 15))
     # momenta for the four p-integrands; integrate_semi_infinite's takes t in (0, 1)
-    for f, x in zip(seen, [scale * u] * 4 + [u]):
-        block = f(x)
-        assert block.shape == x.shape
-        assert _hex(block) == _hex([f(row) for row in x])
+    for (f, a, b), x in zip(seen, [scale * u] * 4 + [u]):
+        # and the Gauss-Kronrod nodes of 64 panels inside its own interval
+        b = float(np.min(b))  # the rate route's one bound comes as a 1-entry array
+        edges = np.linspace(a, b, 65)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _NODES
+        assert nodes.shape == (64, 15) and a < nodes.min() and nodes.max() < b
+        for x in (x, nodes):
+            block = f(x)
+            assert block.shape == x.shape
+            assert _hex(block) == _hex([f(row) for row in x])
