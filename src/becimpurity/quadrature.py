@@ -27,12 +27,12 @@ within rel_tol*|total|. It sums each interval's 8 panels left to right,
 as ``_refine`` does, so the totals carry the scalar call's bits. Every
 other interval goes to ``_refine`` in index order, exactly as a call with
 its bound alone would; a bisected pair is evaluated the same way, as a
-block of one. The weighted sums are taken as ``np.dot`` on a 3-D
-operand, which numpy evaluates as one 1-D dot per panel, bit-identical to
-summing each panel alone; a 2-D ``np.dot`` or ``@`` goes to a BLAS
-matrix-vector product and moves the last bit on most panels. A batched
-call keeps a scalar call's bits because every per-panel step is a
-correctly rounded array operation or the 3-D ``np.dot``.
+block of one. The weighted sums are numpy's own contraction,
+``np.einsum("ij,j->i", ...)`` with no ``optimize`` argument, which sums
+each panel's row alone, bit-identical to its 1-D ``np.einsum("j,j->", ...)``,
+and never hands the product to BLAS, whose kernel OpenBLAS picks by CPU. A
+batched call keeps a scalar call's bits because every per-panel step is a
+correctly rounded array operation or that per-row contraction.
 """
 
 from __future__ import annotations
@@ -133,12 +133,12 @@ def _eval_panels(f, lo, hi):
             bad[i] = row_nodes[i][~row_finite[i]][0]
     # divide: 200*err/resasc is formed also where resasc == 0, then discarded
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the 3-D operand keeps one 1-D dot per panel; see the module docstring
-        k15 = half * np.dot(y[None], _W_KRONROD)[0]
-        g7 = half * np.dot(y[None, :, 1::2], _W_GAUSS)[0]
-        resabs = half * np.dot(np.abs(y)[None], _W_KRONROD)[0]
+        # numpy's per-row contraction, off BLAS; see the module docstring
+        k15 = half * np.einsum("ij,j->i", y, _W_KRONROD)
+        g7 = half * np.einsum("ij,j->i", y[:, 1::2], _W_GAUSS)
+        resabs = half * np.einsum("ij,j->i", np.abs(y), _W_KRONROD)
         mean = k15 / span
-        resasc = half * np.dot(np.abs(y - mean[:, None])[None], _W_KRONROD)[0]
+        resasc = half * np.einsum("ij,j->i", np.abs(y - mean[:, None]), _W_KRONROD)
         err = np.abs(k15 - g7)
         # r**1.5 as r*sqrt(r): two correctly rounded steps; fmin takes 1.0 over a nan r
         ratio = 200.0 * err / resasc

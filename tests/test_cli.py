@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import re
 import shlex
 import subprocess
@@ -708,9 +709,18 @@ _DISPATCH_ARGV = [
     ["dispersion"],
     ["check", "--output"],
 ]
-# NPY_DISABLE_CPU_FEATURES values: numpy's own loops, then without its AVX-512
-# loops, then without its AVX2 loops as well
-_DISPATCH_SETTINGS = ["", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"]
+# the environments of the children that the dispatch test compares with the
+# first: numpy's own loops and OpenBLAS's own kernel; numpy without its AVX-512
+# loops, then without its AVX2 loops as well; OpenBLAS under two kernels that
+# every x86-64-v2 CPU runs (Haswell or SkylakeX would crash a CPU without AVX2
+# or AVX-512)
+_DISPATCH_SETTINGS = [
+    {},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+]
 
 
 def _cpu_features() -> dict:
@@ -719,6 +729,24 @@ def _cpu_features() -> dict:
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath
     return _multiarray_umath.__cpu_features__
+
+
+def _unavailable(setting: dict) -> str | None:
+    """Why this host cannot run a dispatch setting, or None where it can."""
+    features = setting.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    unknown = sorted(set(features) - set(_cpu_features()))
+    if unknown:  # numpy ignores names it does not know, as 1.24 does these
+        return f"numpy does not report {unknown}"
+    if "OPENBLAS_CORETYPE" in setting:
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            return f"OpenBLAS's x86-64 kernels do not run on {platform.machine()}"
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):  # numpy before 1.26 takes no mode
+            return "numpy does not report its BLAS build"
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", "").split():
+            return "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so it reads no OPENBLAS_CORETYPE"
+    return None
 
 
 def test_outputs_do_not_depend_on_numpys_cpu_dispatch(tmp_path):
@@ -739,23 +767,26 @@ def test_outputs_do_not_depend_on_numpys_cpu_dispatch(tmp_path):
     """)
     argvs = [argv + [str(tmp_path / "report.json")] if argv[-1] == "--output" else argv
              for argv in _DISPATCH_ARGV]
-    known = _cpu_features()
     runs = {}
     for setting in _DISPATCH_SETTINGS:
-        if not set(setting.split()) <= set(known):
-            continue  # names this numpy does not report, such as 1.24's
+        name = " ".join(f"{key}={value}" for key, value in setting.items()) or "default"
+        reason = _unavailable(setting)
+        if reason:
+            warnings.warn(f"dispatch setting {name} not compared: {reason}")
+            continue
         env = _child_env()
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        if setting:
-            env["NPY_DISABLE_CPU_FEATURES"] = setting
+        env.pop("OPENBLAS_CORETYPE", None)
+        env.update(setting)
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
                                json.dumps(argvs)], capture_output=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
-        runs[setting] = json.loads(proc.stdout)
-    assert [code for code, _ in runs[""]] == [0] * 8 + [1]
-    for setting, digests in runs.items():
-        moved = [" ".join(argv) for argv, a, b in zip(_DISPATCH_ARGV, runs[""], digests) if a != b]
-        assert moved == [], setting
+        runs[name] = json.loads(proc.stdout)
+    assert [code for code, _ in runs["default"]] == [0] * 8 + [1]
+    for name, digests in runs.items():
+        moved = [" ".join(argv) for argv, a, b in zip(_DISPATCH_ARGV, runs["default"], digests)
+                 if a != b]
+        assert moved == [], name
 
 
 # argv that name their command first, then argv that the full parser reads

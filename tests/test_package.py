@@ -63,11 +63,12 @@ def test_energy_scales_are_0d_arrays_and_scalar_calls_return_floats():
         assert type(value) is float, type(value)
 
 
-_LAPACK_NAMES = {"polyfit", "lstsq", "linalg"}
+# the fits that go to LAPACK and the products that numpy hands to BLAS
+_LAPACK_NAMES = {"polyfit", "lstsq", "linalg", "dot", "inner", "vdot", "matmul", "tensordot"}
 
 
 def _lapack_uses(source):
-    """Names of the polyfit, lstsq and linalg uses and of the @ products in source."""
+    """The LAPACK and BLAS entry points named in source, the @ products and optimized einsums."""
     uses = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in _LAPACK_NAMES:
@@ -79,12 +80,17 @@ def _lapack_uses(source):
             uses += [name for name in names if _LAPACK_NAMES & set(name.split("."))]
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             uses.append("@")
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+              and any(kw.arg == "optimize" for kw in node.keywords)):
+            uses.append("einsum optimize")  # optimize hands contractions to tensordot
     return uses
 
 
 def test_no_module_fits_or_multiplies_through_lapack_or_blas():
-    # the check suite's straight-line fits are closed form (checks._slope), so a run
-    # never starts LAPACK; a polyfit, lstsq, numpy.linalg or @ in any module is refused
+    # the check suite's straight-line fits are closed form (checks._slope) and the
+    # Gauss-Kronrod sums numpy's own einsum, so a run never starts LAPACK or BLAS,
+    # whose kernels OpenBLAS picks by CPU; each entry point below is refused
     package = pathlib.Path(becimpurity.__file__).parent
     found = {p.name: _lapack_uses(p.read_text()) for p in sorted(package.glob("*.py"))}
     assert {name: uses for name, uses in found.items() if uses} == {}
@@ -95,6 +101,14 @@ def test_no_module_fits_or_multiplies_through_lapack_or_blas():
     assert _lapack_uses("import numpy.linalg as la") == ["numpy.linalg"]
     assert _lapack_uses("from numpy import polyfit as fit") == ["polyfit"]
     assert _lapack_uses("c = a @ b\nc @= b") == ["@", "@"]
+    assert _lapack_uses("s = np.dot(w, y)") == ["dot"]
+    assert _lapack_uses("s = y.dot(w)") == ["dot"]
+    assert _lapack_uses("s = np.inner(w, y)") == ["inner"]
+    assert _lapack_uses("s = np.vdot(w, y)") == ["vdot"]
+    assert _lapack_uses("s = np.matmul(y, w)") == ["matmul"]
+    assert _lapack_uses("s = np.tensordot(y, w, 1)") == ["tensordot"]
+    assert _lapack_uses('s = np.einsum("ij,j->i", y, w, optimize=True)') == ["einsum optimize"]
+    assert _lapack_uses('s = np.einsum("ij,j->i", y, w)') == []
     assert _lapack_uses("@functools.cache\ndef f(): pass") == []
 
 

@@ -123,16 +123,16 @@ def test_nonfinite_integrand_raises_numerical():
 
 
 def _reference_panel(y, a, b):
-    """The per-panel GK15 arithmetic as 1-D dots on one panel's 15 values.
+    """The per-panel GK15 arithmetic as 1-D contractions on one panel's 15 values.
 
     Returns (estimate, error estimate, the heuristic's branches taken).
     """
     half = 0.5 * (b - a)
-    k15 = half * float(_W_KRONROD @ y)
-    g7 = half * float(_W_GAUSS @ y[1::2])
-    resabs = half * float(_W_KRONROD @ np.abs(y))
+    k15 = half * float(np.einsum("j,j->", _W_KRONROD, y))
+    g7 = half * float(np.einsum("j,j->", _W_GAUSS, y[1::2]))
+    resabs = half * float(np.einsum("j,j->", _W_KRONROD, np.abs(y)))
     mean = k15 / (b - a)
-    resasc = half * float(_W_KRONROD @ np.abs(y - mean))
+    resasc = half * float(np.einsum("j,j->", _W_KRONROD, np.abs(y - mean)))
     err = abs(k15 - g7)
     branches = set()
     if err == 0.0:
@@ -176,8 +176,8 @@ def _trial_rows(rng, n, kind):
 
 
 def test_batched_panels_match_the_per_panel_arithmetic_bitwise():
-    # a 2-D dot or matmul here goes through gemv and moves the last bit on
-    # most panels; the batched pass must equal the 1-D dot of each row
+    # a 2-D dot or matmul here goes through BLAS gemv and moves the last bit
+    # on most panels; the batched pass must equal the 1-D contraction of each row
     rng = np.random.default_rng(20261018)
     panels = 0
     for trial in range(660):

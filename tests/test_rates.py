@@ -597,13 +597,13 @@ def test_momenta_whose_gap_underflows_rate_exact_zeros_on_both_routes():
     zero = "0x0.0p+0"
     assert _hexes(batch) == [
         [zero, "0x1.d13ef369717b2p-1000", zero, "0x1.16fbc64d8f1bcp-997"],
-        [zero, "0x1.b49266db89b9dp-999", zero, "0x1.705b86c93c34dp-994"],
-        [zero, "0x1.9000000000000p-47", zero, "0x1.8ffffffffffffp-47"],
+        [zero, "0x1.b49266db89b9ep-999", zero, "0x1.705b86c93c34dp-994"],
+        [zero, "0x1.9000000000000p-47", zero, "0x1.9000000000000p-47"],
         [zero] * 4,
     ]
     assert _hexes(transition_rate_quadrature(2.0, UNIT)) == [
-        ["0x1.3e9627cb782b3p-5"], ["0x1.9c8794af361c6p-5"],
-        ["0x1.9000000000001p-47"], ["0x1.3e9627cb782b3p-6"],
+        ["0x1.3e9627cb782b2p-5"], ["0x1.9c8794af361c6p-5"],
+        ["0x1.9000000000000p-47"], ["0x1.3e9627cb782b2p-6"],
     ]
 
 
@@ -652,7 +652,7 @@ def test_coupling_whose_square_overflows_raises_numerical():
 
 def test_coupling_up_to_1e150_keeps_its_bits():
     strong = SystemParams(g=1e150)
-    assert transition_rate_quadrature(2.0, strong).gamma_T.hex() == "0x1.dbb86a32aae17p+991"
+    assert transition_rate_quadrature(2.0, strong).gamma_T.hex() == "0x1.dbb86a32aae16p+991"
     assert transition_rate_asymptotic(2.0, strong, "threshold").hex() == "0x1.4479f6c093b28p+994"
     assert transition_rate_asymptotic(2.0, strong, "high_momentum").hex() == "0x1.e6b6f220dd8bdp+993"
 
