@@ -49,8 +49,9 @@ def test_every_package_integrand_maps_a_block_as_it_maps_its_rows(monkeypatch, s
     effective_mass_quadrature(params)                       # the transformed curvature
     assert len(seen) == 5
     u = np.random.default_rng(7).uniform(size=(257, 15))
-    # momenta for the four p-integrands; integrate_semi_infinite's takes t in (0, 1)
-    for (f, a, b), x in zip(seen, [scale * u] * 4 + [u]):
+    # momenta for the two rate integrands; the two shift integrands and
+    # integrate_semi_infinite's take the mapped t in (0, 1)
+    for (f, a, b), x in zip(seen, [scale * u] * 2 + [u] * 3):
         # and the Gauss-Kronrod nodes of 64 panels inside its own interval
         b = float(np.min(b))  # the rate route's one bound comes as a 1-entry array
         edges = np.linspace(a, b, 65)

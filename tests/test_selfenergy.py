@@ -134,6 +134,73 @@ def test_energy_shift_even_in_momentum():
     assert plus == minus
 
 
+def _check_suite_shifts():
+    """The check suite's ten (q_i, cutoff): the rest energy at five cutoffs, the stencil, the linear term."""
+    h = 0.01 * derive(WEAK).q_c
+    rest = [(0.0, cut) for cut in (100.0, 200.0, 400.0, 800.0, 2000.0)]
+    return rest + [(-2.0 * h, 4000.0), (-h, 4000.0), (0.0, 4000.0), (-h, 200.0), (h, 200.0)]
+
+
+@pytest.mark.parametrize("q_i, cutoff", _check_suite_shifts())
+def test_each_check_suite_shift_settles_in_one_pass(monkeypatch, q_i, cutoff):
+    # in t = p/(2mc + p) the initial 8 panels meet the target; on [0, cutoff] in p
+    # the first panel was bisected 4 to 12 times
+    calls = []
+    original = selfenergy.integrate
+
+    def counting(f, *args):
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
+
+        return original(counted, *args)
+
+    monkeypatch.setattr(selfenergy, "integrate", counting)
+    energy_shift_quadrature(q_i, WEAK, cutoff)
+    assert calls == [(15,)] * 8
+
+
+@pytest.mark.parametrize("cutoff", [5e-324, 1e-300, 1e-3, 2.0, 1e3, 1e16, 1e100, 1e300, 1.7e308])
+@pytest.mark.parametrize("q_i", [0.0, 0.5])
+def test_energy_shift_over_the_whole_cutoff_range_is_finite_or_a_numerical_error(q_i, cutoff):
+    # the image t of the cutoff is formed from a ratio at most 1, so it is never
+    # 0 and integrate never refuses its bounds; far above 2mc it is t = 1, the
+    # converged shift. At rest p**4/(eps*w0) is 0/0 once p**4 underflows.
+    try:
+        shift = energy_shift_quadrature(q_i, WEAK, cutoff)
+    except NumericalError:
+        assert cutoff < (1e-3 if q_i == 0.0 else 1e-300)
+        return
+    assert math.isfinite(shift)
+    if q_i == 0.0 and cutoff >= 1e16:
+        assert shift == pytest.approx(energy_shift_closed(WEAK), rel=1e-13)
+
+
+@pytest.mark.parametrize("route, b", [
+    (effective_mass_finite_difference, -8),
+    (effective_mass_quadrature, -8),
+    (effective_mass_quadrature, 30),
+    (effective_mass_quadrature, 40),
+    (effective_mass_quadrature, 100),
+    (effective_mass_quadrature, 300),
+])
+def test_mass_routes_in_other_momentum_units_meet_the_closed_correction(route, b):
+    # one system with its momenta in a unit 2**b times smaller: the closed
+    # correction is -6.346e-4 at every b. The stencil raised a subdivision-budget
+    # error at b = -8. The quadrature raised from b = 30 and returned -0.0 at
+    # b = 300 until it integrated in p/mc; at b = 300, where p**6 overflows, a
+    # NumericalError is the one answer allowed besides the closed value
+    params = SystemParams(m=1.0, M=1.7, n=0.9 * 2.0 ** (3 * b), U0=1.3 * 2.0**-b, a=0.02 * 2.0**-b)
+    closed = effective_mass_closed(params).correction
+    rel = 1e-3 if route is effective_mass_finite_difference else 1e-9
+    try:
+        correction = route(params).correction
+    except NumericalError:
+        assert b == 300
+        return
+    assert correction == pytest.approx(closed, rel=rel)
+
+
 def test_energy_shift_validation():
     with pytest.raises(DomainError):
         energy_shift_quadrature(1.0, WEAK, 500.0)  # q_c = 1 in these units
