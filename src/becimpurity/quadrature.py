@@ -267,55 +267,51 @@ def integrate(f: Callable, a: float, b: float | np.ndarray, rel_tol: float = _DE
     return values, errors
 
 
-def _rational_map(f: Callable, a: float, scale):
-    """f on [a, inf) as an integrand of t in [0, 1): p = a + scale*t/(1 - t).
+def _rational_map(f: Callable, a: float):
+    """f on [a, inf) as an integrand of t in [0, 1): p = a + t/(1 - t).
 
-    The returned integrand carries the Jacobian, f(p)*scale/(1 - t)**2, so
-    its integral over [0, T] is f's over [a, a + scale*T/(1 - T)]. t = 1/2
-    lands on p = a + scale: an integrand that changes on the momentum scale
-    `scale` spreads over all of [0, 1), whatever the unit of p. At
-    scale = 1.0 both products are exact, so the map is p = a + t/(1 - t)
-    bit for bit.
+    The returned integrand carries the Jacobian, f(p)/(1 - t)**2, so its
+    integral over [0, T] is f's over [a, a + T/(1 - T)]. t = 1/2 lands on
+    p = a + 1: an integrand that changes on a scale of 1 spreads over all
+    of [0, 1), so a caller passes f in its own dimensionless variable.
     """
 
     def transformed(t):
         # a node rounded to t = 1 maps to nan, not to a division by 0: integrate raises there
         one_minus = np.where(t < 1.0, 1.0 - t, np.nan)
-        p = a + scale * t / one_minus
-        return f(p) * scale / one_minus**2
+        p = a + t / one_minus
+        return f(p) / one_minus**2
 
     return transformed
 
 
-def _rational_image(width: float, scale: float) -> float:
-    """The t in (0, 1] that _rational_map(f, a, scale) sends to a + width, for 0 < width < inf.
+def _rational_image(width: float) -> float:
+    """The t in (0, 1] that _rational_map(f, a) sends to a + width, for 0 <= width <= inf.
 
-    t = width/(scale + width), formed from whichever of width/scale and
-    scale/width is at most 1, so that no step overflows. A t that underflows
-    to 0 is taken as the smallest positive float, so that [0, t] stays an
-    interval; where width dwarfs scale, t = 1 and the integral runs over
-    the whole half line.
+    t = width/(1 + width), formed from whichever of width and 1/width is at
+    most 1, so that no step overflows. A t that underflows to 0 is taken as
+    the smallest positive float, so that [0, t] stays an interval; where
+    width dwarfs 1, t = 1 and the integral runs over the whole half line.
     """
-    if width <= scale:
-        ratio = width / scale
-        t = ratio / (1.0 + ratio)
+    if width <= 1.0:
+        t = width / (1.0 + width)
     else:
-        t = 1.0 / (1.0 + scale / width)
+        t = 1.0 / (1.0 + 1.0 / width)
     return max(t, math.ulp(0.0))
 
 
 def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = _DEFAULT_REL_TOL):
     """Integrate f over [a, inf) for integrands with f(p)*p**2 -> 0.
 
-    The rational map p = a + t/(1-t) (_rational_map at scale 1) carries
-    [a, inf) to t in [0, 1); the decay contract keeps the transformed
-    integrand bounded near t = 1. Raises DomainError unless a is a finite
-    real, non-real a in integrate's words.
+    The rational map p = a + t/(1-t) (_rational_map) carries [a, inf) to t
+    in [0, 1); the decay contract keeps the transformed integrand bounded
+    near t = 1. Raises DomainError unless a is a finite real, non-real a in
+    integrate's words.
     """
     a, _ = _real_bounds(a, math.inf)
     if not math.isfinite(a):
         raise DomainError("lower bound must be finite")
-    return integrate(_rational_map(f, a, 1.0), 0.0, 1.0, rel_tol)
+    return integrate(_rational_map(f, a), 0.0, 1.0, rel_tol)
 
 
 def second_derivative(f: Callable, x0: float, h: float) -> float:

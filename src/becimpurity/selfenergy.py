@@ -4,22 +4,24 @@ functions they need.
 The bare second-order energy diverges linearly with the momentum cutoff;
 re-expressing the contact coupling through the physical scattering length a
 cancels the divergence. The quadrature route integrates the subtracted form,
-(divergence_rate - integrand) up to the cutoff, which folds the counterterm
-4*m*m_r (the integrand's large-p limit) under the integral sign; after the
-prefactor n*a**2/(m*m_r**2) it is the same term, 4*n*a**2*cutoff/m_r, that
+(4*m*m_r - integrand) up to the cutoff, which folds the counterterm (the
+integrand's large-p limit) under the integral sign; after the prefactor
+n*a**2/(m*m_r**2) it is the same term, 4*n*a**2*cutoff/m_r, that
 params.renormalized_coupling adds to the mean-field shift.
 
 Both numerical routes integrate in the condensate's own momentum scale.
-The subtracted integrand is near its p = 0 value below the crossover
-momentum 2mc of the dispersion and falls like 1/p**2 above it, so the
-shift maps p = 2mc*t/(1 - t) (quadrature._rational_map) and integrates t
-over [0, t_cut], t_cut the image of the cutoff: the 8 initial panels of
-t settle it in one pass at any cutoff, where 8 uniform panels of p would
-bisect their first one up to 12 times at a cutoff of 4000. The scale is
-2mc, not mc: at M = 1e-3 m the stencil mass on shifts mapped in mc is
-2.8e-3 off the closed correction, in 2mc 4.1e-5. The curvature integral
-of the quadrature mass is taken in s = p/mc, which leaves its bits as they
-are where mc = 1.
+The shift's integrand is written once in s = p/2mc (_shift_integrand), in
+v = q_i/q_c and r = m/M alone. Subtracted, it is near its s = 0 value
+below the crossover momentum 2mc of the dispersion and falls like 1/s**2
+above it, so the shift maps s = t/(1 - t) (quadrature._rational_map) and
+integrates t over [0, t_cut], t_cut the image of cutoff/2mc: 8 initial
+panels settle it at any cutoff, where 8 uniform panels of p bisected
+their first one up to 12 times at a cutoff of 4000. The scales
+4*m**2*2mc and n*a**2/(m*m_r**2) come in last, so the shift follows a
+change of units exactly. The scale is 2mc, not mc: at M = 1e-3 m the
+stencil mass on shifts mapped in mc is 2.8e-3 off the closed correction,
+in 2mc 4.1e-5. The curvature integral of the quadrature mass is taken in
+s = p/mc, which leaves its bits as they are where mc = 1.
 
 Everything is parameterized by a; the bare coupling never appears here.
 Subcritical momenta only: above the critical momentum the energy denominator
@@ -69,7 +71,7 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = 1e-12
-_FD_CUTOFF = 4000.0
+_FD_CUTOFF = 4000.0  # the stencil's cutoff, in units of mc
 
 
 @dataclass(frozen=True)
@@ -179,26 +181,23 @@ def energy_shift_closed(params: SystemParams) -> float:
         params.a, (energy, "closed-form energy shift at a = {!r} leaves the float range"))
 
 
-def _shift_integrand(p, q_i: float, params: SystemParams, eps):
-    """Angular-resolved second-order integrand, vectorized over p.
+def _shift_integrand(s, v: float, r: float):
+    """The second-order integrand over 4*m**2, in s = p/2mc, v = q_i/q_c and r = m/M.
 
-    eps is bogoliubov._excitation_energy(params). At q_i = 0 the integrand
-    reduces to p**4/(eps*(eps + p**2/2M)); the general form is written with
-    log1p so that negating q_i is an exact (bitwise) symmetry, which makes
-    the spectrum even in q_i by construction.
+    With h = hypot(s, 1) and u = v/(h + r*s) it is s**2/(h*(h + r*s)) at
+    rest and s**2*(log1p(u) - log1p(-u))/(2*v*h) in motion, vectorized over
+    s; the log pair makes negating v an exact (bitwise) symmetry, so the
+    spectrum is even in q_i by construction. Its large-s limit is 1/(1 + r).
     """
-    eps_p = eps(p)
-    w0 = _recoil_energy(p, eps_p, params)
-    if q_i == 0.0:
-        return _quartic(p) / (eps_p * w0)
-    u = p * q_i / (params.M * w0)
-    cube, logs = _cube_and_logs(p, u)
-    return (cube / eps_p) * (params.M / (2.0 * q_i)) * logs
+    h = np.hypot(s, 1.0)
+    w = h + r * s
+    if v == 0.0:
+        return s * s / (h * w)
+    return s * s * _logs(v / w) / (2.0 * v * h)
 
 
 # the libm calls of the integrands here, entry by entry (see bogoliubov._libm)
-_quartic = _libm(lambda p: _pow(p, 4))
-_cube_and_logs = _libm(lambda p, u: (_pow(p, 3), _log1p(u) - _log1p(-u)), nin=2, nout=2)
+_logs = _libm(lambda u: _log1p(u) - _log1p(-u))
 _sixth_and_cube = _libm(lambda p, w: (_pow(p, 6), _pow(w, 3)), nin=2, nout=2)
 
 
@@ -207,34 +206,32 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
 
     The fluctuation part is the subtracted integral up to the cutoff, with
     no large-constant cancellation, and converges to the closed form like
-    1/cutoff. It is integrated in t = p/(2mc + p), on [0, t_cut] with t_cut
-    the image of the cutoff, so that its initial panels follow the crossover
-    at p = 2mc whatever the cutoff: every cutoff up to the largest float
-    converges, the largest ones at t_cut = 1, the cutoff-free shift. A
-    non-finite integrand is reported at its node in t. Raises NumericalError
-    where the shift leaves the float range, as it does for an impurity
-    lighter than about 1e-156 m at a = 0.01.
+    1/cutoff. It is integrated in t = s/(1 + s), s = p/2mc, on [0, t_cut]
+    with t_cut the image of the cutoff, so that its initial panels follow
+    the crossover at p = 2mc whatever the cutoff: every cutoff converges,
+    the largest ones at t_cut = 1, the cutoff-free shift. A non-finite
+    integrand is reported at its node in t. Raises NumericalError where the
+    shift leaves the float range, as it does for an impurity lighter than
+    about 1e-156 m at a = 0.01.
     """
     # q_i as the one entry of a list: an array q_i is an offending entry
     q_i = _subcritical([q_i], params, "energy shift")[0].item()
     d = derive(params)
     cutoff = _require(cutoff, "cutoff")
     m, m_r = params.m, d.m_r
+    v, r = q_i / d.q_c, m / params.M
+    two_mc = 2.0 * m * d.c
+    limit = 1.0 / (1.0 + r)  # large-s limit of the integrand
+    subtracted = _rational_map(lambda s: limit - _shift_integrand(s, v, r), 0.0)
+    # for a light impurity r*s overflows to inf and the integrand to 0
+    with np.errstate(over="ignore"):
+        val, _ = integrate(subtracted, 0.0, _rational_image(cutoff / two_mc), _DEFAULT_TOL)
     # a numpy square gives inf, not OverflowError, where a**2 overflows; a
     # numpy divisor gives inf (or nan, where a**2 underflows too), not
     # ZeroDivisionError, where m*m_r*m_r underflows to 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pref = float(params.n * np.float64(params.a) ** 2 / np.float64(m * m_r * m_r))
-    divergence_rate = 4.0 * m * m_r  # large-p limit of the integrand
-    eps = _excitation_energy(params)
-    two_mc = 2.0 * m * d.c  # _energy_scales' 2mc, without a second derive
-    subtracted = _rational_map(
-        lambda p: divergence_rate - _shift_integrand(p, q_i, params, eps), 0.0, two_mc)
-    # for a light impurity eps*w0 overflows to inf and the integrand to 0;
-    # past the float range integrate raises at the first non-finite node
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, _ = integrate(subtracted, 0.0, _rational_image(cutoff, two_mc), _DEFAULT_TOL)
-    energy = mean_field_shift(params) + pref * val
+    energy = mean_field_shift(params) + pref * (4.0 * m * m * two_mc * val)
     return _in_float_range(q_i, (energy, "energy shift at q_i = {!r} leaves the float range"))
 
 
@@ -316,18 +313,20 @@ def effective_mass_finite_difference(params: SystemParams) -> MassResult:
     """Dressed mass from a five-point stencil on the subtracted energy.
 
     The curvature of the fluctuation part at q_i = 0, taken with step
-    0.01*q_c, gives 1/M_ef - 1/M; the constant of the cutoff _FD_CUTOFF cancels
-    in the stencil, leaving an O(1/cutoff) residue in the curvature itself
-    (about 5e-4 relative). The stencil takes three shifts, not five: E(q) is
-    even bit for bit, as the vanishing_linear_term check measures, so E(h)
-    and E(2h) are the E(-h) and E(-2h) already formed.
+    0.01*q_c, gives 1/M_ef - 1/M; the constant of the cutoff _FD_CUTOFF*mc
+    cancels in the stencil, leaving an O(1/cutoff) residue in the curvature
+    itself (about 5e-4 relative); in these scales the correction is the same
+    in every unit. The stencil takes three shifts, not five: E(q) is even
+    bit for bit, as the vanishing_linear_term check measures, so E(h) and
+    E(2h) are the E(-h) and E(-2h) already formed.
     """
-    h = 0.01 * derive(params).q_c
+    d = derive(params)
+    h, cutoff = 0.01 * d.q_c, _FD_CUTOFF * params.m * d.c
     shifts = {}  # by |q|, formed at the q first asked for: -2h, -h, 0
 
     def shift(q):
         if abs(q) not in shifts:
-            shifts[abs(q)] = energy_shift_quadrature(q, params, _FD_CUTOFF)
+            shifts[abs(q)] = energy_shift_quadrature(q, params, cutoff)
         return shifts[abs(q)]
 
     d2 = second_derivative(shift, 0.0, h)
