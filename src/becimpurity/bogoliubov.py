@@ -51,25 +51,6 @@ def _energy_scales(params: SystemParams):
     return np.array(two_m), np.array(two_m * derive(params).c)
 
 
-def _excitation_energy(params: SystemParams):
-    """eps(p) for momenta already validated by _as_momentum.
-
-    2m and 2mc are computed once, so quadrature integrands can call the
-    returned function on every panel without re-deriving the sound speed.
-    """
-    two_m, two_mc = _energy_scales(params)
-
-    def eps(p):
-        return p / two_m * np.hypot(p, two_mc)
-
-    return eps
-
-
-def _recoil_energy(p, eps_p, params: SystemParams):
-    """eps(p) + p**2/2M, given eps_p = eps(p): the frequency mismatch omega at q_i = 0."""
-    return eps_p + p * p / (2.0 * params.M)
-
-
 def _structure_factor(two_mc):
     """S(p) = p/hypot(p, 2mc) = p**2/(2m*eps(p)), the condensate's static structure factor.
 
@@ -163,8 +144,9 @@ def dispersion(p, params: SystemParams):
     loses precision.
     """
     arr = _as_momentum(p)
+    two_m, two_mc = _energy_scales(params)
     with np.errstate(over="ignore"):
-        eps = _excitation_energy(params)(arr)
+        eps = arr / two_m * np.hypot(arr, two_mc)
     return _in_float_range(arr, (eps, "excitation energy" + _AT_P))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _as_momentum, _recoil_energy, dispersion
+from .bogoliubov import _as_momentum, dispersion
 from .errors import DomainError, _in_float_range, _real_array, _require, _require_1d
 from .params import SystemParams, derive
 
@@ -46,13 +46,13 @@ def omega(p, x, q_i: float, params: SystemParams):
     Raises NumericalError when it leaves the float range.
     """
     q_i = _require(q_i, "initial momentum", kind="nonnegative")
-    parr = _as_momentum(p)
+    p = _as_momentum(p)
     xarr = _real_array(x)
     if xarr is None or not np.all(np.abs(xarr) <= 1):  # also rejects nan
         raise DomainError("direction cosine must lie in [-1, 1]")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _recoil_energy(parr, dispersion(parr, params), params) - q_i * parr * xarr / params.M
-    return _in_float_range(parr, (out, "frequency mismatch at p = {!r} leaves the float range"))
+        out = dispersion(p, params) + p * p / (2.0 * params.M) - q_i * p * xarr / params.M
+    return _in_float_range(p, (out, "frequency mismatch at p = {!r} leaves the float range"))
 
 
 def _p_max(q, params: SystemParams):

@@ -43,7 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError, _real_array, _require, _require_1d
+from .errors import (
+    ConfigurationError, DomainError, NumericalError, _in_float_range, _real_array, _require, _require_1d)
 
 __all__ = [
     "integrate",
@@ -315,7 +316,12 @@ def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = _DEFAULT_REL
 
 
 def second_derivative(f: Callable, x0: float, h: float) -> float:
-    """Five-point central second derivative, truncation error O(h**4)."""
+    """Five-point central second derivative, truncation error O(h**4).
+
+    Raises NumericalError where the weight 12*h*h underflows to 0 or the
+    stencil's weighted sum of values is not finite; a quotient that
+    overflows is inf, which the caller reports in its own terms.
+    """
     x0 = _require(x0, "point x0", kind="signed")
     h = _require(h, "step h")
     num = (
@@ -325,4 +331,7 @@ def second_derivative(f: Callable, x0: float, h: float) -> float:
         + 16.0 * f(x0 + h)
         - f(x0 + 2.0 * h)
     )
-    return num / (12.0 * h * h)
+    weight = 12.0 * h * h
+    message = "second derivative at step h = {!r} leaves the float range"
+    _in_float_range(h, (num, message), (1.0 / weight if weight else math.inf, message))
+    return num / weight

@@ -20,8 +20,10 @@ their first one up to 12 times at a cutoff of 4000. The scales
 4*m**2*2mc and n*a**2/(m*m_r**2) come in last, so the shift follows a
 change of units exactly. The scale is 2mc, not mc: at M = 1e-3 m the
 stencil mass on shifts mapped in mc is 2.8e-3 off the closed correction,
-in 2mc 4.1e-5. The curvature integral of the quadrature mass is taken in
-s = p/mc, which leaves its bits as they are where mc = 1.
+in 2mc 4.1e-5. The quadrature mass's curvature integrand
+(_curvature_integrand) is written in the same s and r, where its integral
+over the half line is I1(m/M) itself, so that route and the closed one
+share their prefactor and differ only in how they get I1.
 
 Everything is parameterized by a; the bare coupling never appears here.
 Subcritical momenta only: above the critical momentum the energy denominator
@@ -36,15 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import (
-    _excitation_energy,
-    _libm,
-    _log1p,
-    _mass_tail,
-    _pow,
-    _recoil_energy,
-    _sinh_tail,
-)
+from .bogoliubov import _libm, _log1p, _mass_tail, _sinh_tail
 from .errors import PerturbativeBreakdownError, _in_float_range, _require
 from .kinematics import _subcritical
 from .params import SystemParams, derive
@@ -181,24 +175,38 @@ def energy_shift_closed(params: SystemParams) -> float:
         params.a, (energy, "closed-form energy shift at a = {!r} leaves the float range"))
 
 
+def _denominators(s, r: float):
+    """(h, w) = (hypot(s, 1), h + r*s): eps = 2mc**2*s*h and eps + p**2/2M = 2mc**2*s*w."""
+    h = np.hypot(s, 1.0)
+    return h, h + r * s
+
+
 def _shift_integrand(s, v: float, r: float):
     """The second-order integrand over 4*m**2, in s = p/2mc, v = q_i/q_c and r = m/M.
 
-    With h = hypot(s, 1) and u = v/(h + r*s) it is s**2/(h*(h + r*s)) at
-    rest and s**2*(log1p(u) - log1p(-u))/(2*v*h) in motion, vectorized over
-    s; the log pair makes negating v an exact (bitwise) symmetry, so the
-    spectrum is even in q_i by construction. Its large-s limit is 1/(1 + r).
+    With u = v/w it is s**2/(h*w) at rest and s**2*(log1p(u) - log1p(-u))/(2*v*h)
+    in motion (h, w of _denominators), vectorized over s; the log pair makes
+    negating v an exact (bitwise) symmetry, so the spectrum is even in q_i by
+    construction. Its large-s limit is 1/(1 + r).
     """
-    h = np.hypot(s, 1.0)
-    w = h + r * s
+    h, w = _denominators(s, r)
     if v == 0.0:
         return s * s / (h * w)
     return s * s * _logs(v / w) / (2.0 * v * h)
 
 
+def _curvature_integrand(s, r: float):
+    """s**2/(h*w**3), h and w of _denominators: its integral over s >= 0 is I1(r).
+
+    The cube is w*w*w, so no libm loop chooses its bits; where it overflows,
+    for a light impurity, the integrand is 0.
+    """
+    h, w = _denominators(s, r)
+    return s * s / (h * (w * w * w))
+
+
 # the libm calls of the integrands here, entry by entry (see bogoliubov._libm)
 _logs = _libm(lambda u: _log1p(u) - _log1p(-u))
-_sixth_and_cube = _libm(lambda p, w: (_pow(p, 6), _pow(w, 3)), nin=2, nout=2)
 
 
 def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> float:
@@ -246,23 +254,31 @@ def effective_mass_closed(params: SystemParams) -> MassResult:
     y = m/M and s = sqrt(y*y - 1), whose factors all stay near their
     large-y limits.
     """
-    d = derive(params)
     ratio = params.m / params.M
     i1 = I1(ratio)
-    a = params.a
     if i1 >= sys.float_info.min:
-        x = params.m / d.m_r
-        sigma = (16.0 / 3.0) * params.n * (a * a) / (params.M * d.c) * (x * x) * i1
+        sigma = _mass_sigma(params, i1)
     else:
+        a = params.a
         u, _, s, _ = _rapidity(ratio)
         x = (1.0 + ratio) / s
         sigma = (
-            (4.0 / 3.0) * params.n * (a * a) / (params.m * d.c)
+            (4.0 / 3.0) * params.n * (a * a) / (params.m * derive(params).c)
             * (ratio / s) * (x * x) * _scaled_I1(u, s, ratio)
         )
     sigma = _in_float_range(
         ratio, (sigma, "closed-form mass correction at m/M = {!r}: its factors leave the float range"))
     return _mass_from_sigma(sigma, params, "closed")
+
+
+def _mass_sigma(params: SystemParams, i1: float) -> float:
+    """sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * i1: the mass prefactor of both routes.
+
+    For i1 = I1(m/M) a normal float; M*c = q_c is positive and normal (SystemParams).
+    """
+    d = derive(params)
+    a, x = params.a, params.m / d.m_r
+    return (16.0 / 3.0) * params.n * (a * a) / (params.M * d.c) * (x * x) * i1
 
 
 def _mass_from_sigma(sigma: float, params: SystemParams, method: str) -> MassResult:
@@ -280,32 +296,20 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
     """Dressed mass from the curvature integral of the second-order energy.
 
     1/M_ef = 1/M - (2/3) * (n*a**2/(m*m_r**2*M**2)) * K with
-    K = int_0^inf p**6 / (eps * (eps + p**2/2M)**3) dp; the integrand decays
-    like 1/p**2, handled by the rational tail transform in s = p/mc, K =
-    mc * int_0^inf f(mc*s) ds, so that the map's t = 1/2 sits at p = mc in
-    any momentum unit (at mc = 1 both products are exact). sigma = 1 - M/M_ef
-    is formed with one power of M, (2/3) * n*a**2*K/(m*m_r**2*M), so that it
-    does not underflow to 0 for a heavy impurity (M from about 1e155).
+    K = int_0^inf p**6 / (eps * (eps + p**2/2M)**3) dp. In s = p/2mc,
+    K = (16*m**4/2mc) * int_0^inf s**2/(h*w**3) ds (_curvature_integrand),
+    and that integral is I1(m/M): this route is the closed one with I1 taken
+    by quadrature, integrated in the rational map t = s/(1 + s) of
+    integrate_semi_infinite, and sigma = 1 - M/M_ef is the closed route's
+    prefactor (_mass_sigma) times it. Where the integral is not a normal
+    float (m/M from about 1e103) it raises NumericalError, as where sigma
+    leaves the float range.
     """
-    d = derive(params)
-    eps = _excitation_energy(params)
-
-    def curvature_integrand(p):
-        eps_p = eps(p)
-        sixth, recoil_cube = _sixth_and_cube(p, _recoil_energy(p, eps_p, params))
-        return sixth / (eps_p * recoil_cube)
-
-    m, m_r, M = params.m, d.m_r, params.M
-    mc = m * d.c
-    # for a light impurity the recoil cube overflows to inf and the integrand
-    # to 0; past the float range integrate raises at the first non-finite node
-    with np.errstate(over="ignore", invalid="ignore"):
-        K, _ = integrate_semi_infinite(lambda s: curvature_integrand(mc * s), 0.0, tol)
-    K = mc * K
-    # a numpy square gives inf, not OverflowError, where a**2 overflows; a numpy
-    # divisor gives inf or nan, not ZeroDivisionError, where it underflows to 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sigma = (2.0 / 3.0) * params.n * np.float64(params.a) ** 2 / np.float64(m * m_r * m_r * M) * K
+    r = params.m / params.M
+    # for a light impurity w**3 overflows to inf and the integrand to 0
+    with np.errstate(over="ignore"):
+        i1, _ = integrate_semi_infinite(lambda s: _curvature_integrand(s, r), 0.0, tol)
+    sigma = _mass_sigma(params, i1) if i1 >= sys.float_info.min else math.nan
     return _mass_from_sigma(sigma, params, "quadrature")
 
 

@@ -189,6 +189,12 @@ _SITES = [
          ParameterDomainError, "a must be finite, got 'x'"),
     _row("str-second_derivative-x0", lambda v: second_derivative(abs, v, 0.1), "0",
          DomainError, "point x0 must be finite, got '0'"),
+    # a stencil whose 12*h*h underflows, where a raw ZeroDivisionError escaped, and
+    # one whose values overflow, where a nan came back
+    _row("second_derivative-h-underflow", lambda v: second_derivative(lambda x: x * x, 0.0, v),
+         1e-170, NumericalError, "second derivative at step h = 1e-170 leaves the float range"),
+    _row("second_derivative-h-overflow", lambda v: second_derivative(lambda x: x * x, 0.0, v),
+         1e300, NumericalError, "second derivative at step h = 1e+300 leaves the float range"),
     # a coupling derived to first Born order that leaves the float range
     _row("derived-g", lambda v: SystemParams(M=v, a=1e10), 1e-300, ParameterDomainError,
          "g = 2*pi*a/m_r with a = 10000000000.0 and m_r = 1e-300 leaves the float range"),
@@ -343,8 +349,9 @@ def test_out_of_range_report_returns_the_last_stage():
 @pytest.mark.parametrize("wording, holder", [
     ("must be a float or a 1-D array", "errors.py"),
     ("is defined for |q_i| < q_c", "kinematics.py"),
-    # the recoil energy eps + p**2/2M; the lattice kernels keep their own on purpose
-    ("p * p / (2.0 * params.M)", "bogoliubov.py"),
+    # the recoil energy eps + p**2/2M, in the frequency mismatch omega; the
+    # lattice kernels keep their own on purpose
+    ("p * p / (2.0 * params.M)", "kinematics.py"),
 ])
 def test_each_subcritical_rule_is_worded_in_one_module(wording, holder):
     package = pathlib.Path(becimpurity.__file__).parent

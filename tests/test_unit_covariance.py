@@ -1,4 +1,4 @@
-"""Exact unit covariance of the renormalized shift and the stencil mass.
+"""Exact unit covariance of the renormalized shift and the stencil and quadrature masses.
 
 Change the mass unit by 2**a and the momentum unit by 2**b: m and M scale
 by 2**a, n by 2**(3b), U0 by 2**-(a+b), the scattering length by 2**-b,
@@ -13,7 +13,13 @@ import math
 
 import pytest
 
-from becimpurity import SystemParams, derive, effective_mass_finite_difference, energy_shift_quadrature
+from becimpurity import (
+    SystemParams,
+    derive,
+    effective_mass_finite_difference,
+    effective_mass_quadrature,
+    energy_shift_quadrature,
+)
 
 _TABLE = [(a, b) for a in (-40, -3, 0, 5, 60) for b in (-8, 0, 8, 30, 100, 300)]
 
@@ -31,8 +37,10 @@ def _shift(params: SystemParams, b: int) -> float:
 @pytest.mark.parametrize("a, b", _TABLE)
 def test_shift_and_stencil_mass_follow_a_change_of_units_bit_for_bit(a, b):
     # the stencil took its cutoff 4000 in the caller's momentum unit: its
-    # correction drifted from -6.343e-4 and had the wrong sign from b = 30
+    # correction drifted from -6.343e-4 and had the wrong sign from b = 30.
+    # The quadrature mass integrated p**6 over a cube in p/mc: it raised at
+    # b = 300, where p**6 overflows, and was 0.7% off at a = -40, b = 100
     base, scaled = _system(0, 0), _system(a, b)
-    assert (effective_mass_finite_difference(scaled).correction.hex()
-            == effective_mass_finite_difference(base).correction.hex())
+    for mass in (effective_mass_finite_difference, effective_mass_quadrature):
+        assert mass(scaled).correction.hex() == mass(base).correction.hex()
     assert _shift(scaled, b).hex() == math.ldexp(_shift(base, 0), 2 * b - a).hex()
