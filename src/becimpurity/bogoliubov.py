@@ -45,9 +45,7 @@ def _as_momentum(p):
 
 def _energy_scales(params: SystemParams):
     """(2m, 2mc): eps(p) = p/2m * hypot(p, 2mc) and S(p) = p/hypot(p, 2mc)."""
-    two_m = 2.0 * params.m
-    # 0-d float64 arrays, not floats: a ufunc converts a Python-float operand
-    # on every call, and the integrands built on these run once per panel
+    two_m = 2.0 * params.m  # as 0-d float64 arrays, which a ufunc takes without converting
     return np.array(two_m), np.array(two_m * derive(params).c)
 
 
@@ -106,33 +104,52 @@ def _libm(fn, nin: int = 1, nout: int = 1):
     return lambda *args: tuple(map(floats, ufunc(*args)))
 
 
-def _odd_taylor_tail(weight, first: int, last: int):
-    """tail(u, z), the sum over odd j from first to last of weight(j) * u**j / j!.
+def _scale(*factors, over=(), times=()):
+    """prod(factors)/prod(over)*prod(times), left to right, on frexp mantissas with one ldexp.
 
-    Every cancelling closed form of the package is such a sum in a
-    rapidity u: for the rates p = 2mc*sinh(u/2) and eps = m*c**2*sinh(u),
-    for I0 and I1 the mass ratio is cosh(u/2) or cos(u/2). tail evaluates
-    it as u**first, by _libm, times a Horner polynomial in z, highest power
-    first: z = u*u gives the hyperbolic function, z = -u*u its trigonometric
-    twin. The coefficients are weight(j)/j! from exact factorials.
+    The one route of a dimensional scale to an output. It has the bits of
+    the plain expression wherever every partial result of that is a normal
+    float, it is inf or 0 only where its value leaves the float range, and
+    a power-of-two factor scales it exactly. frexp and ldexp are exact, so
+    no loop numpy picks by CPU moves a bit. Elementwise; the caller's
+    np.errstate governs the final overflow.
+    """
+    def parts(values):
+        mantissa, exponent = 1.0, 0
+        for f, e in map(np.frexp, values):
+            mantissa, exponent = mantissa * f, exponent + e
+        return mantissa, exponent
+
+    (top, up), (bottom, down), (after, later) = map(parts, (factors, over, times))
+    return np.ldexp(top / bottom * after, up - down + later)
+
+
+def _odd_taylor_tail(weight, first: int, last: int):
+    """series(z), the sum over odd j from first to last of weight(j) * u**(j - first) / j!.
+
+    Every cancelling closed form of the package is u**first times such a
+    series in a rapidity u: for the rates p = 2mc*sinh(u/2) and
+    eps = m*c**2*sinh(u), for I0 and I1 the mass ratio is cosh(u/2) or
+    cos(u/2). series is a Horner polynomial in z, highest power first:
+    z = u*u gives the hyperbolic function, z = -u*u its trigonometric twin.
+    The coefficients are weight(j)/j! from exact factorials.
     """
     coeffs = [weight(j) / math.factorial(j) for j in range(last, first - 1, -2)]
     head, rest = coeffs[0], coeffs[1:]
-    leading = _libm(lambda v: _pow(v, first))
 
-    def tail(u, z):
+    def series(z):
         y = head
         for c in rest:
             y = y * z + c
-        return leading(u) * y
+        return y
 
-    return tail
+    return series
 
 
-# sinh(u) - u, used below u = 1: the radial integral of the rates, and I0
-_sinh_tail = _odd_taylor_tail(lambda j: 1.0, 3, 19)
-# (2 + cosh(u))*u - 3*sinh(u), used below u = 3: the numerator of I1
-_mass_tail = _odd_taylor_tail(lambda j: j - 3.0, 5, 31)
+# (sinh(u) - u)/u**3, used below u = 1: the closed transition rate, and I0
+_sinh_series = _odd_taylor_tail(lambda j: 1.0, 3, 19)
+# ((2 + cosh(u))*u - 3*sinh(u))/u**5, used below u = 3: the numerator of I1
+_mass_series = _odd_taylor_tail(lambda j: j - 3.0, 5, 31)
 
 
 def dispersion(p, params: SystemParams):

@@ -7,7 +7,8 @@ The central object is the frequency mismatch
 for emitting an excitation of momentum p at direction cosine x relative to
 the incoming impurity momentum q_i. Emission is possible only where omega
 has a root with |x| <= 1, which requires q_i above the critical momentum
-q_c = M*c; below it the impurity moves without dissipation.
+q_c = M*c; below it the impurity moves without dissipation. The window is
+formed in v = q_i/q_c and r = m/M, with 2mc applied last (_window).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _as_momentum, dispersion
+from .bogoliubov import _as_momentum, _scale, dispersion
 from .errors import DomainError, _in_float_range, _real_array, _require, _require_1d
 from .params import SystemParams, derive
 
@@ -55,39 +56,41 @@ def omega(p, x, q_i: float, params: SystemParams):
     return _in_float_range(p, (out, "frequency mismatch at p = {!r} leaves the float range"))
 
 
-def _p_max(q, params: SystemParams):
-    """Largest emitted momentum at each validated momentum of the array q; nan past the float range.
+def _window(q, params: SystemParams):
+    """(v, s_max) at each validated momentum of the array q: v = q/q_c and s_max = p_max/2mc.
 
-    The one window rule, shared by max_emission_momentum and the closed rates.
+    The one window rule: s_max, the root of hypot(s, 1) + r*s = v with r = m/M, is
+    G/(v*r + hypot(r, sqrt(G))), G = (v - 1)*(v + 1), v - 1 = (q - q_c)/q_c exact near
+    threshold (Sterbenz). G and sqrt(G) go through their frexp parts, and the denominator
+    over the power of two of v, so s_max is 0 or inf only where its value is.
     """
-    q_c = derive(params).q_c
-    r = params.M / params.m
+    q_c, r = derive(params).q_c, params.m / params.M
     with np.errstate(over="ignore", invalid="ignore"):
-        # the factored gap is exact near threshold (Sterbenz), where q*q - q_c*q_c cancels
-        gap = np.maximum((q - q_c) * (q + q_c), 0.0)
-        radicand = q_c * q_c + r * r * gap
-        root = np.where(np.isfinite(radicand), np.sqrt(radicand), np.hypot(q_c, r * np.sqrt(gap)))
-        # doubling is exact, so 2*(gap/x) is 2*gap/x short of subnormals, without its overflow
-        return 2.0 * (gap / (q + root))
+        v = q / q_c
+        gap = np.maximum((q - q_c) / q_c, 0.0)
+        (below, e_below), (above, e_above) = np.frexp(gap), np.frexp(v + 1.0)
+        e = e_below + e_above
+        root = np.ldexp(np.sqrt(np.ldexp(below * above, e & 1)), e >> 1)
+        fraction, k = np.frexp(v)  # v > sqrt(G), so only r can overflow the scaled denominator
+        over = fraction * r + np.hypot(np.ldexp(r, -k), np.ldexp(root, -k))
+        return v, _scale(gap, v + 1.0, over=(over,), times=(np.ldexp(1.0, -k),))
+
+
+def _p_max(q, params: SystemParams):
+    """p_max = 2mc*s_max at each validated momentum of the array q (_window); inf past the float range."""
+    with np.errstate(over="ignore"):
+        return 2.0 * params.m * derive(params).c * _window(q, params)[1]
 
 
 def max_emission_momentum(q_i, params: SystemParams):
     """Largest excitation momentum the impurity can emit; 0 when subcritical.
 
-    Uses the rationalized root of omega(p, x=1) = 0, with r = M/m,
-
-        p_max = 2*gap / (q_i + sqrt(q_c**2 + r**2*gap)),  gap = (q_i - q_c)*(q_i + q_c).
-
-    It is exact for every mass ratio and reduces smoothly to gap/q_i at
-    r = 1, where the textbook quadratic solution degenerates to 0/0. The
-    factored gap is exact as q_i -> q_c+, where q_i**2 - q_c**2 cancels.
-    Where r**2*gap overflows, the square root is hypot(q_c, r*sqrt(gap)).
-    q_i is a float or a 1-D array. Raises NumericalError at the first
-    momentum whose gap, and with it the root, leaves the float range.
+    p_max = 2mc*s_max, s_max the rationalized root of omega(p, x=1) = 0 (_window): exact
+    for every mass ratio and as q_i -> q_c+. q_i is a float or a 1-D array. Raises
+    NumericalError at the first momentum whose p_max leaves the float range.
     """
     q, pack = _momenta(q_i)
-    p_max = _p_max(q, params)
-    return pack(_in_float_range(q, (p_max, _P_MAX_RANGE)))
+    return pack(_in_float_range(q, (_p_max(q, params), _P_MAX_RANGE)))
 
 
 def _listed(values, plural: str, entry, accepts):

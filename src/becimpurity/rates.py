@@ -9,6 +9,10 @@ Three independent routes compute the same physics and must agree:
 
 Below the critical momentum q_c every rate is exactly zero by branch, not by
 cancellation, so the dissipationless regime is a structural guarantee.
+
+The closed and quadrature rates, the density and the asymptotes work in v = q_i/q_c,
+r = m/M and s_max = p_max/2mc, and hand every unit to bogoliubov._scale last: a rate
+is 0 or raises only where its value leaves the float range.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bogoliubov import _as_momentum, _energy_scales, _libm, _pow, _sinh_tail, _structure_factor
-from .errors import ConfigurationError, DomainError, _in_float_range, _require
-from .kinematics import _P_MAX_RANGE, _entries, _momenta, _p_max, _subcritical, max_emission_momentum
+from .bogoliubov import _as_momentum, _libm, _scale, _sinh_series, _structure_factor
+from .errors import ConfigurationError, DomainError, NumericalError, _in_float_range, _require
+from .kinematics import _P_MAX_RANGE, _entries, _momenta, _p_max, _subcritical, _window, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -91,53 +95,29 @@ class BoxOracleConfig:
         object.__setattr__(self, "max_points", int(points))
 
 
-_PREFACTOR_RANGE = "rate prefactor at q_i = {!r} leaves the float range"
-
-
 def _rate_result(q, pack, params: SystemParams, method: str, gamma_T, gamma_E, est_error, stages=()):
     """RateResult over the momenta q, or NumericalError where a value leaves the float range.
 
-    smallness = gamma_T/(q**2/2M) is 0 where q or gamma_T is. stages are the
-    route's own (values, message) checks, which a loop over the momenta runs
-    before the smallness and the energy rate (see errors._in_float_range).
+    smallness = gamma_T/(q**2/2M) is 0 where q or gamma_T is. stages are the route's own
+    (values, message) checks, run before the smallness and the energy rate (errors._in_float_range).
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # gamma_T == 0 also covers a supercritical q_i whose kinetic energy underflows
-        smallness = np.where((q == 0.0) | (gamma_T == 0.0), 0.0, gamma_T / (q * q / (2.0 * params.M)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # x/0 at q = 0
+        smallness = np.where((q == 0.0) | (gamma_T == 0.0), 0.0, _scale(gamma_T, 2.0, params.M, over=(q, q)))
     _in_float_range(q, *stages, (smallness, "smallness at q_i = {!r} leaves the float range"),
                     (gamma_E, "energy dissipation rate at q_i = {!r} leaves the float range"))
     return RateResult(pack(q), pack(gamma_T), pack(gamma_E), method, pack(est_error), pack(smallness))
 
 
-def _g2_last(rate, g: float):
-    """rate(g**2), or rate(1.0)*g*g where that is inf; elementwise, and inf where both are.
+def _scaled_rates(params: SystemParams, v, s_max, transition, energy):
+    """(gamma_T, gamma_E) from their radial factors, exact zeros outside the window (s_max = 0).
 
-    Where the expression as written overflows, dividing before multiplying in
-    g*g keeps a finite value in range. np.float64 ** has the bits of float **
-    (both are C pow) but gives inf where float ** raises OverflowError.
+    gamma_T = n*g**2*m**2*c/(2*pi*v) * prod(transition) and gamma_E =
+    n*g**2*(m*c)**3/(pi*v) * prod(energy), every unit through bogoliubov._scale.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = rate(np.float64(g) ** 2)
-        return np.where(np.isinf(value), rate(1.0) * g * g, value)
-
-
-def _density_prefactor(q, params: SystemParams):
-    """n*M*g**2/(4*pi*m*q) at each momentum q, the scale of both routes; inf past the float range."""
-    n, M, m = params.n, params.M, params.m
-    return _g2_last(lambda g2: n * M * g2 / (4.0 * math.pi * m * q), params.g)
-
-
-def _emission_shape(params: SystemParams):
-    """p -> 2m*S(p)*p, which equals p**3/eps(p): the emission spectrum over its prefactor.
-
-    With S the structure factor, the shape stays finite where p**3
-    overflows (p from about 1e103), so the density needs no second form.
-    2m*S, at most 2m and at most p/c, is formed before the factor p, so a
-    heavy boson's 2m*p cannot overflow where the shape does not.
-    """
-    two_m, two_mc = _energy_scales(params)
-    S = _structure_factor(two_mc)
-    return lambda p: two_m * S(p) * p
+    n, g, m, c, window = params.n, params.g, params.m, derive(params).c, s_max > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # 0/0 at q_i = 0
+        return (np.where(window, _scale(n, g, g, m, m, c, *transition, over=(2.0 * math.pi, v)), 0.0),
+                np.where(window, _scale(n, g, g, m, c, m, c, m, c, *energy, over=(math.pi, v)), 0.0))
 
 
 def emission_spectral_density(p, q_i: float, params: SystemParams):
@@ -145,7 +125,9 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
 
     Equals n*M*g**2/(4*pi*m*q_i) * p**3/eps(p) inside the emission window
     (0, p_max) and 0 outside; identically 0 for subcritical q_i. Vectorized
-    over p. Raises NumericalError where the density leaves the float range.
+    over p. It is formed as n*g**2/(2*pi*c*v) * p*S(p), v = q_i/q_c and S
+    the structure factor, by bogoliubov._scale. Raises NumericalError where
+    the density leaves the float range.
     """
     q_i = _require(q_i, "initial momentum", kind="nonnegative")
     arr = _as_momentum(p)
@@ -153,9 +135,10 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     p_max = max_emission_momentum(q_i, params)
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
-        pref = _in_float_range(q_i, (_density_prefactor(q_i, params), _PREFACTOR_RANGE))
+        d, x = derive(params), arr[mask]
+        S = _structure_factor(2.0 * params.m * d.c)(x)
         with np.errstate(over="ignore"):
-            density = pref * _emission_shape(params)(arr[mask])
+            density = _scale(params.n, params.g, params.g, x, S, over=(2.0 * math.pi, d.c, q_i / d.q_c))
         out[mask] = _in_float_range(
             q_i, (density, "emission spectral density at q_i = {!r} leaves the float range"))
     return out if out.ndim else float(out)
@@ -164,80 +147,79 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
 def transition_rate(q_i, params: SystemParams) -> RateResult:
     """Closed-form rates: exact radial integrals of the emission spectrum.
 
-    With pref = n*M*g**2/(4*pi*m*q_i), k = 2*m*c and t = asinh(p_max/k),
+    With v = q_i/q_c, s_max = p_max/2mc (kinematics._window), u = 2*asinh(s_max),
 
-        gamma_T = pref * (m*k**2/2) * (sinh(2t) - 2t)
-        gamma_E = pref * p_max**4/4
+        gamma_T = n*g**2*m**2*c/(2*pi*v) * (sinh(u) - u)
+        gamma_E = n*g**2*(m*c)**3/(pi*v) * s_max**4
 
-    gamma_E is an identity, not an approximation: the eps(p) weight integrates
-    in closed form. With u = 2t, sinh(u) - u takes its odd Taylor tail below
-    u = 1 (bogoliubov._sinh_tail, shared with selfenergy.I0); at and above
-    it the radial factor is the one form m*(p_max*hypot(k, p_max) - k**2*u/2),
-    which stays in range wherever gamma_T is. p_max takes its factored gap,
-    so both rates are exact to rounding up to threshold, and exactly zero at
-    or below it. transition_rate_quadrature shares pref and p_max and must
-    reproduce both to its tolerance. q_i is a float or a 1-D array; each
-    entry is bit-identical to the float call.
+    gamma_E is an identity: the eps(p) weight integrates in closed form.
+    Below u = 1, sinh(u) - u is u**3 times its odd series
+    (bogoliubov._sinh_series, shared with selfenergy.I0); at and above it,
+    s_max*h*(2 - u/(s_max*h)) with h = hypot(s_max, 1). u three times, or
+    s_max four times, goes to bogoliubov._scale with the units, so a rate
+    is 0 or raises only where its value leaves the float range; both are
+    exact to rounding up to threshold and exactly zero at or below it.
+    q_i is a float or a 1-D array; each entry is bit-identical to the float call.
     """
     q, pack = _momenta(q_i)
-    p_max = _p_max(q, params)
-    k = 2.0 * params.m * derive(params).c
-    with np.errstate(over="ignore", invalid="ignore"):
-        # u and p_max**4 from libm, in one pass over the entries
-        u, p_max4 = _libm(lambda p: (2.0 * math.asinh(p / k), _pow(p, 4)), nout=2)(p_max)
-        # m*k**2/2 * (sinh(u) - u) with sinh(u) = 2s*hypot(1, s), s = p_max/k, multiplied out
-        radial = np.where(u < 1.0, 0.5 * params.m * k * k * _sinh_tail(u, u * u),
-                          params.m * (p_max * np.hypot(k, p_max) - k * k * u / 2.0))
-        pref = _density_prefactor(q, params)
-        window = p_max > 0.0
-        gamma_T = np.where(window, pref * radial, 0.0)
-        gamma_E = np.where(window, pref * (p_max4 / 4.0), 0.0)
+    v, s = _window(q, params)
+    u, h = _libm(lambda x: 2.0 * math.asinh(x))(s), np.hypot(s, 1.0)
+    series = u < 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # u/(s*h) is nan at s = 0, where the series is read
+        sinh_excess = (np.where(series, _sinh_series(u * u), s), np.where(series, u, h),
+                       np.where(series, u, 2.0 - u / (s * h)), np.where(series, u, 1.0))
+    gamma_T, gamma_E = _scaled_rates(params, v, s, sinh_excess, (s, s, s, s))
     return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [
-        (p_max, _P_MAX_RANGE),
         (np.maximum(gamma_T, gamma_E), "closed-form rates at q_i = {!r} leave the float range")])
+
+
+def _transition_shape(power):
+    """x -> x/hypot(power, 1/x) = x**2/hypot(x*power, 1): s**2/hypot(s, 1) over power**2, in x = s/power."""
+    power, one = np.array(power), np.array(1.0)  # 0-d arrays, which a ufunc takes without converting
+    return lambda x: x / np.hypot(power, one / x)
 
 
 def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_REL_TOL) -> RateResult:
     """Rates by adaptive integration over the emission window.
 
-    Integrates the emission shape p**3/eps (and eps * that, for the energy
-    rate) over (0, p_max); est_error is the larger relative error estimate
-    of the two integrals. Subcritical momenta return exact zeros without
-    integrating.
+    4 times the integrals of s**2/hypot(s, 1) and s**3 over (0, s_max),
+    s = p/2mc, are the sinh(u) - u and s_max**4 of transition_rate, and go
+    through its scale. They run in x = s/2**k, 2**(3k) and 2**(4k) in the
+    scale, with k the exponent of s_max to the nearest multiple of 128, at
+    most 896 (2**1024 is not a float): normal floats at every s_max, and the
+    bits of the integrals in s wherever those are normal. est_error is the
+    larger relative error estimate of the two. Subcritical momenta integrate nothing.
 
-    q_i is a float or a 1-D array. For an array, the result holds arrays
-    (one entry per momentum, each bit-identical to the float call) and each
-    integral runs once over all supercritical windows. Errors then come in
-    this order: every momentum is validated and every window built, then
-    the gamma_T integral fails at its first failing momentum, then the
-    gamma_E integral, then the first momentum whose prefactor, smallness or
-    energy rate leaves the float range.
+    q_i is a float or a 1-D array, each entry bit-identical to the float
+    call; the gamma_T integral runs once per k (once for every s_max from
+    2**-64 to 2**64), the gamma_E one once. Errors come in this order: every
+    momentum is validated and every window built, then the gamma_T integral
+    fails at its first failing momentum, then the gamma_E one, then the first
+    momentum whose transition rate, smallness or energy rate leaves the range.
     """
     q, pack = _momenta(q_i)
     _check_rel_tol(tol)
-    p_max = max_emission_momentum(q, params)
-    # a supercritical q_i whose gap underflows has p_max = 0 and integrates nothing
-    window = p_max > 0.0
+    v, s_max = _window(q, params)
+    _in_float_range(q, (s_max, _P_MAX_RANGE))
+    power = np.ldexp(1.0, np.clip(128 * np.round(np.frexp(s_max)[1] / 128), -1024, 896).astype(int))
+    f = s_max / power  # exact: power is a power of two
+    window = s_max > 0.0  # a supercritical q_i whose gap underflows has s_max = 0
     val_t, err_t, val_e, err_e = np.zeros((4, q.size))
+    try:
+        for scale in sorted(set(power[window].tolist())):  # np.unique would import numpy.ma
+            rows = window & (power == scale)
+            val_t[rows], err_t[rows] = integrate(_transition_shape(scale), 0.0, f[rows], tol)
+    except NumericalError:
+        for i in np.flatnonzero(window).tolist():  # raise where a loop over the momenta would
+            integrate(_transition_shape(power[i]), 0.0, f[i], tol)
+        raise
     if window.any():
-        # a 0-d exponent, not a float: a ufunc converts a Python float on every call
-        cube = np.array(3.0)
-
-        def radial_energy(p):
-            return np.power(p, cube)  # p**3/eps * eps
-
-        # p**3 overflows from q_i ~ 1e103; integrate reports that as a NumericalError
-        with np.errstate(over="ignore"):
-            val_t[window], err_t[window] = integrate(_emission_shape(params), 0.0, p_max[window], tol)
-            val_e[window], err_e[window] = integrate(radial_energy, 0.0, p_max[window], tol)
-    pref = np.where(window, _density_prefactor(q, params), 0.0)
+        val_e[window], err_e[window] = integrate(lambda x: x * x * x, 0.0, f[window], tol)
     est = np.maximum(err_t / np.maximum(np.abs(val_t), _TINY),
                      err_e / np.maximum(np.abs(val_e), _TINY))
-    # an infinite prefactor times an integral that underflowed to 0 is nan; the range checks report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma_T, gamma_E = pref * val_t, pref * val_e
-    return _rate_result(q, pack, params, "quadrature", gamma_T, gamma_E, est,
-                        [(pref, _PREFACTOR_RANGE)])
+    gamma_T, gamma_E = _scaled_rates(params, v, s_max, (4.0, val_t) + (power,) * 3, (4.0, val_e) + (power,) * 4)
+    return _rate_result(q, pack, params, "quadrature", gamma_T, gamma_E, est, [
+        (gamma_T, "transition rate at q_i = {!r} leaves the float range")])
 
 
 def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) -> float:
@@ -245,22 +227,20 @@ def transition_rate_asymptotic(q_i: float, params: SystemParams, regime: str) ->
 
     regime "threshold": (2*n*g**2/(3*pi*m*c**2)) * (q_i - q_c)**3, the cubic
     onset just above the critical momentum. regime "high_momentum":
-    n*g**2*M*q_i*(m/(M+m))**2/pi, the sound-speed-independent large-q_i law.
-    The caller decides where each expansion applies. Raises NumericalError
-    when the rate leaves the float range.
+    n*g**2*q_i*m_r**2/(pi*M), with m_r = m*M/(m + M) the reduced mass: the
+    sound-speed-independent large-q_i law. Both are formed by
+    bogoliubov._scale. The caller decides where each expansion applies.
+    Raises NumericalError when the rate leaves the float range.
     """
     q_i = _require(q_i, "initial momentum", kind="nonnegative")
-    d = derive(params)
-    n, m, M = params.n, params.m, params.M
-    ratio = m / (M + m)
-    rates = {  # np.float64 ** gives inf where the cube overflows
-        "threshold": lambda g2: (
-            (2.0 * n * g2 / (3.0 * math.pi * m * d.c * d.c)) * np.float64(q_i - d.q_c) ** 3),
-        "high_momentum": lambda g2: n * g2 * M * q_i * ratio * ratio / math.pi,
-    }
-    if regime not in tuple(rates):  # compared with ==, so an unhashable regime is refused too
+    d, n, g = derive(params), params.n, params.g
+    gap = q_i - d.q_c
+    terms = {"threshold": ((2.0, n, g, g, gap, gap, gap), (3.0 * math.pi, params.m, d.c, d.c)),
+             "high_momentum": ((n, g, g, q_i, d.m_r, d.m_r), (math.pi, params.M))}
+    if regime not in tuple(terms):  # compared with ==, so an unhashable regime is refused too
         raise DomainError(f"unknown regime {regime!r}; expected 'threshold' or 'high_momentum'")
-    rate = _g2_last(rates[regime], params.g)
+    with np.errstate(over="ignore"):
+        rate = _scale(*terms[regime][0], over=terms[regime][1])
     return _in_float_range(q_i, (rate, f"{regime} rate at q_i = {{!r}} leaves the float range"))
 
 

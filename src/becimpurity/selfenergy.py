@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _libm, _log1p, _mass_tail, _sinh_tail
+from .bogoliubov import _libm, _log1p, _mass_series, _pow, _scale, _sinh_series
 from .errors import PerturbativeBreakdownError, _in_float_range, _require
 from .kinematics import _subcritical
 from .params import SystemParams, derive
@@ -126,7 +126,7 @@ def I0(x: float) -> float:
         return 4.0 / 3.0
     u, z, s, d = _rapidity(x)
     if u < 1.0:
-        return _sinh_tail(u, z) / (2.0 * abs(d) * s)
+        return _pow(u, 3) * _sinh_series(z) / (2.0 * abs(d) * s)
     return x / d - u / (2.0 * d * s)
 
 
@@ -145,7 +145,7 @@ def I1(y: float) -> float:
         return 2.0 / 15.0
     u, z, s, _ = _rapidity(y)
     if u < 3.0:
-        return _mass_tail(u, z) / (4.0 * s**5)
+        return _pow(u, 5) * _mass_series(z) / (4.0 * s**5)
     return _scaled_I1(u, s, y) / (4.0 * s) / (s * s)
 
 
@@ -218,9 +218,10 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
     with t_cut the image of the cutoff, so that its initial panels follow
     the crossover at p = 2mc whatever the cutoff: every cutoff converges,
     the largest ones at t_cut = 1, the cutoff-free shift. A non-finite
-    integrand is reported at its node in t. Raises NumericalError where the
-    shift leaves the float range, as it does for an impurity lighter than
-    about 1e-156 m at a = 0.01.
+    integrand is reported at its node in t. The prefactor
+    n*a**2/(m*m_r**2) and the integral meet in bogoliubov._scale, so neither
+    overflows short of the shift. Raises NumericalError where the shift
+    leaves the float range.
     """
     # q_i as the one entry of a list: an array q_i is an offending entry
     q_i = _subcritical([q_i], params, "energy shift")[0].item()
@@ -234,12 +235,11 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
     # for a light impurity r*s overflows to inf and the integrand to 0
     with np.errstate(over="ignore"):
         val, _ = integrate(subtracted, 0.0, _rational_image(cutoff / two_mc), _DEFAULT_TOL)
-    # a numpy square gives inf, not OverflowError, where a**2 overflows; a
-    # numpy divisor gives inf (or nan, where a**2 underflows too), not
-    # ZeroDivisionError, where m*m_r*m_r underflows to 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pref = float(params.n * np.float64(params.a) ** 2 / np.float64(m * m_r * m_r))
-    energy = mean_field_shift(params) + pref * (4.0 * m * m * two_mc * val)
+    # the prefactor n*a**2/(m*m_r**2) times 4*m**2*2mc*val, by bogoliubov._scale
+    a = params.a
+    with np.errstate(over="ignore"):
+        fluctuation = _scale(a, a, params.n, over=(m, m_r, m_r), times=(4.0 * m * m * two_mc * val,))
+    energy = mean_field_shift(params) + fluctuation
     return _in_float_range(q_i, (energy, "energy shift at q_i = {!r} leaves the float range"))
 
 

@@ -14,7 +14,7 @@ from becimpurity import (
     derive,
     transform_coefficients,
 )
-from becimpurity.bogoliubov import _energy_scales, _mass_tail, _sinh_tail, _structure_factor
+from becimpurity.bogoliubov import _energy_scales, _mass_series, _pow, _sinh_series, _structure_factor
 
 UNIT = SystemParams(g=1.0)
 
@@ -200,22 +200,23 @@ def test_transform_stays_exact_where_s_times_s_plus_2_overflows(p):
     assert batch.alpha[0] == transform_coefficients(2.0, UNIT).alpha
 
 
-def test_sinh_tail_is_the_horner_series_the_rates_always_used():
-    # bit for bit the u**3 * polyval form of sinh(u) - u below u = 1, u**3 by libm pow
+def test_sinh_series_is_the_horner_series_the_rates_always_used():
+    # bit for bit the polyval form of (sinh(u) - u)/u**3 below u = 1; I0 multiplies
+    # it by u**3 from libm pow, and the closed rates pass u to the scale three times
     u = np.linspace(1e-3, 1.0, 257)
     coeffs = [1.0 / math.factorial(j) for j in range(19, 2, -2)]
-    want = np.array([math.pow(v, 3) for v in u.tolist()]) * np.polyval(coeffs, u * u)
-    assert [v.hex() for v in _sinh_tail(u, u * u).tolist()] == [v.hex() for v in want.tolist()]
+    want = np.polyval(coeffs, u * u)
+    assert [v.hex() for v in _sinh_series(u * u).tolist()] == [v.hex() for v in want.tolist()]
 
 
-@pytest.mark.parametrize("tail, cut, hyperbolic, trigonometric", [
-    (_sinh_tail, 1.0, lambda u: mpmath.sinh(u) - u, lambda u: u - mpmath.sin(u)),
-    (_mass_tail, 3.0, lambda u: (2 + mpmath.cosh(u)) * u - 3 * mpmath.sinh(u),
+@pytest.mark.parametrize("series, first, cut, hyperbolic, trigonometric", [
+    (_sinh_series, 3, 1.0, lambda u: mpmath.sinh(u) - u, lambda u: u - mpmath.sin(u)),
+    (_mass_series, 5, 3.0, lambda u: (2 + mpmath.cosh(u)) * u - 3 * mpmath.sinh(u),
      lambda u: (2 + mpmath.cos(u)) * u - 3 * mpmath.sin(u)),
 ])
-def test_odd_tails_match_their_closed_forms_below_the_cut(tail, cut, hyperbolic, trigonometric):
+def test_odd_tails_match_their_closed_forms_below_the_cut(series, first, cut, hyperbolic, trigonometric):
     with mpmath.workdps(60):
         for u in np.geomspace(1e-8, cut, 97).tolist():
             for z, exact in ((u * u, hyperbolic), (-u * u, trigonometric)):
                 ref = exact(mpmath.mpf(u))
-                assert float(abs((tail(u, z) - ref) / ref)) <= 1e-15, (u, z)
+                assert float(abs((_pow(u, first) * series(z) - ref) / ref)) <= 1e-15, (u, z)

@@ -123,7 +123,8 @@ def test_unreachable_tol_is_a_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
-@pytest.mark.parametrize("grid", ["1e78:1e80:3", "1e200:1e201:2"])
+# gamma_E = s_max**4/(pi*v) is in range up to q_i of about 2.08e103 at unit parameters
+@pytest.mark.parametrize("grid", ["1e104:1e106:3", "1e200:1e201:2"])
 def test_rates_beyond_the_float_range_are_a_numerical_failure(grid, capsys):
     code, out, err = run(capsys, "rates", "--grid", grid)
     assert code == 3
@@ -132,14 +133,15 @@ def test_rates_beyond_the_float_range_are_a_numerical_failure(grid, capsys):
 
 
 # the first error of a grid, as the point-by-point sweep reported it: the
-# closed route and the window come before the quadrature
+# closed route and the window come before the quadrature. gamma_E leaves the
+# float range from q_i of about 2.08e103, while p_max is in range at 1e200
 @pytest.mark.parametrize("argv,err", [
-    (("--grid", "1e76:1e80:3"), "closed-form rates at q_i = 5.0005e+79 leave the float range"),
-    (("--grid", "1e78:1e80:3"), "closed-form rates at q_i = 1e+78 leave the float range"),
-    (("--grid", "1e200:1e201:2"), "largest emitted momentum at q_i = 1e+200 leaves the float range"),
+    (("--grid", "1e102:1e104:3"), "closed-form rates at q_i = 5.05e+103 leave the float range"),
+    (("--grid", "1e104:1e106:3"), "closed-form rates at q_i = 1e+104 leave the float range"),
+    (("--grid", "1e200:1e201:2"), "closed-form rates at q_i = 1e+200 leave the float range"),
     (("--tol", "1e-18", "--grid", "2:2:1"),
-     "subdivision budget (200) exhausted: error estimate 1.085e-14 above target 9.774e-19"),
-    (("--grid", "1e78:1e200:3"), "closed-form rates at q_i = 1e+78 leave the float range"),
+     "subdivision budget (200) exhausted: error estimate 1.356e-15 above target 1.222e-19"),
+    (("--grid", "1e78:1e200:3"), "closed-form rates at q_i = 5e+199 leave the float range"),
 ])
 def test_rates_failures_report_the_first_error_of_the_grid(argv, err, capsys):
     code, out, got = run(capsys, "rates", *argv)

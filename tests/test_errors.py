@@ -211,9 +211,10 @@ _SITES = [
          ParameterDomainError, "q_c = M*c with M = 1e-300 and c = 1e-300 leaves the float range"),
     _row("derived-2mc", lambda v: SystemParams(m=v, n=v, U0=v, g=1.0), 1e300,
          ParameterDomainError, "2*m*c with m = 1e+300 and c = 1e+150 leaves the float range"),
-    # the prefactor's 0/0 let a RuntimeWarning escape before the error
+    # the prefactor's 0/0 at M = 1e-310 let a RuntimeWarning escape before an error;
+    # the shift is in range there, and the prefactor times the integral overflows here
     _row("energy_shift_quadrature-prefactor",
-         lambda v: energy_shift_quadrature(0.0, SystemParams(M=v, g=1.0), 200.0), 1e-310,
+         lambda v: energy_shift_quadrature(0.0, SystemParams(a=v), 200.0), 1e154,
          NumericalError, "energy shift at q_i = 0.0 leaves the float range"),
     # bounds and budgets that a raw error or a bool got past
     _row("huge-int-integrate-a", lambda v: integrate(abs, v, 1.0), 10**400, DomainError,

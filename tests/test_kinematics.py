@@ -80,9 +80,11 @@ def test_max_emission_momentum_is_resonant_forward():
 
 @pytest.mark.parametrize("route", [max_emission_momentum, emission_window])
 def test_max_emission_momentum_beyond_the_float_range_raises_numerical(route):
-    # q_i**2 overflows: the root used to come back as nan
-    with pytest.raises(NumericalError, match="float range"):
-        route(1e200, UNIT)
+    # q_i**2 overflows at 1e200, where the window used to raise; p_max is q_i there.
+    # With m = 4 and M = 1, p_max = 2m*q_i/(m + M) = 1.6*q_i leaves the range
+    assert max_emission_momentum(1e200, UNIT) == pytest.approx(1e200, rel=1e-15)
+    with pytest.raises(NumericalError, match=r"^largest emitted momentum at q_i = 1\.5e\+308 leaves the float range$"):
+        route(1.5e308, SystemParams(m=4.0, U0=16.0, g=1.0))
 
 
 def test_emission_window_supercritical():

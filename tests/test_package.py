@@ -129,12 +129,11 @@ def _dispatched_uses(source):
 
 def test_outputs_take_no_transcendental_or_power_ufunc_of_numpy():
     # outputs take these from libm through bogoliubov._libm; what remains: log1p in
-    # the fallback of _log1p (at -1 and below, where every loop gives -inf or nan),
-    # the gamma_E integrand's cube, which no command prints, and the finite-time
-    # kernel's sin, which check reads and test_cli's dispatch test compares; a **
-    # on an array is not seen here
+    # the fallback of _log1p (at -1 and below, where every loop gives -inf or nan)
+    # and the finite-time kernel's sin, which check reads and test_cli's dispatch
+    # test compares; a ** on an array is not seen here
     package = pathlib.Path(becimpurity.__file__).parent
     found = {p.name: _dispatched_uses(p.read_text()) for p in sorted(package.glob("*.py"))}
     assert {name: uses for name, uses in found.items() if uses} == {
-        "bogoliubov.py": ["log1p"], "rates.py": ["power"], "_kernels.py": ["sin"]}
+        "bogoliubov.py": ["log1p"], "_kernels.py": ["sin"]}
     assert _dispatched_uses("u = 2.0 * np.arcsinh(x) + math.asinh(y)") == ["arcsinh"]

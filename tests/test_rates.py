@@ -202,8 +202,9 @@ def test_box_rate_of_no_momenta_visits_no_lattice(monkeypatch):
     # the first window comes before the budget, the budget before any rate
     ([5.0, 1e-155], BoxOracleConfig(L=20.0, max_points=10), ConfigurationError, "p_cut = 3.0"),
     ([1e-155, 5.0], BoxOracleConfig(L=20.0, max_points=10), ConfigurationError, "budget"),
-    ([2.0, 1e200], BoxOracleConfig(L=20.0, eta=0.3), NumericalError,
-     "largest emitted momentum at q_i = 1e+200"),
+    # p_max = 1e200 is in range; p_cut does not cover it
+    ([2.0, 1e200], BoxOracleConfig(L=20.0, eta=0.3), ConfigurationError,
+     "p_cut = 3.0 does not cover the emission window (p_max = 1e+200)"),
 ])
 def test_box_rate_over_momenta_raises_what_a_loop_raises_first(grid, cfg, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -437,10 +438,9 @@ def test_quadrature_rates_raise_no_warning_where_an_infinite_prefactor_meets_a_z
     assert r.gamma_T == 0.0 and r.gamma_E == 0.0
 
 
-# 1e78: p_max**4 (closed) and the gamma_E integral (quadrature) overflow;
-# 1e120: the quadrature integrand p**3 overflows too;
-# 1e200: q_i**2 overflows inside max_emission_momentum
-@pytest.mark.parametrize("q_i", [1e78, 1e120, 1e200])
+# gamma_E = s_max**4/(pi*v) leaves the float range from q_i of about 2.08e103
+# at unit parameters, on both routes; at 1e200 gamma_T = 8e198 is in range
+@pytest.mark.parametrize("q_i", [1e104, 1e120, 1e200])
 @pytest.mark.parametrize("route", [transition_rate, transition_rate_quadrature])
 def test_rates_beyond_the_float_range_raise_numerical(route, q_i):
     with pytest.raises(NumericalError, match="float range|non-finite"):
@@ -478,29 +478,28 @@ def test_quadrature_on_an_array_matches_float_calls_bitwise(M):
 
 
 @pytest.mark.parametrize("M", [0.1, 1.0, 10.0])
-def test_quadrature_rates_are_the_prefactor_times_integrals_of_the_emission_shape(M):
-    # gamma_T integrates the one emission shape, 2m*S(p)*p, that the density
-    # uses; gamma_E integrates np.power(p, 3.0), which has the bits of p**3
+def test_quadrature_rates_are_the_scale_times_integrals_in_s(M):
+    # 4*int s**2/hypot(s, 1) and 4*int s**3 over (0, s_max), s = p/2mc, through
+    # the closed route's scale; each integral runs in s/2**e, which has its bits
     params = SystemParams(g=1.0, M=M)
     q = np.linspace(1.05, 10.0, 300) * derive(params).q_c
-    p_max = max_emission_momentum(q, params)
-    val_t, err_t = integrate(rates._emission_shape(params), 0.0, p_max)
-    val_e, err_e = integrate(lambda p: p**3, 0.0, p_max)
-    pref = rates._density_prefactor(q, params)
-    est = np.maximum(err_t / np.maximum(np.abs(val_t), rates._TINY),
-                     err_e / np.maximum(np.abs(val_e), rates._TINY))
+    v, s_max = kinematics._window(q, params)
+    val_t, err_t = integrate(lambda s: s / np.hypot(1.0, 1.0 / s), 0.0, s_max)
+    val_e, err_e = integrate(lambda s: s * s * s, 0.0, s_max)
+    gamma_T, gamma_E = rates._scaled_rates(params, v, s_max, (4.0, val_t), (4.0, val_e))
+    est = np.maximum(err_t / val_t, err_e / val_e)
     r = transition_rate_quadrature(q, params)
-    for got, want in ((r.gamma_T, pref * val_t), (r.gamma_E, pref * val_e), (r.est_error, est)):
+    for got, want in ((r.gamma_T, gamma_T), (r.gamma_E, gamma_E), (r.est_error, est)):
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
-def test_emission_shape_is_finite_where_p_cubed_overflows():
-    p = np.geomspace(1e103, 1e300, 50)
-    shape = rates._emission_shape(UNIT)(p)
+def test_emission_spectral_density_is_finite_where_p_cubed_overflows():
     # p**3/eps = 2*p**2/sqrt(p**2 + 4) at unit parameters, 2p to rounding here
-    assert np.isfinite(shape).all() and (shape == 2.0 * p).all()
     density = emission_spectral_density(1e110, 1e150, UNIT)
     assert density == pytest.approx(1e110 / (2.0 * math.pi * 1e150), rel=1e-15)
+    p = np.geomspace(1e103, 1e300, 50)
+    density = emission_spectral_density(p, 1e301, UNIT)
+    assert density == pytest.approx(p / (2.0 * math.pi * 1e301), rel=1e-15)
 
 
 @pytest.mark.parametrize("params", [UNIT, SystemParams(M=0.3, m=2.0, n=0.7, U0=1.7, g=0.4),
@@ -575,7 +574,7 @@ def test_closed_rates_with_an_overflowing_radicand_raise_not_zero(q_i):
     heavy = SystemParams(g=1.0, M=1e6)
     with pytest.raises(NumericalError, match="float range"):
         transition_rate(q_i, heavy)
-    with pytest.raises(NumericalError, match="non-finite"):
+    with pytest.raises(NumericalError, match="^energy dissipation rate at .* leaves the float range$"):
         transition_rate_quadrature(q_i, heavy)
 
 
@@ -585,60 +584,66 @@ def _hexes(r):
 
 
 def test_momenta_whose_gap_underflows_rate_exact_zeros_on_both_routes():
-    # q_c = 1e-300: these momenta are supercritical, but q_i**2 - q_c**2 and
-    # q_i**2/2M underflow to 0, so the window is empty (p_max = 0)
+    # q_c = 1e-300: q_i**2 - q_c**2 and q_i**2/2M underflow to 0, and the window
+    # used to be empty (p_max = 0). In v = q_i/q_c and r = m/M = 1e300 it is
+    # s_max = (v*v - 1)/(v*r + hypot(r, sqrt(v*v - 1))) = 1e-300 and 9e-300, and
+    # the rates, of order s_max**3, underflow to exact zeros
     tiny = SystemParams(g=1.0, M=1e-300)
-    for q_i in (2e-300, 1e-299):
-        assert max_emission_momentum(q_i, tiny) == 0.0
+    for q_i, p_max in ((2e-300, 2e-300), (1e-299, 1.8e-299)):
+        assert max_emission_momentum(q_i, tiny) == pytest.approx(p_max, rel=1e-15)
         for r in (transition_rate(q_i, tiny), transition_rate_quadrature(q_i, tiny)):
-            assert _hexes(r) == [["0x0.0p+0"]] * 4
+            assert [r.gamma_T, r.gamma_E, r.smallness] == [0.0] * 3
     # the in-range momenta of the same array keep their bits
     batch = transition_rate_quadrature(np.array([2e-300, 1.0, 1e-299, 3.0]), tiny)
-    zero = "0x0.0p+0"
+    zero, est = "0x0.0p+0", "0x1.9000000000000p-47"
     assert _hexes(batch) == [
-        [zero, "0x1.d13ef369717b2p-1000", zero, "0x1.16fbc64d8f1bcp-997"],
-        [zero, "0x1.b49266db89b9ep-999", zero, "0x1.705b86c93c34dp-994"],
-        [zero, "0x1.9000000000000p-47", zero, "0x1.9000000000000p-47"],
+        [zero, "0x1.d13ef369717b3p-1000", zero, "0x1.16fbc64d8f1bep-997"],
+        [zero, "0x1.b49266db89b9fp-999", zero, "0x1.705b86c93c350p-994"],
+        ["0x1.9000000000001p-47", est, est, "0x1.8ffffffffffffp-47"],
         [zero] * 4,
     ]
     assert _hexes(transition_rate_quadrature(2.0, UNIT)) == [
-        ["0x1.3e9627cb782b2p-5"], ["0x1.9c8794af361c6p-5"],
-        ["0x1.9000000000000p-47"], ["0x1.3e9627cb782b2p-6"],
+        ["0x1.3e9627cb782b3p-5"], ["0x1.9c8794af361c6p-5"],
+        ["0x1.9000000000001p-47"], ["0x1.3e9627cb782b3p-6"],
     ]
 
 
 def test_closed_rates_keep_their_bits_on_both_sides_of_the_series_cut():
-    # sinh(u) - u is its odd Taylor tail below u = 2*asinh(p_max/2mc) = 1 and
-    # the closed difference above it; u is shown next to each momentum.
-    # gamma_T is pinned; gamma_E = pref*p_max**4/4 is held to 2 ulps of its
-    # exact value from the same float pref and p_max, since numpy's power
-    # loop rounds differently on different CPUs
+    # sinh(u) - u is u**3 times its odd series below u = 2*asinh(s_max) = 1 and
+    # s_max*h*(2 - u/(s_max*h)) above it; u is shown next to each momentum.
+    # Both rates are pinned, each within 3 ulps of its 60-digit value at the
+    # float q_c; gamma_E, s_max**4 in the scale, takes no power from numpy
     cases = {
-        1.0: [(1.01, "0x1.bc846426323f6p-23"),  # u = 0.020
-              (1.3, "0x1.87c1b7f28e761p-9"),  # u = 0.525
-              (2.0, "0x1.3e9627cb782b3p-5"),  # u = 1.386
-              (5.0, "0x1.2ddd9f8f2320ap-2")],  # u = 3.219
-        0.3: [(0.35, "0x1.74ca211e9751dp-16"),  # u = 0.099
-              (1.0, "0x1.f27df7a89a438p-7"),  # u = 1.211
-              (4.0, "0x1.821f7a2091c95p-3")],  # u = 3.662
+        1.0: [(1.01, "0x1.bc846426323f5p-23", "0x1.a8a2f329b29dfp-29"),  # u = 0.020
+              (1.3, "0x1.87c1b7f28e761p-9", "0x1.3e62028de7202p-10"),  # u = 0.525
+              (2.0, "0x1.3e9627cb782b4p-5", "0x1.9c8794af361c6p-5"),  # u = 1.386
+              (5.0, "0x1.2ddd9f8f2320bp-2", "0x1.0e5afbf16496ap+1")],  # u = 3.219
+        0.3: [(0.35, "0x1.74ca211e97524p-16", "0x1.bc5f29395f4f7p-20"),  # u = 0.099
+              (1.0, "0x1.f27df7a89a43dp-7", "0x1.0beca095f547bp-6"),  # u = 1.211
+              (4.0, "0x1.821f7a2091c95p-3", "0x1.04f70d4f1cb64p+1")],  # u = 3.662
     }
     for M, pins in cases.items():
         params = SystemParams(g=1.0, M=M)
-        q = np.array([q_i for q_i, _ in pins])
+        q = np.array([q_i for q_i, _, _ in pins])
         batch = transition_rate(q, params)
-        assert [v.hex() for v in batch.gamma_T.tolist()] == [T for _, T in pins]
-        pref, p_max = rates._density_prefactor(q, params), kinematics._p_max(q, params)
-        for i, (q_i, T) in enumerate(pins):
+        assert [v.hex() for v in batch.gamma_T.tolist()] == [T for _, T, _ in pins]
+        assert [v.hex() for v in batch.gamma_E.tolist()] == [E for _, _, E in pins]
+        for q_i, T, E in pins:
             one = transition_rate(q_i, params)
-            assert (one.gamma_T.hex(), one.gamma_E.hex()) == (T, batch.gamma_E[i].hex()), (M, q_i)
-            with mpmath.workdps(40):
-                exact = mpmath.mpf(pref[i]) * mpmath.mpf(p_max[i]) ** 4 / 4
-                assert abs(one.gamma_E - exact) <= 2 * math.ulp(one.gamma_E), (M, q_i)
+            assert (one.gamma_T.hex(), one.gamma_E.hex()) == (T, E), (M, q_i)
+            with mpmath.workdps(60):
+                d = derive(params)
+                v, r, c = mpmath.mpf(q_i) / mpmath.mpf(d.q_c), 1 / mpmath.mpf(M), mpmath.mpf(d.c)
+                s = (v - 1) * (v + 1) / (v * r + mpmath.sqrt(r * r + (v - 1) * (v + 1)))
+                u = 2 * mpmath.asinh(s)
+                exact = (c * (mpmath.sinh(u) - u) / (2 * mpmath.pi * v), c**3 * s**4 / (mpmath.pi * v))
+            for got, want in zip((one.gamma_T, one.gamma_E), exact):
+                assert abs(got - want) <= 3 * math.ulp(got), (M, q_i)
 
 
 def test_coupling_whose_square_overflows_raises_numerical():
     huge = SystemParams(g=1e200)
-    with pytest.raises(NumericalError, match="rate prefactor at q_i = 2.0 leaves the float range"):
+    with pytest.raises(NumericalError, match="transition rate at q_i = 2.0 leaves the float range"):
         transition_rate_quadrature(2.0, huge)
     with pytest.raises(NumericalError, match="float range"):
         emission_spectral_density(1.0, 2.0, huge)
@@ -652,7 +657,8 @@ def test_coupling_whose_square_overflows_raises_numerical():
 
 def test_coupling_up_to_1e150_keeps_its_bits():
     strong = SystemParams(g=1e150)
-    assert transition_rate_quadrature(2.0, strong).gamma_T.hex() == "0x1.dbb86a32aae16p+991"
+    # 2 ulps below the closed value, which is the correctly rounded 0x1.dbb86a32aae19p+991
+    assert transition_rate_quadrature(2.0, strong).gamma_T.hex() == "0x1.dbb86a32aae17p+991"
     assert transition_rate_asymptotic(2.0, strong, "threshold").hex() == "0x1.4479f6c093b28p+994"
     assert transition_rate_asymptotic(2.0, strong, "high_momentum").hex() == "0x1.e6b6f220dd8bdp+993"
 
@@ -662,7 +668,7 @@ def test_smallness_that_leaves_the_float_range_raises():
     box = BoxOracleConfig(L=20.0, eta=0.3)
     assert box_rate(1e-100, UNIT, box).smallness.hex() == (2.0997385083003617e+198).hex()
     assert box_rate(0.0, UNIT, box).smallness == 0.0
-    # q_i**2/2M is subnormal at 1e-155, so the ratio overflows; at 1e-200 it is 0
+    # the ratio itself, about 2.1e308 at 1e-155 and 2.1e398 at 1e-200, leaves the range
     for q_i in (1e-155, 1e-200):
         with pytest.raises(NumericalError, match=f"smallness at q_i = {q_i!r} leaves the float range"):
             box_rate(q_i, UNIT, box)

@@ -334,19 +334,25 @@ def test_light_impurity_mass_routes_report_leaving_the_float_range(M, route):
     method = route.__name__.removeprefix("effective_mass_")
     expected = f"{method} mass correction at m/M = {1.0 / M!r} leaves the float range"
     if route is effective_mass_finite_difference and M < 1e-156:
-        # the energy shift itself leaves the range first, at the stencil's first point q_i = -2h
+        # the shifts are in range; the stencil's weight 12*h*h underflows to 0
         h = 0.01 * derive(params).q_c
-        expected = f"energy shift at q_i = {-2.0 * h!r} leaves the float range"
+        expected = f"second derivative at step h = {h!r} leaves the float range"
     with pytest.raises(NumericalError) as exc:
         route(params)
     assert str(exc.value) == expected
 
 
 @pytest.mark.parametrize("M", [1e-160, 1e-200])
-def test_light_impurity_energy_shift_reports_leaving_the_float_range(M):
-    # it returned inf at 1e-160 and ended in a ZeroDivisionError at 1e-200
-    with pytest.raises(NumericalError, match=r"^energy shift at q_i = 0\.0 leaves the float range$"):
-        energy_shift_quadrature(0.0, SystemParams(a=0.01, M=M), 200.0)
+def test_light_impurity_energy_shift_meets_the_closed_form(M):
+    # it returned inf at 1e-160, ended in a ZeroDivisionError at 1e-200, and then
+    # raised where the prefactor n*a**2/(m*m_r**2) overflowed; the shift is in
+    # range, 6.36e158 at 1e-160, and converges to the closed one like 1/cutoff
+    params = SystemParams(a=0.01, M=M)
+    closed = energy_shift_closed(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cutoff, rel in ((200.0, 1e-4), (2000.0, 1e-5), (1e300, 1e-13)):
+            assert energy_shift_quadrature(0.0, params, cutoff) == pytest.approx(closed, rel=rel)
 
 
 @pytest.mark.parametrize("b", [0, 10, 20, 30, 40, 100])
