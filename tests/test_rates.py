@@ -202,6 +202,8 @@ def test_box_rate_of_no_momenta_visits_no_lattice(monkeypatch):
     # the first window comes before the budget, the budget before any rate
     ([5.0, 1e-155], BoxOracleConfig(L=20.0, max_points=10), ConfigurationError, "p_cut = 3.0"),
     ([1e-155, 5.0], BoxOracleConfig(L=20.0, max_points=10), ConfigurationError, "budget"),
+    # the rates of 2.0 are in range; the smallness at 1e-200, about 2.1e398, is not
+    ([2.0, 1e-200], BoxOracleConfig(L=20.0, eta=0.3), NumericalError, "smallness at q_i = 1e-200"),
     # p_max = 1e200 is in range; p_cut does not cover it
     ([2.0, 1e200], BoxOracleConfig(L=20.0, eta=0.3), ConfigurationError,
      "p_cut = 3.0 does not cover the emission window (p_max = 1e+200)"),
@@ -478,9 +480,10 @@ def test_quadrature_on_an_array_matches_float_calls_bitwise(M):
 
 
 @pytest.mark.parametrize("M", [0.1, 1.0, 10.0])
-def test_quadrature_rates_are_the_scale_times_integrals_in_s(M):
-    # 4*int s**2/hypot(s, 1) and 4*int s**3 over (0, s_max), s = p/2mc, through
-    # the closed route's scale; each integral runs in s/2**e, which has its bits
+def test_quadrature_rates_are_the_prefactor_times_integrals_of_the_emission_shape(M):
+    # 4*int s**2/hypot(s, 1), the emission shape in s = p/2mc, and 4*int s**3 over
+    # (0, s_max), times the closed route's scale; each integral runs in s/2**e,
+    # which has its bits
     params = SystemParams(g=1.0, M=M)
     q = np.linspace(1.05, 10.0, 300) * derive(params).q_c
     v, s_max = kinematics._window(q, params)
@@ -493,7 +496,7 @@ def test_quadrature_rates_are_the_scale_times_integrals_in_s(M):
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
-def test_emission_spectral_density_is_finite_where_p_cubed_overflows():
+def test_emission_shape_is_finite_where_p_cubed_overflows():
     # p**3/eps = 2*p**2/sqrt(p**2 + 4) at unit parameters, 2p to rounding here
     density = emission_spectral_density(1e110, 1e150, UNIT)
     assert density == pytest.approx(1e110 / (2.0 * math.pi * 1e150), rel=1e-15)

@@ -355,7 +355,20 @@ def test_light_impurity_energy_shift_meets_the_closed_form(M):
             assert energy_shift_quadrature(0.0, params, cutoff) == pytest.approx(closed, rel=rel)
 
 
-@pytest.mark.parametrize("b", [0, 10, 20, 30, 40, 100])
+@pytest.mark.parametrize("M", [1e-160, 1e-200])
+def test_light_impurity_energy_shift_reports_leaving_the_float_range(M):
+    # the shift is about 8*a**2/M here: 8e308 with this a, out of range on both
+    # routes, and 5e307 with a/4, in range on both
+    a = math.sqrt(M) * 1e154
+    with pytest.raises(NumericalError, match="^closed-form energy shift at a = .* leaves the float range$"):
+        energy_shift_closed(SystemParams(a=a, M=M))
+    with pytest.raises(NumericalError, match=r"^energy shift at q_i = 0\.0 leaves the float range$"):
+        energy_shift_quadrature(0.0, SystemParams(a=a, M=M), 200.0)
+    params = SystemParams(a=a / 4.0, M=M)
+    assert energy_shift_quadrature(0.0, params, 1e300) == pytest.approx(energy_shift_closed(params), rel=1e-11)
+
+
+@pytest.mark.parametrize("b",[0, 10, 20, 30, 40, 100])
 def test_quadrature_mass_in_smaller_momentum_units_warns_nothing(b):
     # one system with its momenta in a unit 2**b times smaller: n * 2**(3b), U0 and a / 2**b;
     # from b = 40 a node of the rational tail map rounded to t = 1 and its division by
