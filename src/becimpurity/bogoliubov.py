@@ -107,16 +107,16 @@ def _libm(fn, nin: int = 1, nout: int = 1):
 def _scale(*factors, over=(), times=()):
     """prod(factors)/prod(over)*prod(times), left to right, on frexp mantissas with one ldexp.
 
-    The one route of a dimensional scale to an output. It has the bits of
-    the plain expression wherever every partial result of that is a normal
-    float, it is inf or 0 only where its value leaves the float range, and
-    a power-of-two factor scales it exactly. frexp and ldexp are exact, so
-    no loop numpy picks by CPU moves a bit. Elementwise; the caller's
-    np.errstate governs the final overflow.
+    The one route of a dimensional scale to an output: the plain expression's
+    bits where its partial results are normal, inf or 0 only where its value
+    leaves the float range, exact under powers of two and on every CPU (frexp
+    and ldexp are exact). A factor may be a (mantissa, exponent) pair; times
+    keeps the energy shift's grouping. Elementwise, under the caller's errstate.
     """
     def parts(values):
-        mantissa, exponent = 1.0, 0
-        for f, e in map(np.frexp, values):
+        mantissa, exponent = np.float64(1.0), 0
+        for x in values:  # math.frexp gives a float's parts without a numpy call
+            f, e = x if isinstance(x, tuple) else math.frexp(x) if isinstance(x, float) else np.frexp(x)
             mantissa, exponent = mantissa * f, exponent + e
         return mantissa, exponent
 

@@ -56,30 +56,29 @@ def omega(p, x, q_i: float, params: SystemParams):
     return _in_float_range(p, (out, "frequency mismatch at p = {!r} leaves the float range"))
 
 
-def _window(q, params: SystemParams):
-    """(v, s_max) at each validated momentum of the array q: v = q/q_c and s_max = p_max/2mc.
+def _window(q, params: SystemParams, *units):
+    """(v, prod(units)*s_max) at each validated momentum of the array q: v = q/q_c, s_max = p_max/2mc.
 
     The one window rule: s_max, the root of hypot(s, 1) + r*s = v with r = m/M, is
     G/(v*r + hypot(r, sqrt(G))), G = (v - 1)*(v + 1), v - 1 = (q - q_c)/q_c exact near
-    threshold (Sterbenz). G and sqrt(G) go through their frexp parts, and the denominator
-    over the power of two of v, so s_max is 0 or inf only where its value is.
+    threshold (Sterbenz). It runs in frexp parts over 2**k, the power of two of v, and v is
+    that (mantissa, k) pair (a bogoliubov._scale factor): only the scaled s_max is 0 or inf.
     """
     q_c, r = derive(params).q_c, params.m / params.M
     with np.errstate(over="ignore", invalid="ignore"):
-        v = q / q_c
-        gap = np.maximum((q - q_c) / q_c, 0.0)
-        (below, e_below), (above, e_above) = np.frexp(gap), np.frexp(v + 1.0)
-        e = e_below + e_above
-        root = np.ldexp(np.sqrt(np.ldexp(below * above, e & 1)), e >> 1)
-        fraction, k = np.frexp(v)  # v > sqrt(G), so only r can overflow the scaled denominator
-        over = fraction * r + np.hypot(np.ldexp(r, -k), np.ldexp(root, -k))
-        return v, _scale(gap, v + 1.0, over=(over,), times=(np.ldexp(1.0, -k),))
+        (fq, up), (fc, down), (fg, e_gap) = np.frexp(q), np.frexp(q_c), np.frexp(np.maximum(q - q_c, 0.0))
+        v, k, gap, e_gap = fq / fc, up - down, fg / fc, e_gap - down  # the frexp parts' quotients
+        lift = np.maximum(k, 0)  # (v + 1)/2**lift is a float for every v
+        above, e_above = np.frexp(np.ldexp(v, k - lift) + np.ldexp(1.0, -lift))
+        e = e_gap + e_above + lift
+        root = np.ldexp(np.sqrt(np.ldexp(gap * above, e & 1)), (e >> 1) - k)  # sqrt(G)/2**k < v
+        over, e_over = np.frexp(v * r + np.hypot(np.ldexp(r, -k), root))  # only r can overflow
+        return (v, k), _scale(*units, (gap * above / over, e - k - e_over))
 
 
 def _p_max(q, params: SystemParams):
     """p_max = 2mc*s_max at each validated momentum of the array q (_window); inf past the float range."""
-    with np.errstate(over="ignore"):
-        return 2.0 * params.m * derive(params).c * _window(q, params)[1]
+    return _window(q, params, 2.0, params.m, derive(params).c)[1]
 
 
 def max_emission_momentum(q_i, params: SystemParams):

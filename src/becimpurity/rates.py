@@ -12,7 +12,7 @@ cancellation, so the dissipationless regime is a structural guarantee.
 
 The closed and quadrature rates, the density and the asymptotes work in v = q_i/q_c,
 r = m/M and s_max = p_max/2mc, and hand every unit to bogoliubov._scale last: a rate
-is 0 or raises only where its value leaves the float range.
+is 0 or raises only where its value, or s_max, leaves the float range.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .bogoliubov import _as_momentum, _libm, _scale, _sinh_series, _structure_factor
 from .errors import ConfigurationError, DomainError, NumericalError, _in_float_range, _require
-from .kinematics import _P_MAX_RANGE, _entries, _momenta, _p_max, _subcritical, _window, max_emission_momentum
+from .kinematics import _entries, _momenta, _p_max, _subcritical, _window, max_emission_momentum
 from .params import SystemParams, derive
 from .quadrature import _DEFAULT_REL_TOL, _check_rel_tol, integrate
 
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_S_MAX_RANGE = "emission window s_max = p_max/2mc at q_i = {!r} leaves the float range"
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def _scaled_rates(params: SystemParams, v, s_max, transition, energy):
     """(gamma_T, gamma_E) from their radial factors, exact zeros outside the window (s_max = 0).
 
     gamma_T = n*g**2*m**2*c/(2*pi*v) * prod(transition) and gamma_E =
-    n*g**2*(m*c)**3/(pi*v) * prod(energy), every unit through bogoliubov._scale.
+    n*g**2*(m*c)**3/(pi*v) * prod(energy), v a pair, every unit through bogoliubov._scale.
     """
     n, g, m, c, window = params.n, params.g, params.m, derive(params).c, s_max > 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # 0/0 at q_i = 0
@@ -135,10 +136,10 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     p_max = max_emission_momentum(q_i, params)
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
-        d, x = derive(params), arr[mask]
+        d, x, v = derive(params), arr[mask], _window(np.array(q_i), params)[0]  # v as a pair
         S = _structure_factor(2.0 * params.m * d.c)(x)
         with np.errstate(over="ignore"):
-            density = _scale(params.n, params.g, params.g, x, S, over=(2.0 * math.pi, d.c, q_i / d.q_c))
+            density = _scale(params.n, params.g, params.g, x, S, over=(2.0 * math.pi, d.c, v))
         out[mask] = _in_float_range(
             q_i, (density, "emission spectral density at q_i = {!r} leaves the float range"))
     return out if out.ndim else float(out)
@@ -156,9 +157,9 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
     Below u = 1, sinh(u) - u is u**3 times its odd series
     (bogoliubov._sinh_series, shared with selfenergy.I0); at and above it,
     s_max*h*(2 - u/(s_max*h)) with h = hypot(s_max, 1). u three times, or
-    s_max four times, goes to bogoliubov._scale with the units, so a rate
-    is 0 or raises only where its value leaves the float range; both are
-    exact to rounding up to threshold and exactly zero at or below it.
+    s_max four times, goes to bogoliubov._scale with the units: a rate is 0
+    or raises only where it, or s_max first, leaves the float range; both
+    are exact to rounding up to threshold and exactly zero at or below it.
     q_i is a float or a 1-D array; each entry is bit-identical to the float call.
     """
     q, pack = _momenta(q_i)
@@ -169,7 +170,7 @@ def transition_rate(q_i, params: SystemParams) -> RateResult:
         sinh_excess = (np.where(series, _sinh_series(u * u), s), np.where(series, u, h),
                        np.where(series, u, 2.0 - u / (s * h)), np.where(series, u, 1.0))
     gamma_T, gamma_E = _scaled_rates(params, v, s, sinh_excess, (s, s, s, s))
-    return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [
+    return _rate_result(q, pack, params, "closed", gamma_T, gamma_E, np.zeros_like(q), [(s, _S_MAX_RANGE),
         (np.maximum(gamma_T, gamma_E), "closed-form rates at q_i = {!r} leave the float range")])
 
 
@@ -193,14 +194,14 @@ def transition_rate_quadrature(q_i, params: SystemParams, tol: float = _DEFAULT_
     q_i is a float or a 1-D array, each entry bit-identical to the float
     call; the gamma_T integral runs once per k (once for every s_max from
     2**-64 to 2**64), the gamma_E one once. Errors come in this order: every
-    momentum is validated and every window built, then the gamma_T integral
-    fails at its first failing momentum, then the gamma_E one, then the first
-    momentum whose transition rate, smallness or energy rate leaves the range.
+    momentum is validated and every window built, then the s_max check, the
+    gamma_T integral and the gamma_E one raise at their first failing
+    momentum, then the first momentum whose gamma_T, smallness or gamma_E does.
     """
     q, pack = _momenta(q_i)
     _check_rel_tol(tol)
     v, s_max = _window(q, params)
-    _in_float_range(q, (s_max, _P_MAX_RANGE))
+    _in_float_range(q, (s_max, _S_MAX_RANGE))
     power = np.ldexp(1.0, np.clip(128 * np.round(np.frexp(s_max)[1] / 128), -1024, 896).astype(int))
     f = s_max / power  # exact: power is a power of two
     window = s_max > 0.0  # a supercritical q_i whose gap underflows has s_max = 0
@@ -252,7 +253,7 @@ def _lattice_args(q_i, params: SystemParams, cfg: BoxOracleConfig):
     the float range, then if the lattice exceeds the point budget.
     """
     q = np.atleast_1d(q_i)
-    missed = np.flatnonzero(~(cfg.p_cut > _p_max(q, params)))  # nan past the float range too
+    missed = np.flatnonzero(~(cfg.p_cut > _p_max(q, params)))  # inf past the float range too
     if missed.size:
         p_max = max_emission_momentum(float(q[missed[0]]), params)  # raises past the float range
         raise ConfigurationError(

@@ -238,7 +238,7 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
     # the prefactor n*a**2/(m*m_r**2) times 4*m**2*2mc*val, by bogoliubov._scale
     a = params.a
     with np.errstate(over="ignore"):
-        fluctuation = _scale(a, a, params.n, over=(m, m_r, m_r), times=(4.0 * m * m * two_mc * val,))
+        fluctuation = _scale(a, a, params.n, over=(m, m_r, m_r), times=(4.0, m, m, two_mc, val))
     energy = mean_field_shift(params) + fluctuation
     return _in_float_range(q_i, (energy, "energy shift at q_i = {!r} leaves the float range"))
 

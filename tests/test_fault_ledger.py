@@ -50,13 +50,13 @@ _GRID = [
 ]
 # points off the grid, each the example of a named fault
 _EDGES = {
-    # v = q_i/q_c = 1e310 is not a float, while p_max = 1e10, gamma_T = 8e8 and gamma_E = 2e228 are
+    # s_max = p_max/2mc = 5e309 is not a float, while p_max = 1e10, gamma_T = 8e8 and gamma_E = 2e228 are
     "v-overflows": (dict(m=1e-200, M=1e-200, n=1e-200, U0=1e-200, g=1e200), 1e10),
 }
 _ROWS = ("closed gamma_T", "closed gamma_E", "quadrature gamma_T", "quadrature gamma_E", "p_max")
 # name: (rows, edge) of each known fault, all points of those rows at that edge
 _FAULTS = {
-    "v-overflows": (_ROWS, "v-overflows"),
+    "v-overflows": (_ROWS[:4], "v-overflows"),
 }
 
 _TOP = mpmath.mpf(2) ** 1024 * (1 - mpmath.mpf(2) ** -54)  # values from here round to inf

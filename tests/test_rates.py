@@ -581,6 +581,18 @@ def test_closed_rates_with_an_overflowing_radicand_raise_not_zero(q_i):
         transition_rate_quadrature(q_i, heavy)
 
 
+def test_rates_where_s_max_overflows_raise_not_zero():
+    # v = q_i/q_c = 1e310 and s_max = p_max/2mc = 5e309 are not floats, while p_max
+    # is 1e10 (and gamma_T about 8e8): the window keeps p_max, and both rate routes
+    # raise at s_max instead of reading an empty window
+    edge = SystemParams(m=1e-200, M=1e-200, n=1e-200, U0=1e-200, g=1e200)
+    assert max_emission_momentum(1e10, edge) == pytest.approx(1e10, rel=1e-15)
+    message = r"^emission window s_max = p_max/2mc at q_i = 10000000000\.0 leaves the float range$"
+    for route in (transition_rate, transition_rate_quadrature):
+        with pytest.raises(NumericalError, match=message):
+            route(np.array([2e-10, 1e10]), edge)
+
+
 def _hexes(r):
     return [[float(v).hex() for v in np.atleast_1d(getattr(r, name)).tolist()]
             for name in ("gamma_T", "gamma_E", "est_error", "smallness")]

@@ -368,7 +368,7 @@ def test_light_impurity_energy_shift_reports_leaving_the_float_range(M):
     assert energy_shift_quadrature(0.0, params, 1e300) == pytest.approx(energy_shift_closed(params), rel=1e-11)
 
 
-@pytest.mark.parametrize("b",[0, 10, 20, 30, 40, 100])
+@pytest.mark.parametrize("b", [0, 10, 20, 30, 40, 100])
 def test_quadrature_mass_in_smaller_momentum_units_warns_nothing(b):
     # one system with its momenta in a unit 2**b times smaller: n * 2**(3b), U0 and a / 2**b;
     # from b = 40 a node of the rational tail map rounded to t = 1 and its division by
