@@ -60,20 +60,20 @@ def _window(q, params: SystemParams, *units):
     """(v, prod(units)*s_max) at each validated momentum of the array q: v = q/q_c, s_max = p_max/2mc.
 
     The one window rule: s_max, the root of hypot(s, 1) + r*s = v with r = m/M, is
-    G/(v*r + hypot(r, sqrt(G))), G = (v - 1)*(v + 1), v - 1 = (q - q_c)/q_c exact near
-    threshold (Sterbenz). It runs in frexp parts over 2**k, the power of two of v, and v is
-    that (mantissa, k) pair (a bogoliubov._scale factor): only the scaled s_max is 0 or inf.
+    G/(v*r + hypot(r, sqrt(G))), G = (v - 1)*(v + 1), v - 1 = (q - q_c)/q_c exact near threshold
+    (Sterbenz), in frexp parts: v is its (mantissa, k) pair, the denominator runs over 2**(k + j).
     """
-    q_c, r = derive(params).q_c, params.m / params.M
+    (top, up), (bottom, down) = np.frexp(params.m), np.frexp(params.M)
+    j = max(up - down - 1022, 0)  # r/2**j is a float for every mass ratio
+    q_c, r = derive(params).q_c, np.ldexp(top / bottom, up - down - j)
     with np.errstate(over="ignore", invalid="ignore"):
         (fq, up), (fc, down), (fg, e_gap) = np.frexp(q), np.frexp(q_c), np.frexp(np.maximum(q - q_c, 0.0))
         v, k, gap, e_gap = fq / fc, up - down, fg / fc, e_gap - down  # the frexp parts' quotients
-        lift = np.maximum(k, 0)  # (v + 1)/2**lift is a float for every v
-        above, e_above = np.frexp(np.ldexp(v, k - lift) + np.ldexp(1.0, -lift))
-        e = e_gap + e_above + lift
-        root = np.ldexp(np.sqrt(np.ldexp(gap * above, e & 1)), (e >> 1) - k)  # sqrt(G)/2**k < v
-        over, e_over = np.frexp(v * r + np.hypot(np.ldexp(r, -k), root))  # only r can overflow
-        return (v, k), _scale(*units, (gap * above / over, e - k - e_over))
+        above, e_above = np.frexp(np.ldexp(v, np.minimum(k, 0)) + np.ldexp(1.0, -np.maximum(k, 0)))
+        e = e_gap + e_above + np.maximum(k, 0)  # v + 1 over 2**max(k, 0), a float for every v
+        root = np.ldexp(np.sqrt(np.ldexp(gap * above, e & 1)), (e >> 1) - k - j)  # sqrt(G)/2**(k + j)
+        over, e_over = np.frexp(v * r + np.hypot(np.ldexp(r, -k), root))
+        return (v, k), _scale(*units, (gap * above / over, e - k - j - e_over))
 
 
 def _p_max(q, params: SystemParams):

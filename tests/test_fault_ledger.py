@@ -52,6 +52,8 @@ _GRID = [
 _EDGES = {
     # s_max = p_max/2mc = 5e309 is not a float, while p_max = 1e10, gamma_T = 8e8 and gamma_E = 2e228 are
     "v-overflows": (dict(m=1e-200, M=1e-200, n=1e-200, U0=1e-200, g=1e200), 1e10),
+    # r = m/M = 1e400 is not a float, while p_max = 2e-250 is (the rates underflow to 0)
+    "r-overflows": (dict(m=1e300, M=1e-100), 2e-250),
 }
 _ROWS = ("closed gamma_T", "closed gamma_E", "quadrature gamma_T", "quadrature gamma_E", "p_max")
 # name: (rows, edge) of each known fault, all points of those rows at that edge
