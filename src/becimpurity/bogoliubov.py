@@ -105,14 +105,22 @@ def _libm(fn, nin: int = 1, nout: int = 1):
 
 
 def _scale(*factors, over=(), times=()):
-    """prod(factors)/prod(over)*prod(times), left to right, on frexp mantissas with one ldexp.
+    """prod(factors)/prod(over)*prod(times), left to right: plainly, or on frexp mantissas.
 
-    The one route of a dimensional scale to an output: the plain expression's
-    bits where its partial results are normal, inf or 0 only where its value
-    leaves the float range, exact under powers of two and on every CPU (frexp
-    and ldexp are exact). A factor may be a (mantissa, exponent) pair; times
-    keeps the energy shift's grouping. Elementwise, under the caller's errstate.
+    The one route of a dimensional scale to an output. Where numpy flags an
+    overflow or underflow in the plain expression, the mantissas are
+    multiplied and the exponents summed, with one ldexp: the same bits where
+    the partial results are normal, inf or 0 only where the value leaves the
+    float range, exact under powers of two and on every CPU. A factor may be
+    a (mantissa, exponent) pair; times keeps the energy shift's grouping.
+    Elementwise, under the caller's errstate.
     """
+    def plain(values):
+        product = np.float64(1.0)
+        for x in values:
+            product = product * (np.ldexp(*x) if isinstance(x, tuple) else x)
+        return product
+
     def parts(values):
         mantissa, exponent = np.float64(1.0), 0
         for x in values:  # math.frexp gives a float's parts without a numpy call
@@ -120,8 +128,12 @@ def _scale(*factors, over=(), times=()):
             mantissa, exponent = mantissa * f, exponent + e
         return mantissa, exponent
 
-    (top, up), (bottom, down), (after, later) = map(parts, (factors, over, times))
-    return np.ldexp(top / bottom * after, up - down + later)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return plain(factors) / plain(over) * plain(times)
+    except FloatingPointError:
+        (top, up), (bottom, down), (after, later) = map(parts, (factors, over, times))
+        return np.ldexp(top / bottom * after, up - down + later)
 
 
 def _odd_taylor_tail(weight, first: int, last: int):

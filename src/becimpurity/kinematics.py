@@ -61,19 +61,29 @@ def _window(q, params: SystemParams, *units):
 
     The one window rule: s_max, the root of hypot(s, 1) + r*s = v with r = m/M, is
     G/(v*r + hypot(r, sqrt(G))), G = (v - 1)*(v + 1), v - 1 = (q - q_c)/q_c exact near threshold
-    (Sterbenz), in frexp parts: v is its (mantissa, k) pair, the denominator runs over 2**(k + j).
+    (Sterbenz). Where a plain value is not a normal float, the rule runs in frexp parts, v as its
+    (mantissa, k) pair (a bogoliubov._scale factor), and the denominator over 2**(k + j).
     """
-    (top, up), (bottom, down) = np.frexp(params.m), np.frexp(params.M)
-    j = max(up - down - 1022, 0)  # r/2**j is a float for every mass ratio
-    q_c, r = derive(params).q_c, np.ldexp(top / bottom, up - down - j)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (fq, up), (fc, down), (fg, e_gap) = np.frexp(q), np.frexp(q_c), np.frexp(np.maximum(q - q_c, 0.0))
-        v, k, gap, e_gap = fq / fc, up - down, fg / fc, e_gap - down  # the frexp parts' quotients
-        above, e_above = np.frexp(np.ldexp(v, np.minimum(k, 0)) + np.ldexp(1.0, -np.maximum(k, 0)))
-        e = e_gap + e_above + np.maximum(k, 0)  # v + 1 over 2**max(k, 0), a float for every v
-        root = np.ldexp(np.sqrt(np.ldexp(gap * above, e & 1)), (e >> 1) - k - j)  # sqrt(G)/2**(k + j)
-        over, e_over = np.frexp(v * r + np.hypot(np.ldexp(r, -k), root))
-        return (v, k), _scale(*units, (gap * above / over, e - k - j - e_over))
+    q_c = derive(params).q_c
+    try:  # the plain rule, which has the bits of the parts below where numpy flags no error
+        with np.errstate(all="raise"):
+            v, r = q / q_c, np.float64(params.m) / params.M
+            G = np.maximum((q - q_c) / q_c, 0.0) * (v + 1.0)
+            s_max = G / (v * r + np.hypot(r, np.sqrt(G)))
+    except FloatingPointError:
+        (top, up), (bottom, down) = np.frexp(params.m), np.frexp(params.M)
+        j = max(up - down - 1022, 0)  # r/2**j is a float for every mass ratio
+        r = np.ldexp(top / bottom, up - down - j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (fq, up), (fc, down), (fg, e_gap) = np.frexp(q), np.frexp(q_c), np.frexp(np.maximum(q - q_c, 0.0))
+            v, k, gap, e_gap = fq / fc, up - down, fg / fc, e_gap - down  # the frexp parts' quotients
+            above, e_above = np.frexp(np.ldexp(v, np.minimum(k, 0)) + np.ldexp(1.0, -np.maximum(k, 0)))
+            e = e_gap + e_above + np.maximum(k, 0)  # v + 1 over 2**max(k, 0), a float for every v
+            root = np.ldexp(np.sqrt(np.ldexp(gap * above, e & 1)), (e >> 1) - k - j)  # sqrt(G)/2**(k + j)
+            over, e_over = np.frexp(v * r + np.hypot(np.ldexp(r, -k), root))
+            v, s_max = (v, k), (np.where(gap > 0.0, gap * above / over, 0.0), e - k - j - e_over)
+    with np.errstate(over="ignore"):
+        return v, _scale(*units, s_max)
 
 
 def _p_max(q, params: SystemParams):

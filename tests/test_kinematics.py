@@ -172,3 +172,13 @@ def test_max_emission_momentum_survives_an_overflowing_radicand(q_i):
 
 def test_max_emission_momentum_at_1e150_is_about_2e144():
     assert max_emission_momentum(1e150, SystemParams(g=1.0, M=1e6)) == pytest.approx(2.0e144, rel=1e-5)
+
+
+def test_window_has_the_plain_bits_on_both_of_its_paths():
+    # q_c = 1e-300: q_i = 1e10 makes v = q_i/q_c overflow, which sends the whole array
+    # to frexp parts; each other momentum keeps the bits of its own plain call
+    edge = SystemParams(m=1e-200, M=1e-200, n=1e-200, U0=1e-200, g=1e200)
+    q = np.append(np.geomspace(1.001e-300, 1e-250, 40), 1e10)
+    batch = max_emission_momentum(q, edge)
+    assert [float(p).hex() for p in batch[:-1]] == [max_emission_momentum(x, edge).hex() for x in q[:-1].tolist()]
+    assert batch[-1] == pytest.approx(1e10, rel=1e-15)
