@@ -71,9 +71,9 @@ def _window(q, params: SystemParams, *units):
             G = np.maximum((q - q_c) / q_c, 0.0) * (v + 1.0)
             s_max = G / (v * r + np.hypot(r, np.sqrt(G)))
     except FloatingPointError:
-        (top, up), (bottom, down) = np.frexp(params.m), np.frexp(params.M)
-        j = max(up - down - 1022, 0)  # r/2**j is a float for every mass ratio
-        r = np.ldexp(top / bottom, up - down - j)
+        (fm, em), (fM, eM) = np.frexp(params.m), np.frexp(params.M)
+        j = max(em - eM - 1022, 0)  # r/2**j is a float for every mass ratio
+        r = np.ldexp(fm / fM, em - eM - j)
         with np.errstate(over="ignore", invalid="ignore"):
             (fq, up), (fc, down), (fg, e_gap) = np.frexp(q), np.frexp(q_c), np.frexp(np.maximum(q - q_c, 0.0))
             v, k, gap, e_gap = fq / fc, up - down, fg / fc, e_gap - down  # the frexp parts' quotients
@@ -81,6 +81,7 @@ def _window(q, params: SystemParams, *units):
             e = e_gap + e_above + np.maximum(k, 0)  # v + 1 over 2**max(k, 0), a float for every v
             root = np.ldexp(np.sqrt(np.ldexp(gap * above, e & 1)), (e >> 1) - k - j)  # sqrt(G)/2**(k + j)
             over, e_over = np.frexp(v * r + np.hypot(np.ldexp(r, -k), root))
+            # an exact 0 below threshold, where the denominator may underflow to 0 too
             v, s_max = (v, k), (np.where(gap > 0.0, gap * above / over, 0.0), e - k - j - e_over)
     with np.errstate(over="ignore"):
         return v, _scale(*units, s_max)

@@ -113,7 +113,8 @@ def _scaled_rates(params: SystemParams, v, s_max, transition, energy):
     """(gamma_T, gamma_E) from their radial factors, exact zeros outside the window (s_max = 0).
 
     gamma_T = n*g**2*m**2*c/(2*pi*v) * prod(transition) and gamma_E =
-    n*g**2*(m*c)**3/(pi*v) * prod(energy), v a pair, every unit through bogoliubov._scale.
+    n*g**2*(m*c)**3/(pi*v) * prod(energy), v as kinematics._window gives it (a float or a
+    pair), every unit through bogoliubov._scale.
     """
     n, g, m, c, window = params.n, params.g, params.m, derive(params).c, s_max > 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # 0/0 at q_i = 0
@@ -136,7 +137,7 @@ def emission_spectral_density(p, q_i: float, params: SystemParams):
     p_max = max_emission_momentum(q_i, params)
     mask = (arr > 0) & (arr < p_max)
     if np.any(mask):
-        d, x, v = derive(params), arr[mask], _window(np.array(q_i), params)[0]  # v as a pair
+        d, x, v = derive(params), arr[mask], _window(np.array(q_i), params)[0]  # v, a float or a pair
         S = _structure_factor(2.0 * params.m * d.c)(x)
         with np.errstate(over="ignore"):
             density = _scale(params.n, params.g, params.g, x, S, over=(2.0 * math.pi, d.c, v))
