@@ -104,16 +104,15 @@ def _libm(fn, nin: int = 1, nout: int = 1):
     return lambda *args: tuple(map(floats, ufunc(*args)))
 
 
-def _scale(*factors, over=(), times=()):
-    """prod(factors)/prod(over)*prod(times), left to right: plainly, or on frexp mantissas.
+def _scale(*factors, over=()):
+    """prod(factors)/prod(over), left to right: plainly, or on frexp mantissas.
 
     The one route of a dimensional scale to an output. Where numpy flags an
     overflow or underflow in the plain expression, the mantissas are
     multiplied and the exponents summed, with one ldexp: the same bits where
     the partial results are normal, inf or 0 only where the value leaves the
     float range, exact under powers of two and on every CPU. A factor may be
-    a (mantissa, exponent) pair; times keeps the energy shift's grouping.
-    Elementwise, under the caller's errstate.
+    a (mantissa, exponent) pair. Elementwise, under the caller's errstate.
     """
     def plain(values):
         product = np.float64(1.0)
@@ -130,10 +129,10 @@ def _scale(*factors, over=(), times=()):
 
     try:
         with np.errstate(over="raise", under="raise"):
-            return plain(factors) / plain(over) * plain(times)
+            return plain(factors) / plain(over)
     except FloatingPointError:
-        (top, up), (bottom, down), (after, later) = map(parts, (factors, over, times))
-        return np.ldexp(top / bottom * after, up - down + later)
+        (top, up), (bottom, down) = map(parts, (factors, over))
+        return np.ldexp(top / bottom, up - down)
 
 
 def _odd_taylor_tail(weight, first: int, last: int):

@@ -336,12 +336,12 @@ def effective_mass_integral_vs_closed() -> tuple:
     return dev, f"mass correction by quadrature off by {dev:.3g} relative"
 
 
-@_check(1e-3)
+@_check(1e-8)
 def effective_mass_fd_vs_closed() -> tuple:
-    """Finite-difference curvature of the subtracted energy matches the mass.
+    """Finite-difference curvature of the spectrum E(q_i) - E(0) matches the mass.
 
-    Carries the O(1/cutoff) residue of the curvature itself, about 5e-4 at
-    the stencil's cutoff of 4000; hence the looser tolerance.
+    The stencil's step 0.01 in q_i/q_c leaves an O(h**4) truncation, 8e-10
+    here; the spectrum needs no cutoff, so nothing else remains.
     """
     params = SystemParams(a=0.01)
     closed = effective_mass_closed(params)

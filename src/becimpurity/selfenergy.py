@@ -18,12 +18,9 @@ integrates t over [0, t_cut], t_cut the image of cutoff/2mc: 8 initial
 panels settle it at any cutoff, where 8 uniform panels of p bisected
 their first one up to 12 times at a cutoff of 4000. The scales
 4*m**2*2mc and n*a**2/(m*m_r**2) come in last, so the shift follows a
-change of units exactly. The scale is 2mc, not mc: at M = 1e-3 m the
-stencil mass on shifts mapped in mc is 2.8e-3 off the closed correction,
-in 2mc 4.1e-5. The quadrature mass's curvature integrand
-(_curvature_integrand) is written in the same s and r, where its integral
-over the half line is I1(m/M) itself, so that route and the closed one
-share their prefactor and differ only in how they get I1.
+change of units exactly. The other mass routes take I1(m/M) in the same s
+and r, by quadrature (_curvature_integrand) or a stencil (_gap_integrand),
+and share the closed route's prefactor.
 
 Everything is parameterized by a; the bare coupling never appears here.
 Subcritical momenta only: above the critical momentum the energy denominator
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import _libm, _log1p, _mass_series, _pow, _scale, _sinh_series
+from .bogoliubov import _libm, _log1p, _mass_series, _odd_taylor_tail, _pow, _scale, _sinh_series
 from .errors import PerturbativeBreakdownError, _in_float_range, _require
 from .kinematics import _subcritical
 from .params import SystemParams, derive
@@ -65,7 +62,6 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = 1e-12
-_FD_CUTOFF = 4000.0  # the stencil's cutoff, in units of mc
 
 
 @dataclass(frozen=True)
@@ -195,6 +191,16 @@ def _shift_integrand(s, v: float, r: float):
     return s * s * _logs(v / w) / (2.0 * v * h)
 
 
+def _gap_integrand(s, v: float, r: float):
+    """_shift_integrand(s, 0, r) - _shift_integrand(s, v, r) = -(s**2/(h*v))*(atanh(u) - u), 0 < v <= 0.1.
+
+    u = v/w (h, w of _denominators). No cutoff: its integral over s >= 0 is -(v**2/3)*I1(r) + O(v**4).
+    """
+    h, w = _denominators(s, r)
+    u = v / w
+    return -(s * s / (h * v)) * (u * u * u * _atanh_series(u * u))
+
+
 def _curvature_integrand(s, r: float):
     """s**2/(h*w**3), h and w of _denominators: its integral over s >= 0 is I1(r).
 
@@ -207,6 +213,8 @@ def _curvature_integrand(s, r: float):
 
 # the libm calls of the integrands here, entry by entry (see bogoliubov._libm)
 _logs = _libm(lambda u: _log1p(u) - _log1p(-u))
+# (atanh(u) - u)/u**3 = 1/3 + u**2/5 + ..., to rounding at |u| <= 0.1
+_atanh_series = _odd_taylor_tail(lambda j: math.factorial(j - 1), 3, 17)
 
 
 def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> float:
@@ -235,10 +243,9 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
     # for a light impurity r*s overflows to inf and the integrand to 0
     with np.errstate(over="ignore"):
         val, _ = integrate(subtracted, 0.0, _rational_image(cutoff / two_mc), _DEFAULT_TOL)
-    # the prefactor n*a**2/(m*m_r**2) times 4*m**2*2mc*val, by bogoliubov._scale
     a = params.a
     with np.errstate(over="ignore"):
-        fluctuation = _scale(a, a, params.n, over=(m, m_r, m_r), times=(4.0, m, m, two_mc, val))
+        fluctuation = _scale(a, a, params.n, 4.0, m, m, two_mc, val, over=(m, m_r, m_r))
     energy = mean_field_shift(params) + fluctuation
     return _in_float_range(q_i, (energy, "energy shift at q_i = {!r} leaves the float range"))
 
@@ -272,10 +279,12 @@ def effective_mass_closed(params: SystemParams) -> MassResult:
 
 
 def _mass_sigma(params: SystemParams, i1: float) -> float:
-    """sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * i1: the mass prefactor of both routes.
+    """sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * i1: the mass prefactor of every route.
 
-    For i1 = I1(m/M) a normal float; M*c = q_c is positive and normal (SystemParams).
+    nan unless i1 = I1(m/M) is a normal float; M*c = q_c is positive and normal (SystemParams).
     """
+    if not sys.float_info.min <= i1 <= sys.float_info.max:
+        return math.nan
     d = derive(params)
     a, x = params.a, params.m / d.m_r
     return (16.0 / 3.0) * params.n * (a * a) / (params.M * d.c) * (x * x) * i1
@@ -309,32 +318,24 @@ def effective_mass_quadrature(params: SystemParams, tol: float = _DEFAULT_TOL) -
     # for a light impurity w**3 overflows to inf and the integrand to 0
     with np.errstate(over="ignore"):
         i1, _ = integrate_semi_infinite(lambda s: _curvature_integrand(s, r), 0.0, tol)
-    sigma = _mass_sigma(params, i1) if i1 >= sys.float_info.min else math.nan
-    return _mass_from_sigma(sigma, params, "quadrature")
+    return _mass_from_sigma(_mass_sigma(params, i1), params, "quadrature")
 
 
 def effective_mass_finite_difference(params: SystemParams) -> MassResult:
-    """Dressed mass from a five-point stencil on the subtracted energy.
+    """Dressed mass from a five-point stencil, step h = 0.01 in v = q_i/q_c, on E(q_i) - E(0).
 
-    The curvature of the fluctuation part at q_i = 0, taken with step
-    0.01*q_c, gives 1/M_ef - 1/M; the constant of the cutoff _FD_CUTOFF*mc
-    cancels in the stencil, leaving an O(1/cutoff) residue in the curvature
-    itself (about 5e-4 relative); in these scales the correction is the same
-    in every unit. The stencil takes three shifts, not five: E(q) is even
-    bit for bit, as the vanishing_linear_term check measures, so E(h) and
-    E(2h) are the E(-h) and E(-2h) already formed.
+    Over its scale that is J(v), the integral of _gap_integrand, with I1(m/M) = -(3/2)*J''(0):
+    the closed route with I1 taken by the stencil. J is even and J(0) = 0, so J(h) and J(2h)
+    are the only integrals.
     """
-    d = derive(params)
-    h, cutoff = 0.01 * d.q_c, _FD_CUTOFF * params.m * d.c
-    shifts = {}  # by |q|, formed at the q first asked for: -2h, -h, 0
-
-    def shift(q):
-        if abs(q) not in shifts:
-            shifts[abs(q)] = energy_shift_quadrature(q, params, cutoff)
-        return shifts[abs(q)]
-
-    d2 = second_derivative(shift, 0.0, h)
-    return _mass_from_sigma(-params.M * d2, params, "finite_difference")
+    r, h = params.m / params.M, 0.01
+    integrals = {0.0: 0.0}  # J by |v|
+    # for a light impurity r*s overflows to inf and the integrand to 0
+    with np.errstate(over="ignore"):
+        for v in (h, 2.0 * h):
+            integrals[v], _ = integrate_semi_infinite(lambda s: _gap_integrand(s, v, r), 0.0, _DEFAULT_TOL)
+    d2 = second_derivative(lambda v: integrals[abs(v)], 0.0, h)
+    return _mass_from_sigma(_mass_sigma(params, -1.5 * d2), params, "finite_difference")
 
 
 def energy_spectrum(q_list, params: SystemParams) -> list[SpectrumPoint]:

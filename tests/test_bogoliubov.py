@@ -233,9 +233,9 @@ def test_scale_has_the_plain_bits_on_both_of_its_paths():
     # an entry whose plain product overflows part way sends the whole array to the
     # frexp mantissas, where the other entries keep the plain expression's bits
     x = np.exp(np.random.default_rng(3).uniform(-50.0, 50.0, (4, 200)))
-    plain = _scale(x[0], 3.0, x[1], over=(x[2], 0.7), times=(x[3],))
-    assert plain.tobytes() == (x[0] * 3.0 * x[1] / (x[2] * 0.7) * x[3]).tobytes()
+    plain = _scale(x[0], 3.0, x[1], x[3], over=(x[2], 0.7))
+    assert plain.tobytes() == (x[0] * 3.0 * x[1] * x[3] / (x[2] * 0.7)).tobytes()
     rows = [np.append(row, extra) for row, extra in zip(x, (1e200, 1e200, 1e200, 1e-200))]
-    parts = _scale(rows[0], 3.0, rows[1], over=(rows[2], 0.7), times=(rows[3],))
+    parts = _scale(rows[0], 3.0, rows[1], rows[3], over=(rows[2], 0.7))
     assert parts[:-1].tobytes() == plain.tobytes()
     assert parts[-1] == pytest.approx(3.0 / 0.7, rel=1e-15)

@@ -168,7 +168,7 @@ _SITES = [
          1e200, NumericalError, "quadrature mass correction at m/M = 1.0 leaves the float range"),
     _row("effective_mass_finite_difference-a",
          lambda v: effective_mass_finite_difference(SystemParams(a=v)), 1e200,
-         NumericalError, "energy shift at q_i = -0.02 leaves the float range"),
+         NumericalError, "finite_difference mass correction at m/M = 1.0 leaves the float range"),
     # inputs that errors._real_array refuses, where a raw numpy or Python error escaped
     _row("huge-int-dispersion-p", lambda v: dispersion(v, UNIT), 10**400, DomainError,
          "momentum magnitude must be nonnegative and finite"),

@@ -154,7 +154,8 @@ def test_energy_shift_even_in_momentum():
 
 
 def _check_suite_shifts():
-    """The check suite's ten (q_i, cutoff): the rest energy at five cutoffs, the stencil, the linear term."""
+    """The check suite's (q_i, cutoff): the rest energy at five cutoffs and the linear term, and at
+    a cutoff of 4000 the three shifts an earlier stencil mass read, kept as a large-cutoff case."""
     h = 0.01 * derive(WEAK).q_c
     rest = [(0.0, cut) for cut in (100.0, 200.0, 400.0, 800.0, 2000.0)]
     return rest + [(-2.0 * h, 4000.0), (-h, 4000.0), (0.0, 4000.0), (-h, 200.0), (h, 200.0)]
@@ -207,12 +208,13 @@ def test_energy_shift_is_finite_over_the_whole_cutoff_range(q_i, cutoff):
 def test_mass_routes_in_other_momentum_units_meet_the_closed_correction(route, b):
     # one system with its momenta in a unit 2**b times smaller: the closed
     # correction is -6.346e-4 at every b. The stencil raised a subdivision-budget
-    # error at b = -8. The quadrature raised from b = 30 and returned -0.0 at
-    # b = 300 until it integrated in p/mc, and raised at b = 300, where p**6
-    # overflowed, until its integrand was written in s = p/2mc
+    # error at b = -8, and was 5e-4 off while it differentiated the shift at a
+    # cutoff. The quadrature raised from b = 30 and returned -0.0 at b = 300
+    # until it integrated in p/mc, and raised at b = 300, where p**6 overflowed,
+    # until its integrand was written in s = p/2mc
     params = SystemParams(m=1.0, M=1.7, n=0.9 * 2.0 ** (3 * b), U0=1.3 * 2.0**-b, a=0.02 * 2.0**-b)
     closed = effective_mass_closed(params).correction
-    rel = 1e-3 if route is effective_mass_finite_difference else 1e-9
+    rel = 1e-8 if route is effective_mass_finite_difference else 1e-9
     assert route(params).correction == pytest.approx(closed, rel=rel)
 
 
@@ -257,17 +259,18 @@ def test_effective_mass_quadrature_matches_closed():
 def test_effective_mass_finite_difference_matches_closed():
     r = effective_mass_finite_difference(WEAK)
     closed = effective_mass_closed(WEAK)
-    assert r.correction == pytest.approx(closed.correction, rel=1e-3)
+    assert r.correction == pytest.approx(closed.correction, rel=1e-8)
     assert r.method == "finite_difference"
 
 
 @pytest.mark.parametrize("M", [1e-3, 0.3, 3.0, 1e3])
 def test_stencil_mass_matches_the_closed_correction_over_mass_ratios(M):
-    # the stencil's O(1/cutoff) residue is 5.7e-4 at M = 1e-3; a counterterm form
-    # of the shift, 4*m*m_r*cutoff minus the bare integral, was 1.7e-3 off there
+    # a stencil on the shift at a cutoff of 4000*mc was 5.7e-4 off at M = 1e-3,
+    # its O(1/cutoff) residue; on the cutoff-free E(q_i) - E(0) only the stencil's
+    # O(h**4) truncation and the quadrature tolerance remain
     params = SystemParams(a=0.01, M=M)
     fd, closed = effective_mass_finite_difference(params), effective_mass_closed(params)
-    assert fd.correction == pytest.approx(closed.correction, rel=1e-3)
+    assert fd.correction == pytest.approx(closed.correction, rel=1e-8)
 
 
 # light to heavy impurities at two couplings
@@ -276,7 +279,8 @@ _STENCIL_ROWS = [(a, M) for a in (0.01, 0.02) for M in (1e-3, 0.3, 1.0, 3.0, 1e3
 
 @pytest.mark.parametrize("a, M", _STENCIL_ROWS)
 def test_energy_shift_is_even_bit_for_bit_at_the_stencil_points(a, M):
-    # the premise that lets the stencil take E(h) and E(2h) from E(-h) and E(-2h)
+    # the premise of the vanishing_linear_term check, which reads E(h) and E(-h);
+    # the stencil mass reads no shift
     params = SystemParams(a=a, M=M)
     h = 0.01 * derive(params).q_c
     for q in (h, 2.0 * h):
@@ -286,23 +290,35 @@ def test_energy_shift_is_even_bit_for_bit_at_the_stencil_points(a, M):
 
 @pytest.mark.parametrize("a, M", _STENCIL_ROWS)
 def test_stencil_mass_takes_three_shifts_and_keeps_its_bits(a, M, monkeypatch):
+    # the stencil's three points of the spectrum J(v) = E(q_i) - E(0) over its
+    # scale are v = 0, 0.01 and 0.02, and two are integrals: J is even with J(0) = 0.
+    # Here each of its five values is integrated alone
     params = SystemParams(a=a, M=M)
-    h = 0.01 * derive(params).q_c
-    # the five-shift stencil, each shift its own integral; its bits depend on
-    # numpy's loops for log1p and powers, so it is formed here, not pinned in hex
-    cutoff = selfenergy._FD_CUTOFF
-    sigma = -M * second_derivative(lambda q: energy_shift_quadrature(q, params, cutoff), 0.0, h)
-    points = []
-    shift = selfenergy.energy_shift_quadrature
+    r = params.m / params.M
 
-    def counted(q_i, *args):
-        points.append(q_i)
-        return shift(q_i, *args)
+    def J(v):
+        if v == 0.0:
+            return 0.0
+        return integrate_semi_infinite(
+            lambda s: selfenergy._gap_integrand(s, abs(v), r), 0.0, selfenergy._DEFAULT_TOL)[0]
 
-    monkeypatch.setattr(selfenergy, "energy_shift_quadrature", counted)
-    r = effective_mass_finite_difference(params)
-    assert points == [-2.0 * h, -h, 0.0]
-    assert (r.M_ef.hex(), r.correction.hex()) == ((M / (1.0 - sigma)).hex(), (-sigma).hex())
+    sigma = selfenergy._mass_sigma(params, -1.5 * second_derivative(J, 0.0, 0.01))
+    integrals = []
+    integrate, gap = selfenergy.integrate_semi_infinite, selfenergy._gap_integrand
+
+    def counted(f, *args):
+        integrals.append(set())
+        return integrate(f, *args)
+
+    def seen(s, v, r):
+        integrals[-1].add(v)
+        return gap(s, v, r)
+
+    monkeypatch.setattr(selfenergy, "integrate_semi_infinite", counted)
+    monkeypatch.setattr(selfenergy, "_gap_integrand", seen)
+    result = effective_mass_finite_difference(params)
+    assert integrals == [{0.01}, {0.02}]
+    assert (result.M_ef.hex(), result.correction.hex()) == ((M / (1.0 - sigma)).hex(), (-sigma).hex())
 
 
 @pytest.mark.parametrize("r", [1e-155, 1e-6, 1 / 1.7, 1.0, 1e3, 1e5, 1e20])
@@ -328,15 +344,13 @@ def test_heavy_impurity_quadrature_mass_equals_the_closed_form(M):
 @pytest.mark.parametrize("M", [1e-120, 1e-160, 1e-200, 1e-300])
 def test_light_impurity_mass_routes_report_leaving_the_float_range(M, route):
     # these ended in a ZeroDivisionError, an overflow warning, a nan mass or a spurious
-    # breakdown; the quadrature's integral I1(m/M) is not a normal float from m/M
-    # about 1e103, and it raises there rather than return a correction of 0
+    # breakdown; I1(m/M), by either integral, is not a normal float from m/M about
+    # 1e103, and both raise there rather than return a correction of 0. The stencil
+    # raised "second derivative at step h ... leaves the float range" below M = 1e-156
+    # while its step was 0.01*q_c, whose 12*h*h underflowed
     params = SystemParams(a=0.01, M=M)
     method = route.__name__.removeprefix("effective_mass_")
     expected = f"{method} mass correction at m/M = {1.0 / M!r} leaves the float range"
-    if route is effective_mass_finite_difference and M < 1e-156:
-        # the shifts are in range; the stencil's weight 12*h*h underflows to 0
-        h = 0.01 * derive(params).q_c
-        expected = f"second derivative at step h = {h!r} leaves the float range"
     with pytest.raises(NumericalError) as exc:
         route(params)
     assert str(exc.value) == expected
