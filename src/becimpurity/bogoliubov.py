@@ -81,27 +81,20 @@ def _log1p(v: float) -> float:
         return float(np.log1p(v))
 
 
-def _libm(fn, nin: int = 1, nout: int = 1):
-    """fn applied entry by entry, in the shape of its broadcast inputs: a float for floats.
+def _libm(fn):
+    """fn applied entry by entry, in the shape of its input: a float for a float.
 
     The one route of a transcendental function or a power to an output.
     numpy picks its ufunc loops by CPU at import, and its AVX-512 loops
     round arcsinh, log1p, log and power differently from its baseline ones.
-    fn takes one entry's Python floats and calls the platform libm instead:
+    fn takes one entry's Python float and calls the platform libm instead:
     math.asinh, math.log (of positive inputs), _log1p and _pow, whose bits
-    are those of numpy's baseline loops. It returns a float, or a tuple of
-    nout floats, so all the libm calls of an entry go in one pass; the map
+    are those of numpy's baseline loops. It returns a float, and the map
     returns float64 arrays. The basic operations, sqrt and hypot around it
     stay numpy's: their bits do not depend on the CPU.
     """
-    ufunc = np.frompyfunc(fn, nin, nout)
-
-    def floats(out):
-        return out.astype(np.float64) if isinstance(out, np.ndarray) else out
-
-    if nout == 1:
-        return lambda *args: floats(ufunc(*args))
-    return lambda *args: tuple(map(floats, ufunc(*args)))
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: ufunc(x).astype(np.float64) if np.ndim(x) else ufunc(x)
 
 
 def _scale(*factors, over=()):

@@ -9,18 +9,18 @@ integrand's large-p limit) under the integral sign; after the prefactor
 n*a**2/(m*m_r**2) it is the same term, 4*n*a**2*cutoff/m_r, that
 params.renormalized_coupling adds to the mean-field shift.
 
-Both numerical routes integrate in the condensate's own momentum scale.
-The shift's integrand is written once in s = p/2mc (_shift_integrand), in
-v = q_i/q_c and r = m/M alone. Subtracted, it is near its s = 0 value
-below the crossover momentum 2mc of the dispersion and falls like 1/s**2
-above it, so the shift maps s = t/(1 - t) (quadrature._rational_map) and
-integrates t over [0, t_cut], t_cut the image of cutoff/2mc: 8 initial
-panels settle it at any cutoff, where 8 uniform panels of p bisected
-their first one up to 12 times at a cutoff of 4000. The scales
-4*m**2*2mc and n*a**2/(m*m_r**2) come in last, so the shift follows a
-change of units exactly. The other mass routes take I1(m/M) in the same s
-and r, by quadrature (_curvature_integrand) or a stencil (_gap_integrand),
-and share the closed route's prefactor.
+Every route works in the condensate's own scales, s = p/2mc, v = q_i/q_c
+and r = m/M, and applies every unit last through one bogoliubov._scale
+product: the mean-field shift, both terms of E(0), the shift's prefactor,
+the mass prefactor of all three mass routes (_mass_sigma) and the
+spectrum's q_i**2/2M_ef. So each overflows or underflows only where its
+value does, and follows a change of units exactly. Subtracted, the shift's integrand
+(_shift_integrand) is near its s = 0 value below the crossover momentum
+2mc of the dispersion and falls like 1/s**2 above it, so the shift maps
+s = t/(1 - t) (quadrature._rational_map) and integrates t over
+[0, t_cut], t_cut the image of cutoff/2mc: 8 initial panels settle it at
+any cutoff. The mass routes take I1(m/M) in closed form, by quadrature
+(_curvature_integrand) or by a stencil (_gap_integrand).
 
 Everything is parameterized by a; the bare coupling never appears here.
 Subcritical momenta only: above the critical momentum the energy denominator
@@ -153,22 +153,24 @@ def _scaled_I1(u: float, s: float, y: float) -> float:
 
 def mean_field_shift(params: SystemParams) -> float:
     """First-order energy shift 2*pi*n*a/m_r; NumericalError where it leaves the float range."""
-    shift = 2.0 * math.pi * params.n * params.a / derive(params).m_r
+    with np.errstate(over="ignore"):
+        shift = _scale(2.0 * math.pi, params.n, params.a, over=(derive(params).m_r,))
     return _in_float_range(params.a, (shift, "mean-field shift at a = {!r} leaves the float range"))
 
 
 def energy_shift_closed(params: SystemParams) -> float:
     """Renormalized impurity energy at rest, second order in a.
 
-    E(0) = (2*pi*n*a/m_r) * (1 + (4*a*m*c/pi) * I0(m/M)); the fluctuation
-    part is positive for repulsive a. Raises NumericalError where E(0), or
-    the mean-field shift before it, leaves the float range.
+    E(0) = 2*pi*n*a/m_r + 8*n*a**2*m*c*I0(m/M)/m_r, the mean-field shift plus
+    the fluctuation part, positive for repulsive a: a sum, since the ratio of
+    the two alone can overflow where E(0) does not. Raises NumericalError
+    where E(0), or the mean-field shift before it, leaves the float range.
     """
-    d = derive(params)
-    correction = 4.0 * params.a * params.m * d.c / math.pi * I0(params.m / params.M)
-    energy = mean_field_shift(params) * (1.0 + correction)
-    return _in_float_range(
-        params.a, (energy, "closed-form energy shift at a = {!r} leaves the float range"))
+    a, d = params.a, derive(params)
+    with np.errstate(over="ignore"):
+        fluctuation = _scale(8.0, params.n, a, a, params.m, d.c, I0(params.m / params.M), over=(d.m_r,))
+        energy = mean_field_shift(params) + fluctuation
+    return _in_float_range(a, (energy, "closed-form energy shift at a = {!r} leaves the float range"))
 
 
 def _denominators(s, r: float):
@@ -246,48 +248,40 @@ def energy_shift_quadrature(q_i: float, params: SystemParams, cutoff: float) -> 
     a = params.a
     with np.errstate(over="ignore"):
         fluctuation = _scale(a, a, params.n, 4.0, m, m, two_mc, val, over=(m, m_r, m_r))
-    energy = mean_field_shift(params) + fluctuation
+        energy = mean_field_shift(params) + fluctuation
     return _in_float_range(q_i, (energy, "energy shift at q_i = {!r} leaves the float range"))
 
 
 def effective_mass_closed(params: SystemParams) -> MassResult:
     """Closed-form dressed mass M_ef = M / (1 - sigma), with
 
-    sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * I1(m/M).
+    sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * I1(m/M)
 
-    Where I1(m/M) leaves the normal floats (m/M above about 2.2e103) while
-    (m/m_r)**2 = (1 + m/M)**2 grows as fast, sigma is formed instead as
-    (4/3) * (n*a**2/(m*c)) * (y/s) * ((1 + y)/s)**2 * (4*s**3*I1(y)) with
-    y = m/M and s = sqrt(y*y - 1), whose factors all stay near their
-    large-y limits.
+    formed by _mass_sigma. From u = 3 on (u and s of _rapidity) it takes
+    4*s**3*I1(y) (_scaled_I1) over 4*s**3, y = m/M: normal floats where
+    I1(y) itself is subnormal, so this route has no range branch.
     """
-    ratio = params.m / params.M
-    i1 = I1(ratio)
-    if i1 >= sys.float_info.min:
-        sigma = _mass_sigma(params, i1)
+    y = params.m / params.M
+    u, _, s, _ = _rapidity(y)
+    if u < 3.0:
+        sigma = _mass_sigma(params, I1(y))
     else:
-        a = params.a
-        u, _, s, _ = _rapidity(ratio)
-        x = (1.0 + ratio) / s
-        sigma = (
-            (4.0 / 3.0) * params.n * (a * a) / (params.m * derive(params).c)
-            * (ratio / s) * (x * x) * _scaled_I1(u, s, ratio)
-        )
-    sigma = _in_float_range(
-        ratio, (sigma, "closed-form mass correction at m/M = {!r}: its factors leave the float range"))
+        sigma = _mass_sigma(params, _scaled_I1(u, s, y), 4.0, s, s, s)
     return _mass_from_sigma(sigma, params, "closed")
 
 
-def _mass_sigma(params: SystemParams, i1: float) -> float:
-    """sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * i1: the mass prefactor of every route.
+def _mass_sigma(params: SystemParams, i1: float, *over) -> float:
+    """sigma = (16/3) * (n*a**2/(M*c)) * (m/m_r)**2 * i1/prod(over): the mass prefactor of every route.
 
-    nan unless i1 = I1(m/M) is a normal float; M*c = q_c is positive and normal (SystemParams).
+    One bogoliubov._scale product, so it is inf or 0 only where sigma is.
+    nan unless i1, I1(m/M) times prod(over), is a normal float.
     """
     if not sys.float_info.min <= i1 <= sys.float_info.max:
         return math.nan
     d = derive(params)
     a, x = params.a, params.m / d.m_r
-    return (16.0 / 3.0) * params.n * (a * a) / (params.M * d.c) * (x * x) * i1
+    with np.errstate(over="ignore"):
+        return _scale(16.0 / 3.0, params.n, a, a, x, x, i1, over=(params.M, d.c, *over))
 
 
 def _mass_from_sigma(sigma: float, params: SystemParams, method: str) -> MassResult:
@@ -342,14 +336,18 @@ def energy_spectrum(q_list, params: SystemParams) -> list[SpectrumPoint]:
     """Quadratic subcritical spectrum E(q_i) = E(0) + q_i**2/(2*M_ef).
 
     Built from the closed forms; even in q_i. q_list is a float or a 1-D
-    array, list or tuple, held to kinematics._subcritical.
+    array, list or tuple, held to kinematics._subcritical. q_i**2/(2*M_ef)
+    is one bogoliubov._scale product, so a point raises NumericalError only
+    where its energy leaves the float range.
     """
     momenta, _ = _subcritical(q_list, params, "spectrum")
     e0 = energy_shift_closed(params)
     mf = mean_field_shift(params)
     mass = effective_mass_closed(params)
+    with np.errstate(over="ignore"):
+        energies = e0 + _scale(momenta, momenta, over=(2.0, mass.M_ef))
+    energies = _in_float_range(momenta, (energies, "spectrum at q_i = {!r} leaves the float range"))
     return [
-        SpectrumPoint(q_i=q, energy=e0 + q * q / (2.0 * mass.M_ef),
-                      components={"mean_field": mf, "fluctuation": e0 - mf})
-        for q in momenta.tolist()
+        SpectrumPoint(q_i=q, energy=energy, components={"mean_field": mf, "fluctuation": e0 - mf})
+        for q, energy in zip(momenta.tolist(), energies.tolist())
     ]

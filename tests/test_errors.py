@@ -146,7 +146,7 @@ _SITES = [
     _row("ragged-integrate-b", lambda v: integrate(abs, 0.0, v), [[0.1], 0.2], DomainError,
          "integration bounds must be real numbers, got a=0.0, b=[[0.1], 0.2]"),
     _row("effective_mass_closed-a", lambda v: effective_mass_closed(SystemParams(a=v)), 1e160,
-         NumericalError, "closed-form mass correction at m/M = 1.0: its factors leave the float range"),
+         NumericalError, "closed mass correction at m/M = 1.0 leaves the float range"),
     # closed energies that came back as inf
     _row("energy_shift_closed-a", lambda v: energy_shift_closed(SystemParams(a=v)), 1e200,
          NumericalError, "closed-form energy shift at a = 1e+200 leaves the float range"),
@@ -160,6 +160,11 @@ _SITES = [
     # the spectrum reads the closed energy before the closed mass, whose factors leave too
     _row("energy_spectrum-a", lambda v: energy_spectrum(0.0, SystemParams(a=v)), 1e200,
          NumericalError, "closed-form energy shift at a = 1e+200 leaves the float range"),
+    # a kinetic term q_i**2/(2*M_ef) past the float range, where the spectrum returned inf;
+    # q_i = 1e304 is in range, so the message names the first offender
+    _row("energy_spectrum-kinetic",
+         lambda v: energy_spectrum([1e304, v, 9e304], SystemParams(n=1e10, M=1e300, a=0.01)), 5e304,
+         NumericalError, "spectrum at q_i = 5e+304 leaves the float range"),
     # routes that squared a Python float a, where a raw OverflowError escaped
     _row("energy_shift_quadrature-a",
          lambda v: energy_shift_quadrature(0.0, SystemParams(a=v), 10.0), 1e200,
@@ -215,6 +220,11 @@ _SITES = [
     # the shift is in range there, and the prefactor times the integral overflows here
     _row("energy_shift_quadrature-prefactor",
          lambda v: energy_shift_quadrature(0.0, SystemParams(a=v), 200.0), 1e154,
+         NumericalError, "energy shift at q_i = 0.0 leaves the float range"),
+    # the mean-field shift and the fluctuation in range, and their sum past it, where a
+    # RuntimeWarning escaped from the numpy scalar sum
+    _row("energy_shift_quadrature-sum",
+         lambda v: energy_shift_quadrature(0.0, SystemParams(n=v, U0=1.0 / v, a=0.5), 1e308), 1.7e307,
          NumericalError, "energy shift at q_i = 0.0 leaves the float range"),
     # bounds and budgets that a raw error or a bool got past
     _row("huge-int-integrate-a", lambda v: integrate(abs, v, 1.0), 10**400, DomainError,

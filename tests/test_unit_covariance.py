@@ -1,4 +1,4 @@
-"""Exact unit covariance of the shift, the stencil and quadrature masses, the closed rates and the window.
+"""Exact unit covariance of the self-energy routes, the closed rates and the window.
 
 Change the mass unit by 2**a and the momentum unit by 2**b: m and M scale
 by 2**a, n by 2**(3b), U0 by 2**-(a+b), the scattering length by 2**-b,
@@ -18,10 +18,14 @@ import pytest
 from becimpurity import (
     SystemParams,
     derive,
+    effective_mass_closed,
     effective_mass_finite_difference,
     effective_mass_quadrature,
+    energy_shift_closed,
     energy_shift_quadrature,
+    energy_spectrum,
     max_emission_momentum,
+    mean_field_shift,
     transition_rate,
 )
 
@@ -38,6 +42,10 @@ def _shift(params: SystemParams, b: int) -> float:
     return energy_shift_quadrature(0.3 * derive(params).q_c, params, 50.0 * 2.0**b)
 
 
+def _spectrum(params: SystemParams) -> float:
+    return energy_spectrum(0.3 * derive(params).q_c, params)[0].energy
+
+
 @pytest.mark.parametrize("a, b", _TABLE)
 def test_shift_and_stencil_mass_follow_a_change_of_units_bit_for_bit(a, b):
     # the stencil took its cutoff 4000 in the caller's momentum unit: its
@@ -45,9 +53,11 @@ def test_shift_and_stencil_mass_follow_a_change_of_units_bit_for_bit(a, b):
     # The quadrature mass integrated p**6 over a cube in p/mc: it raised at
     # b = 300, where p**6 overflows, and was 0.7% off at a = -40, b = 100
     base, scaled = _system(0, 0), _system(a, b)
-    for mass in (effective_mass_finite_difference, effective_mass_quadrature):
+    for mass in (effective_mass_closed, effective_mass_finite_difference, effective_mass_quadrature):
         assert mass(scaled).correction.hex() == mass(base).correction.hex()
     assert _shift(scaled, b).hex() == math.ldexp(_shift(base, 0), 2 * b - a).hex()
+    for energy in (mean_field_shift, energy_shift_closed, _spectrum):
+        assert energy(scaled).hex() == math.ldexp(energy(base), 2 * b - a).hex()
 
 
 def _ldexp(x: float, e: int) -> float:
